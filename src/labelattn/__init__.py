@@ -1,7 +1,6 @@
 """labelattn: training one classifier from multiple noisy annotation sets by
 attending over the label sets with meta-training feedback."""
 
-from ._kernels import BACKEND
 from .annotators import (AnnotatorSpec, ConfusionMatrix, NoisyLabelSet, cm_adversarial,
                          cm_average, cm_hammer_spammer, cm_ordered_confusion,
                          cm_structured_flips, corrupt, empirical_cm, noise_level_of)

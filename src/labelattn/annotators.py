@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
 
 HAMMER_SPAMMER = "hammer_spammer"
 STRUCTURED_FLIPS = "structured_flips"
@@ -204,12 +203,15 @@ def build_cm(spec: AnnotatorSpec, n: int,
 def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator,
             annotator: AnnotatorSpec | None = None, seed=None) -> NoisyLabelSet:
     """Sample one noisy label per sample from the true-class row of the matrix."""
-    clean = np.ascontiguousarray(clean, dtype=np.int64)
+    clean = np.asarray(clean, dtype=np.int64)
     if clean.size and (clean.min() < 0 or clean.max() >= cm.n_classes):
         raise ValueError(f"label index out of range for {cm.n_classes} classes")
-    cum = np.ascontiguousarray(np.cumsum(cm.rows, axis=1))
+    cum = np.cumsum(cm.rows, axis=1)
     uniforms = rng.random(clean.size)
-    noisy = K.corrupt_draw(clean, cum, uniforms)
+    # the count of cumulative sums at or below the draw is the class index; a
+    # draw at or above a row's last sum (rounding below 1) takes the last class
+    idx = np.sum(cum[clean] <= uniforms[:, None], axis=1)
+    noisy = np.minimum(idx, cm.n_classes - 1).astype(np.int64)
     return NoisyLabelSet(labels=noisy, annotator=annotator, seed=seed)
 
 

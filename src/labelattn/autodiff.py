@@ -20,9 +20,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels as K
-
 BCE_EPS = 1e-7
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-x)) on a plain array, branching on sign so exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def bce_value(pred: np.ndarray, target: np.ndarray) -> float:
+    """Mean binary cross entropy of flat arrays, predictions clamped to
+    [BCE_EPS, 1 - BCE_EPS]."""
+    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
 
 
 class TapeNode:
@@ -144,7 +159,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = K.sigmoid(np.ascontiguousarray(x.data).ravel()).reshape(x.shape)
+    y = logistic(x.data)
     return make_op(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -156,12 +171,11 @@ def relu(x: Tensor) -> Tensor:
 
 def softmax(z: Tensor) -> Tensor:
     """Softmax over the last axis of a vector or a batch of row vectors."""
-    if z.data.ndim == 1:
-        w = K.softmax2d(np.ascontiguousarray(z.data).reshape(1, -1)).reshape(z.shape)
-    elif z.data.ndim == 2:
-        w = K.softmax2d(np.ascontiguousarray(z.data))
-    else:
+    if z.data.ndim not in (1, 2):
         raise ValueError(f"softmax expects a vector or matrix, got {z.shape}")
+    zc = np.ascontiguousarray(z.data)
+    e = np.exp(zc - zc.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
         dot = np.sum(g * w, axis=-1, keepdims=True)
@@ -203,15 +217,18 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     _check_same_shape(pred, target, "bce_loss")
     p = np.ascontiguousarray(pred.data).ravel()
     y = np.ascontiguousarray(target.data).ravel()
-    value = K.bce_forward(p, y, BCE_EPS)
+    value = bce_value(p, y)
     if not np.isfinite(value):
         raise ValueError("bce_loss produced a non-finite value")
 
     def grad_fn(g):
         s = float(g)
-        gp = s * K.bce_grad_pred(p, y, BCE_EPS).reshape(pred.shape)
-        gy = s * K.bce_grad_target(p, y, BCE_EPS).reshape(target.shape)
-        return gp, gy
+        c = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
+        # zero prediction gradient where the clamp is active
+        inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
+        gp = np.where(inside, -(y / c - (1.0 - y) / (1.0 - c)) / p.size, 0.0)
+        gy = -(np.log(c) - np.log1p(-c)) / p.size
+        return s * gp.reshape(pred.shape), s * gy.reshape(target.shape)
 
     return make_op(np.array(value), (pred, target), grad_fn)
 

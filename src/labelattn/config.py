@@ -54,12 +54,38 @@ class ExperimentConfig:
 
 
 def _expect_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} at {where}")
     for key in required:
         if key not in d:
             raise ConfigError(f"missing required key {key!r} at {where}")
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; an integral float such as 2.0 is taken as 2, a bool is rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integer_list(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a nonempty list of integers, got {value!r}")
+    return tuple(_integer(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
+def _integer_fields(payload: dict, keys: tuple[str, ...], where: str) -> dict:
+    """Copy of ``payload`` with the given keys checked as integers; a null
+    is left to the dataclass's own checks."""
+    out = dict(payload)
+    for key in keys:
+        if out.get(key) is not None:
+            out[key] = _integer(out[key], f"{where}.{key}")
+    return out
 
 
 def _build(cls, payload: dict, where: str):
@@ -83,13 +109,20 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if kind == "synthetic":
         _expect_keys(payload, {"n_classes", "dim", "samples_per_class", "cluster_std",
                                "center_scale", "seed"}, set(), "dataset.synthetic")
+        payload = _integer_fields(payload, ("n_classes", "dim", "samples_per_class", "seed"),
+                                  "dataset.synthetic")
         dataset = _build(SyntheticSpec, payload, "dataset.synthetic")
     elif kind == "cifar10":
         _expect_keys(payload, {"paths", "test_paths", "subset", "test_subset", "seed"},
                      {"paths"}, "dataset.cifar10")
-        payload = dict(payload)
-        payload["paths"] = tuple(payload["paths"])
-        payload["test_paths"] = tuple(payload.get("test_paths", ()))
+        payload = _integer_fields(payload, ("subset", "test_subset", "seed"), "dataset.cifar10")
+        payload.setdefault("test_paths", [])
+        for key in ("paths", "test_paths"):
+            if not (isinstance(payload[key], list)
+                    and all(isinstance(v, str) for v in payload[key])):
+                raise ConfigError(f"dataset.cifar10.{key} must be a list of file paths, "
+                                  f"got {payload[key]!r}")
+            payload[key] = tuple(payload[key])
         dataset = _build(Cifar10Spec, payload, "dataset.cifar10")
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -104,41 +137,54 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         if entry["kind"] not in KINDS:
             raise ConfigError(f"unknown annotator kind {entry['kind']!r} at {where}")
         payload = dict(entry)
-        if "flip_pairs" in payload and payload["flip_pairs"] is not None:
-            payload["flip_pairs"] = tuple((int(a), int(b)) for a, b in payload["flip_pairs"])
+        if payload.get("flip_pairs") is not None:
+            pairs = payload["flip_pairs"]
+            if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2
+                                                      for p in pairs):
+                raise ConfigError(f"{where}.flip_pairs must be a list of [a, b] pairs, "
+                                  f"got {pairs!r}")
+            payload["flip_pairs"] = tuple(
+                tuple(_integer(c, f"{where}.flip_pairs[{j}]") for c in pair)
+                for j, pair in enumerate(pairs))
         annotators.append(_build(AnnotatorSpec, payload, where))
     if all(a.kind == AVERAGE for a in annotators):
         raise ConfigError("annotators cannot all be 'average'")
 
     model_raw = raw.get("model", {})
     _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")
-    hidden_dims = tuple(int(d) for d in model_raw.get("hidden_dims", DEFAULT_HIDDEN_DIMS))
-    aux_dim = int(model_raw.get("aux_dim", 0))
-    if not hidden_dims or any(d < 1 for d in hidden_dims):
+    hidden_dims = (_integer_list(model_raw["hidden_dims"], "model.hidden_dims")
+                   if "hidden_dims" in model_raw else DEFAULT_HIDDEN_DIMS)
+    aux_dim = _integer(model_raw.get("aux_dim", 0), "model.aux_dim")
+    if any(d < 1 for d in hidden_dims):
         raise ConfigError("model.hidden_dims must be a nonempty list of positive ints")
     if aux_dim < 0:
         raise ConfigError("model.aux_dim must be >= 0")
 
-    meta_raw = dict(raw.get("meta", {}))
+    meta_raw = raw.get("meta", {})
     _expect_keys(meta_raw, {"alpha", "beta", "k", "t_threshold", "batch_size", "epochs",
                             "attention_mode"}, set(), "meta")
-    meta = _build(MetaConfig, meta_raw, "meta")
+    meta = _build(MetaConfig, _integer_fields(meta_raw, ("batch_size", "epochs"), "meta"), "meta")
 
     method_raw = raw.get("method", {"name": METHOD_OURS})
     _expect_keys(method_raw, {"name", "set_index"}, {"name"}, "method")
     if method_raw["name"] not in METHODS:
         raise ConfigError(f"unknown method {method_raw['name']!r}; choose from {METHODS}")
-    method = MethodSpec(name=method_raw["name"], set_index=int(method_raw.get("set_index", 0)))
+    method = MethodSpec(name=method_raw["name"],
+                        set_index=_integer(method_raw.get("set_index", 0), "method.set_index"))
     if method.name == METHOD_BASELINE and not 0 <= method.set_index < len(annotators):
         raise ConfigError(f"method.set_index {method.set_index} out of range for "
                           f"{len(annotators)} annotators")
 
-    seeds = raw["seeds"]
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("seeds must be a nonempty list of integers")
-    val_fraction = float(raw.get("val_fraction", 0.2))
+    seeds = _integer_list(raw["seeds"], "seeds")
+    val_fraction = raw.get("val_fraction", 0.2)
+    if isinstance(val_fraction, bool) or not isinstance(val_fraction, (int, float)):
+        raise ConfigError(f"val_fraction must be a number, got {val_fraction!r}")
+    val_fraction = float(val_fraction)
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    trace = raw.get("trace", False)
+    if not isinstance(trace, bool):
+        raise ConfigError(f"trace must be true or false, got {trace!r}")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -147,10 +193,10 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         aux_dim=aux_dim,
         meta=meta,
         method=method,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         val_fraction=val_fraction,
         output=str(raw.get("output", "results")),
-        trace=bool(raw.get("trace", False)),
+        trace=trace,
     )
 
 

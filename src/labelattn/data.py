@@ -218,6 +218,8 @@ def consensus_labels(ds: LabeledDataset) -> np.ndarray:
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Self-describing container: int64 header [S, D, N, M, A], float64
     features, uint8 clean labels, M uint8 label sets, float64 aux."""
+    if ds.n_classes > 256:
+        raise ValueError(f"{ds.n_classes} classes do not fit the container's uint8 labels")
     a = 0 if ds.aux is None else ds.aux.shape[1]
     header = np.array([ds.n_samples, ds.features.shape[1], ds.n_classes, ds.n_sets, a],
                       dtype=np.int64)
@@ -233,8 +235,15 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
 def load_dataset(path) -> LabeledDataset:
     raw = Path(path).read_bytes()
-    s, d, n, m, a = (int(v) for v in np.frombuffer(raw, dtype=np.int64, count=5))
     off = 5 * 8
+    if len(raw) < off:
+        raise ValueError(f"dataset file of {len(raw)} bytes is shorter than its header")
+    s, d, n, m, a = (int(v) for v in np.frombuffer(raw, dtype=np.int64, count=5))
+    if min(s, d, n, m, a) < 0:
+        raise ValueError(f"dataset header holds a negative size: {[s, d, n, m, a]}")
+    expected = off + s * d * 8 + s * (1 + m) + s * a * 8
+    if len(raw) != expected:
+        raise ValueError(f"dataset file holds {len(raw)} bytes, its header implies {expected}")
     feats = np.frombuffer(raw, dtype=np.float64, count=s * d, offset=off).reshape(s, d).copy()
     off += s * d * 8
     clean = np.frombuffer(raw, dtype=np.uint8, count=s, offset=off).astype(np.int64)

@@ -32,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as K
-from .autodiff import (BCE_EPS, Tensor, add_bias, bce_loss, concat, constant, detach,
-                       gradients, make_op, matmul, softmax)
+from .autodiff import (Tensor, add_bias, bce_loss, bce_value, concat, constant, detach,
+                       gradients, logistic, make_op, matmul, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
 from .model import (Classifier, classifier_bytes, classifier_from_bytes, forward,
                     params_get, params_set, predict_class)
@@ -181,11 +180,11 @@ def sample_label(weights: Tensor, label_sets: np.ndarray) -> Tensor:
     lab3 = labels.reshape(labels.shape[0], 1, -1) if labels.ndim == 2 else labels
     if lab3.shape[0] != w2.shape[1] or lab3.shape[1] != w2.shape[0]:
         raise ValueError(f"label sets {labels.shape} do not match weights {weights.shape}")
-    out = K.weighted_label_fwd(np.ascontiguousarray(w2), lab3)
+    out = np.einsum("bm,mbn->bn", np.ascontiguousarray(w2), lab3)
 
     def grad_fn(g):
         g2 = g.reshape(lab3.shape[1], lab3.shape[2])
-        gw = K.weighted_label_grad(np.ascontiguousarray(g2), lab3)
+        gw = np.einsum("bn,mbn->bm", np.ascontiguousarray(g2), lab3)
         return (gw.reshape(weights.shape),)
 
     return make_op(out[0] if single else out, (weights,), grad_fn)
@@ -196,8 +195,7 @@ def binarize(y_soft: Tensor, k: float, t: float) -> Tensor:
     maps [0, 1] into (0, 1), derivative k * out * (1 - out)."""
     if k <= 0:
         raise ValueError("k must be positive")
-    out = K.binarize(np.ascontiguousarray(y_soft.data).ravel(), float(k), float(t)) \
-        .reshape(y_soft.shape)
+    out = logistic(float(k) * (y_soft.data - float(t)))
     return make_op(out, (y_soft,), lambda g: (g * k * out * (1.0 - out),))
 
 
@@ -274,7 +272,7 @@ def reweighted_loss(pred, label_sets, weights) -> float:
         raise ValueError(f"{sets.shape[0]} label sets but {w.size} weights")
     total = 0.0
     for m in range(w.size):
-        total += w[m] * K.bce_forward(p, np.ascontiguousarray(sets[m]).ravel(), BCE_EPS)
+        total += w[m] * bce_value(p, np.ascontiguousarray(sets[m]).ravel())
     return total
 
 
@@ -286,7 +284,7 @@ def theorem1_gap(pred, label_sets, weights) -> float:
     sets = np.asarray(label_sets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64).ravel()
     mixed = np.tensordot(w, sets, axes=(0, 0))
-    lhs = K.bce_forward(p, np.ascontiguousarray(mixed).ravel(), BCE_EPS)
+    lhs = bce_value(p, np.ascontiguousarray(mixed).ravel())
     return abs(lhs - reweighted_loss(p, sets, w))
 
 

@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as K
 from .autodiff import Tensor
 
 
@@ -61,16 +60,14 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     for p, g, m, v in zip(params, arrays, state.m, state.v):
         if m.shape != p.data.shape:
             raise ValueError(f"Adam moment shape {m.shape} does not match parameter shape {p.data.shape}")
-        p2, m2, v2 = K.adam_update(
-            np.ascontiguousarray(p.data).ravel(),
-            np.ascontiguousarray(g).ravel(),
-            np.ascontiguousarray(m).ravel(),
-            np.ascontiguousarray(v).ravel(),
-            t, state.lr, state.beta1, state.beta2, state.eps,
-        )
-        new_params.append(Tensor(p2.reshape(p.data.shape), requires_grad=True, copy=False))
-        new_m.append(m2.reshape(p.data.shape))
-        new_v.append(v2.reshape(p.data.shape))
+        m2 = state.beta1 * m + (1.0 - state.beta1) * g
+        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m_hat = m2 / (1.0 - state.beta1**t)
+        v_hat = v2 / (1.0 - state.beta2**t)
+        p2 = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_params.append(Tensor(p2, requires_grad=True, copy=False))
+        new_m.append(m2)
+        new_v.append(v2)
     next_state = AdamState(lr=state.lr, beta1=state.beta1, beta2=state.beta2,
                            eps=state.eps, t=t, m=tuple(new_m), v=tuple(new_v))
     return new_params, next_state

@@ -187,6 +187,19 @@ class TestCorrupt:
         assert errs[1] < errs[0]
 
 
+    def test_draw_at_last_cumulative_sum_takes_last_class(self):
+        class EdgeDraws:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        # ten 0.1 entries sum cumulatively to just below 1, so every row's
+        # last sum equals the draw and the count of sums at or below it is 10
+        cm = ConfusionMatrix(10, np.full((10, 10), 0.1))
+        assert np.all(np.cumsum(cm.rows, axis=1)[:, -1] == np.nextafter(1.0, 0.0))
+        noisy = corrupt(np.arange(10), cm, EdgeDraws())
+        assert np.array_equal(noisy.labels, np.full(10, 9))
+
+
 class TestEmpiricalCm:
     def test_identity_when_equal(self):
         labels = np.repeat(np.arange(5), 3)

@@ -205,7 +205,14 @@ class TestBceLoss:
             y = constant(rng.integers(0, 2, size=8).astype(float))
             assert bce_loss(p, y).item() >= 0.0
         # exact 0/1 predictions hit the clamp instead of log(0)
-        assert np.isfinite(bce_loss(constant([0.0, 1.0]), constant([1.0, 0.0])).item())
+        p = Tensor(np.array([0.0, 1.0, 0.5]), requires_grad=True)
+        y = Tensor(np.array([1.0, 0.0, 1.0]), requires_grad=True)
+        loss = bce_loss(p, y)
+        assert np.isfinite(loss.item())
+        gp, gy = gradients(loss, [p, y])
+        # no prediction gradient where the clamp is active, a live one elsewhere
+        assert gp[0] == 0.0 and gp[1] == 0.0 and gp[2] != 0.0
+        assert np.all(np.isfinite(gy))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -77,6 +77,11 @@ class TestErrors:
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_bad_value_type_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=["x"])
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: seeds[0] must be an integer" in capsys.readouterr().err
+
     def test_bad_sweep_levels_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))
         assert main(["sweep-noise", "--config", str(cfg), "--levels", "0.0,0.5"]) == 2

@@ -70,6 +70,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match="average"):
             parse_config_dict(raw)
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"seeds": ["x"]}, "seeds"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"model": {"hidden_dims": "ab"}}, "model.hidden_dims"),
+        ({"model": {"aux_dim": True}}, "model.aux_dim"),
+        ({"val_fraction": "a"}, "val_fraction"),
+        ({"annotators": [{"kind": "structured_flips", "noise_level": 0.3,
+                          "flip_pairs": [[1]]}]}, "annotators\\[0\\].flip_pairs"),
+        ({"trace": "false"}, "trace"),
+        ({"meta": {"epochs": 1.5}}, "meta.epochs"),
+        ({"meta": {"batch_size": True}}, "meta.batch_size"),
+        ({"method": {"name": "baseline", "set_index": "0"}}, "method.set_index"),
+        ({"meta": [1]}, "meta"),
+        ({"dataset": {"cifar10": {"paths": 5}}}, "dataset.cifar10.paths"),
+    ])
+    def test_bad_types_raise_config_error(self, overrides, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config_dict(minimal(**overrides))
+
+    def test_integral_floats_taken_as_integers(self):
+        cfg = parse_config_dict(minimal(seeds=[1.0], meta={"epochs": 2.0}))
+        assert cfg.seeds == (1,) and cfg.meta.epochs == 2
+        assert isinstance(cfg.meta.epochs, int)
+
     def test_cifar_dataset(self):
         raw = minimal()
         raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"],

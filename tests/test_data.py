@@ -251,3 +251,23 @@ class TestContainer:
         for a, b in zip(back.label_sets, ds.label_sets):
             assert np.array_equal(a.labels, b.labels)
         assert back.aux.tobytes() == ds.aux.tobytes()
+
+    def test_labels_beyond_uint8_rejected(self, tmp_path):
+        wide = LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 299], n_classes=300)
+        path = tmp_path / "ds.bin"
+        with pytest.raises(ValueError, match="300 classes"):
+            save_dataset(wide, path)
+        assert not path.exists()
+        edge = LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 255], n_classes=256)
+        save_dataset(edge, path)
+        assert np.array_equal(load_dataset(path).clean_labels, [0, 255])
+
+    @pytest.mark.parametrize("cut", ["header", "short", "trailing"])
+    def test_length_mismatch_rejected(self, tmp_path, cut):
+        ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3)], seed=8)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        path.write_bytes({"header": raw[:20], "short": raw[:-1], "trailing": raw + b"\0"}[cut])
+        with pytest.raises(ValueError, match="bytes"):
+            load_dataset(path)
