@@ -9,13 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import parse_config
 from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants,
-                         emit, emit_summary, noise_sweep_variants, run_experiment,
-                         run_single)
+                         emit, emit_summary, noise_sweep_variants, run_variants)
 from .verification import run_verification
 
 
@@ -41,26 +39,11 @@ def _trace_sink(out_dir: Path):
     return sink
 
 
-def _seed_job(args: tuple) -> dict:
-    cfg, seed, tag = args
-    return run_single(cfg, seed, tag=tag).record.to_dict()
-
-
-def _run_variants(variants: list[tuple[ExperimentConfig, str]], jobs: int,
-                  out_dir: Path, want_traces: bool) -> list[ResultRecord]:
-    """Execute (variant, tag) pairs, optionally fanning seeds out to worker
-    processes. Records come back in deterministic job order either way."""
-    if jobs > 1 and not want_traces:
-        work = [(variant, seed, tag) for variant, tag in variants
-                for seed in variant.seeds]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dicts = list(pool.map(_seed_job, work))
-        return [ResultRecord.from_dict(d) for d in dicts]
-    sink = _trace_sink(out_dir) if want_traces else None
-    records: list[ResultRecord] = []
-    for variant, tag in variants:
-        records.extend(run_experiment(variant, tag=tag, trace_sink=sink))
-    return records
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def main(argv=None) -> int:
@@ -68,24 +51,20 @@ def main(argv=None) -> int:
                                      description="attention-over-label-sets experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configured experiment over its seeds")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--jobs", type=int, default=1)
-    p_run.add_argument("--out", default=None, help="output directory (default: config's)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--jobs", type=_jobs, default=1,
+                        help="worker processes for the seed runs (default 1)")
+    common.add_argument("--out", default=None, help="output directory (default: config's)")
 
-    p_noise = sub.add_parser("sweep-noise", help="noise-level sweep")
-    p_noise.add_argument("--config", required=True)
+    sub.add_parser("run", parents=[common],
+                   help="run one configured experiment over its seeds")
+    p_noise = sub.add_parser("sweep-noise", parents=[common], help="noise-level sweep")
     p_noise.add_argument("--levels", required=True,
                          help="comma-separated noise levels, e.g. 0.1,0.3,0.5")
-    p_noise.add_argument("--jobs", type=int, default=1)
-    p_noise.add_argument("--out", default=None)
-
-    p_ann = sub.add_parser("sweep-annotators", help="annotator-count sweep")
-    p_ann.add_argument("--config", required=True)
+    p_ann = sub.add_parser("sweep-annotators", parents=[common], help="annotator-count sweep")
     p_ann.add_argument("--noise", type=float, default=0.3,
                        help="noise level for the adjustable annotators")
-    p_ann.add_argument("--jobs", type=int, default=1)
-    p_ann.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run the numeric oracle suites")
     p_verify.add_argument("--trials", type=int, default=1000)
@@ -95,41 +74,28 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return 0 if run_verification(trials=args.trials) else 1
 
-    try:
+    try:  # a ConfigError is a ValueError, as are bad sweep levels
         cfg = parse_config(args.config)
-    except ConfigError as err:
+        if args.command == "run":
+            variants, summary = [(cfg, "")], None
+        elif args.command == "sweep-noise":
+            levels = [float(v) for v in args.levels.split(",") if v.strip()]
+            variants, summary = noise_sweep_variants(cfg, levels), "plot_noise.csv"
+        else:
+            variants, summary = annotator_sweep_variants(cfg, args.noise), "plot_annotators.csv"
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out if args.out else cfg.output)
     try:
-        if args.command == "run":
-            variants = [(cfg, "")]
-            summary = None
-        elif args.command == "sweep-noise":
-            try:
-                levels = [float(v) for v in args.levels.split(",") if v.strip()]
-                variants = noise_sweep_variants(cfg, levels)
-            except ValueError as err:
-                print(f"config error: {err}", file=sys.stderr)
-                return 2
-            summary = "plot_noise.csv"
-        else:
-            try:
-                variants = annotator_sweep_variants(cfg, args.noise)
-            except ValueError as err:
-                print(f"config error: {err}", file=sys.stderr)
-                return 2
-            summary = "plot_annotators.csv"
-        records = _run_variants(variants, args.jobs, out_dir, cfg.trace)
+        records = run_variants(variants, args.jobs,
+                               _trace_sink(out_dir) if cfg.trace else None)
     except ExperimentError as err:
         print(f"run failure: {err}", file=sys.stderr)
         if err.completed:
             _write_outputs(err.completed, out_dir)
             print(f"preserved {len(err.completed)} completed records", file=sys.stderr)
-        return 1
-    except Exception as err:  # worker-process failures arrive unwrapped
-        print(f"run failure: {err}", file=sys.stderr)
         return 1
 
     _write_outputs(records, out_dir, summary)

@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotators import AnnotatorSpec, AVERAGE, KINDS
-from .data import SyntheticSpec
+from .annotators import AnnotatorSpec, AVERAGE, KINDS, build_cm
+from .data import CIFAR10_CLASSES, SyntheticSpec
 from .metatrain import MetaConfig
 
 METHOD_OURS = "ours"
@@ -78,13 +78,22 @@ def _integer_list(value, where: str) -> tuple[int, ...]:
     return tuple(_integer(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
-def _integer_fields(payload: dict, keys: tuple[str, ...], where: str) -> dict:
-    """Copy of ``payload`` with the given keys checked as integers; a null
-    is left to the dataclass's own checks."""
+def _number(value, where: str):
+    """A JSON number, kept as given so that the config hash does not change;
+    a bool is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return value
+
+
+def _checked_fields(payload: dict, where: str, integers=(), numbers=()) -> dict:
+    """Copy of ``payload`` with the given keys checked as integers or numbers;
+    a null is left to the dataclass's own checks."""
     out = dict(payload)
-    for key in keys:
-        if out.get(key) is not None:
-            out[key] = _integer(out[key], f"{where}.{key}")
+    for keys, check in ((integers, _integer), (numbers, _number)):
+        for key in keys:
+            if out.get(key) is not None:
+                out[key] = check(out[key], f"{where}.{key}")
     return out
 
 
@@ -109,13 +118,15 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if kind == "synthetic":
         _expect_keys(payload, {"n_classes", "dim", "samples_per_class", "cluster_std",
                                "center_scale", "seed"}, set(), "dataset.synthetic")
-        payload = _integer_fields(payload, ("n_classes", "dim", "samples_per_class", "seed"),
-                                  "dataset.synthetic")
+        payload = _checked_fields(payload, "dataset.synthetic",
+                                  integers=("n_classes", "dim", "samples_per_class", "seed"),
+                                  numbers=("cluster_std", "center_scale"))
         dataset = _build(SyntheticSpec, payload, "dataset.synthetic")
     elif kind == "cifar10":
         _expect_keys(payload, {"paths", "test_paths", "subset", "test_subset", "seed"},
                      {"paths"}, "dataset.cifar10")
-        payload = _integer_fields(payload, ("subset", "test_subset", "seed"), "dataset.cifar10")
+        payload = _checked_fields(payload, "dataset.cifar10",
+                                  integers=("subset", "test_subset", "seed"))
         payload.setdefault("test_paths", [])
         for key in ("paths", "test_paths"):
             if not (isinstance(payload[key], list)
@@ -136,7 +147,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         _expect_keys(entry, {"kind", "noise_level", "flip_pairs"}, {"kind"}, where)
         if entry["kind"] not in KINDS:
             raise ConfigError(f"unknown annotator kind {entry['kind']!r} at {where}")
-        payload = dict(entry)
+        payload = _checked_fields(entry, where, numbers=("noise_level",))
         if payload.get("flip_pairs") is not None:
             pairs = payload["flip_pairs"]
             if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2
@@ -149,6 +160,15 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         annotators.append(_build(AnnotatorSpec, payload, where))
     if all(a.kind == AVERAGE for a in annotators):
         raise ConfigError("annotators cannot all be 'average'")
+    # An average only mixes the others, so it fits whenever they do.
+    n_classes = dataset.n_classes if isinstance(dataset, SyntheticSpec) else CIFAR10_CLASSES
+    for i, spec in enumerate(annotators):
+        if spec.kind != AVERAGE:
+            try:
+                build_cm(spec, n_classes)
+            except ValueError as err:
+                raise ConfigError(f"annotators[{i}] does not fit {n_classes} classes: "
+                                  f"{err}") from err
 
     model_raw = raw.get("model", {})
     _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")
@@ -163,7 +183,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     meta_raw = raw.get("meta", {})
     _expect_keys(meta_raw, {"alpha", "beta", "k", "t_threshold", "batch_size", "epochs",
                             "attention_mode"}, set(), "meta")
-    meta = _build(MetaConfig, _integer_fields(meta_raw, ("batch_size", "epochs"), "meta"), "meta")
+    meta = _build(MetaConfig, _checked_fields(meta_raw, "meta", integers=("batch_size", "epochs"),
+                                              numbers=("alpha", "beta", "k", "t_threshold")),
+                  "meta")
 
     method_raw = raw.get("method", {"name": METHOD_OURS})
     _expect_keys(method_raw, {"name", "set_index"}, {"name"}, "method")
@@ -176,10 +198,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                           f"{len(annotators)} annotators")
 
     seeds = _integer_list(raw["seeds"], "seeds")
-    val_fraction = raw.get("val_fraction", 0.2)
-    if isinstance(val_fraction, bool) or not isinstance(val_fraction, (int, float)):
-        raise ConfigError(f"val_fraction must be a number, got {val_fraction!r}")
-    val_fraction = float(val_fraction)
+    val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     trace = raw.get("trace", False)

@@ -22,6 +22,7 @@ _SPLIT_TAG = 1004
 _BATCH_TAG = 1005
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 channel-major pixels
+CIFAR10_CLASSES = 10
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def load_cifar10(paths) -> LabeledDataset:
     if not feats:
         raise ValueError("no CIFAR-10 batch files given")
     return LabeledDataset(features=np.concatenate(feats), clean_labels=np.concatenate(labels),
-                          n_classes=10)
+                          n_classes=CIFAR10_CLASSES)
 
 
 def attach_annotators(ds: LabeledDataset, specs, seed: int) -> LabeledDataset:

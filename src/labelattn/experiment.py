@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -157,23 +159,51 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
+# One entry: (dataset, annotators) -> (pool, test) of this process's last job.
+_datasets_memo: dict = {}
+
+
+def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
+    """One (variant, seed, tag) job: its record and its trace rows."""
+    cfg, seed, tag = job
+    key = (cfg.dataset, cfg.annotators)
+    if key not in _datasets_memo:
+        _datasets_memo.clear()
+        _datasets_memo[key] = build_datasets(cfg)
+    pool, test = _datasets_memo[key]
+    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
+    return out.record, out.trace_rows
+
+
+def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]:
+    """Every seed of every (variant config, tag) pair, in that order, in up to
+    ``jobs`` worker processes. Records (and trace rows, handed to
+    ``trace_sink``) come back in job order either way. A failing job aborts
+    with context; the records finished before it stay on the exception."""
+    work = [(cfg, seed, tag) for cfg, tag in variants for seed in cfg.seeds]
+    workers = min(jobs, len(work))
+    records: list[ResultRecord] = []
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else nullcontext()) as executor:
+            for record, rows in (executor.map if executor else map)(_seed_run, work):
+                if trace_sink is not None and rows:
+                    trace_sink(record, rows)
+                records.append(record)
+    except Exception as err:
+        cfg, seed, tag = work[len(records)]
+        raise ExperimentError(
+            f"run failed (method={method_label(cfg.method)}, seed={seed}, "
+            f"tag={tag!r}): {err}", records) from err
+    finally:
+        _datasets_memo.clear()
+    return records
+
+
 def run_experiment(cfg: ExperimentConfig, tag: str = "",
                    trace_sink=None) -> list[ResultRecord]:
-    """All seeds of one config; deterministic per seed. A failing seed aborts
-    with context while completed records stay available on the exception."""
-    pool, test = build_datasets(cfg)
-    records: list[ResultRecord] = []
-    for seed in cfg.seeds:
-        try:
-            out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
-        except Exception as err:
-            raise ExperimentError(
-                f"run failed (method={method_label(cfg.method)}, seed={seed}, "
-                f"tag={tag!r}): {err}", records) from err
-        records.append(out.record)
-        if trace_sink is not None and out.trace_rows:
-            trace_sink(out.record, out.trace_rows)
-    return records
+    """All seeds of one config; deterministic per seed."""
+    return run_variants([(cfg, tag)], trace_sink=trace_sink)
 
 
 def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[ExperimentConfig, str]]:
@@ -198,10 +228,7 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
 
 
 def sweep_noise(cfg: ExperimentConfig, levels, trace_sink=None) -> list[ResultRecord]:
-    records: list[ResultRecord] = []
-    for variant, tag in noise_sweep_variants(cfg, levels):
-        records.extend(run_experiment(variant, tag=tag, trace_sink=trace_sink))
-    return records
+    return run_variants(noise_sweep_variants(cfg, levels), trace_sink=trace_sink)
 
 
 ANNOTATOR_SWEEP_ORDER = (HAMMER_SPAMMER, ADVERSARIAL, ORDERED_CONFUSION,
@@ -222,10 +249,7 @@ def annotator_sweep_variants(cfg: ExperimentConfig,
 
 def sweep_annotators(cfg: ExperimentConfig, noise_level: float = 0.3,
                      trace_sink=None) -> list[ResultRecord]:
-    records: list[ResultRecord] = []
-    for variant, tag in annotator_sweep_variants(cfg, noise_level):
-        records.extend(run_experiment(variant, tag=tag, trace_sink=trace_sink))
-    return records
+    return run_variants(annotator_sweep_variants(cfg, noise_level), trace_sink=trace_sink)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ weighted label equals the weight-averaged BCE against the individual sets
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -78,19 +79,24 @@ class AttentionParams:
     mode: str = ATTENTION_CONCAT
 
 
-def attention_init(n_sets: int, feat_dim: int, mode: str = ATTENTION_CONCAT) -> AttentionParams:
-    """Zero-initialized attention: every sample starts at uniform weights."""
+def _attention_shapes(n_sets: int, feat_dim: int, mode: str) -> tuple[tuple, tuple]:
+    """Shapes of the attention weight matrix and bias."""
     if n_sets < 1 or feat_dim < 1:
         raise ValueError("n_sets and feat_dim must be positive")
     if mode == ATTENTION_CONCAT:
-        w = Tensor(np.zeros((n_sets * feat_dim, n_sets)), requires_grad=True, copy=False)
-        b = Tensor(np.zeros(n_sets), requires_grad=True, copy=False)
-    elif mode == ATTENTION_SHARED:
-        w = Tensor(np.zeros((feat_dim, 1)), requires_grad=True, copy=False)
-        b = Tensor(np.zeros(1), requires_grad=True, copy=False)
-    else:
-        raise ValueError(f"unknown attention mode {mode!r}")
-    return AttentionParams(n_sets=n_sets, feat_dim=feat_dim, w=w, b=b, mode=mode)
+        return (n_sets * feat_dim, n_sets), (n_sets,)
+    if mode == ATTENTION_SHARED:
+        return (feat_dim, 1), (1,)
+    raise ValueError(f"unknown attention mode {mode!r}")
+
+
+def attention_init(n_sets: int, feat_dim: int, mode: str = ATTENTION_CONCAT) -> AttentionParams:
+    """Zero-initialized attention: every sample starts at uniform weights."""
+    w_shape, b_shape = _attention_shapes(n_sets, feat_dim, mode)
+    return AttentionParams(n_sets=n_sets, feat_dim=feat_dim,
+                           w=Tensor(np.zeros(w_shape), requires_grad=True, copy=False),
+                           b=Tensor(np.zeros(b_shape), requires_grad=True, copy=False),
+                           mode=mode)
 
 
 @dataclass(frozen=True)
@@ -248,15 +254,19 @@ def load_checkpoint(path) -> tuple[Classifier, AttentionParams]:
     n_sets, feat_dim, mode_code = (int(v) for v in
                                    np.frombuffer(data, np.int64, 3, offset=offset))
     offset += 3 * 8
+    if mode_code not in _MODE_NAMES:
+        raise ValueError(f"unknown attention mode code {mode_code} in checkpoint")
     mode = _MODE_NAMES[mode_code]
-    template = attention_init(n_sets, feat_dim, mode)
-    w_size = template.w.data.size
+    w_shape, b_shape = _attention_shapes(n_sets, feat_dim, mode)
+    w_size, b_size = math.prod(w_shape), math.prod(b_shape)
+    if len(data) != offset + (w_size + b_size) * 8:
+        raise ValueError(f"checkpoint has {len(data)} bytes, its headers imply "
+                         f"{offset + (w_size + b_size) * 8}")
     w = np.frombuffer(data, np.float64, w_size, offset=offset)
     offset += w_size * 8
-    b = np.frombuffer(data, np.float64, template.b.data.size, offset=offset)
+    b = np.frombuffer(data, np.float64, b_size, offset=offset)
     attn = AttentionParams(n_sets=n_sets, feat_dim=feat_dim,
-                           w=Tensor(w.reshape(template.w.shape).copy(),
-                                    requires_grad=True, copy=False),
+                           w=Tensor(w.reshape(w_shape).copy(), requires_grad=True, copy=False),
                            b=Tensor(b.copy(), requires_grad=True, copy=False),
                            mode=mode)
     return model, attn

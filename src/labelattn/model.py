@@ -125,9 +125,14 @@ def classifier_bytes(model: Classifier) -> bytes:
 def classifier_from_bytes(data: bytes, offset: int = 0) -> tuple[Classifier, int]:
     """Parse one classifier; returns (model, offset past its payload)."""
     n_dims = int(np.frombuffer(data, dtype=np.int64, count=1, offset=offset)[0])
+    if n_dims < 2:
+        raise ValueError(f"classifier header names {n_dims} layer sizes, needs at least 2")
     header = np.frombuffer(data, dtype=np.int64, count=n_dims + 3, offset=offset)
     layer_dims = tuple(int(v) for v in header[1:1 + n_dims])
     n_classes, aux_dim = int(header[-2]), int(header[-1])
+    if min(layer_dims) < 1 or n_classes < 1 or aux_dim < 0:
+        raise ValueError(f"invalid classifier header: layer_dims={layer_dims}, "
+                         f"n_classes={n_classes}, aux_dim={aux_dim}")
     offset += header.nbytes
     params = []
     for shape in param_shapes(layer_dims, n_classes, aux_dim):

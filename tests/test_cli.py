@@ -1,7 +1,11 @@
 """CLI surfaces: subcommands, outputs, exit codes."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
+from labelattn import experiment
 from labelattn.cli import main
 from labelattn.experiment import read_records
 
@@ -14,6 +18,36 @@ TINY = {
     "meta": {"epochs": 2, "batch_size": 16},
     "seeds": [0],
 }
+
+
+# Two classes: the annotator sweep's M=2 roster fits them, its M=3 roster
+# (ordered confusion) does not, so every M=3 job fails in build_datasets.
+TWO_CLASSES = {**TINY, "dataset": {"synthetic": {"n_classes": 2, "dim": 4,
+                                                 "samples_per_class": 20,
+                                                 "center_scale": 4.0, "seed": 5}},
+               "annotators": [{"kind": "hammer_spammer", "noise_level": 0.2}],
+               "meta": {"epochs": 1, "batch_size": 16}, "seeds": [0, 1]}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the process pools the runs start; the pools are real."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def without_clock(path):
+    dicts = [r.to_dict() for r in read_records(path)]
+    for d in dicts:
+        d.pop("wall_clock_seconds")
+    return dicts
 
 
 def write_config(tmp_path, **overrides):
@@ -54,11 +88,26 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 0
         assert main(["run", "--config", str(cfg), "--jobs", "2",
                      "--out", str(tmp_path / "par")]) == 0
-        seq = [r.to_dict() for r in read_records(tmp_path / "seq" / "results.jsonl")]
-        par = [r.to_dict() for r in read_records(tmp_path / "par" / "results.jsonl")]
-        for d in seq + par:
-            d.pop("wall_clock_seconds")
-        assert seq == par
+        assert without_clock(tmp_path / "seq" / "results.jsonl") == \
+            without_clock(tmp_path / "par" / "results.jsonl")
+
+    def test_traces_with_jobs_match_serial(self, tmp_path, pool_sizes):
+        cfg = write_config(tmp_path, trace=True, seeds=[0, 1])
+        for jobs in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        assert pool_sizes == [2]
+        serial = {p.name: p.read_bytes() for p in (tmp_path / "1" / "traces").iterdir()}
+        pooled = {p.name: p.read_bytes() for p in (tmp_path / "2" / "traces").iterdir()}
+        assert len(serial) == 2 and serial == pooled
+
+    @pytest.mark.parametrize("seeds, jobs, sizes", [([0, 1], "5", [2]), ([0], "3", [])])
+    def test_pool_never_larger_than_the_seed_runs(self, tmp_path, pool_sizes,
+                                                  seeds, jobs, sizes):
+        cfg = write_config(tmp_path, seeds=seeds, output=str(tmp_path / "out"))
+        assert main(["run", "--config", str(cfg), "--jobs", jobs]) == 0
+        assert pool_sizes == sizes
+        assert len(read_records(tmp_path / "out" / "results.jsonl")) == len(seeds)
 
 
 class TestErrors:
@@ -81,6 +130,35 @@ class TestErrors:
         cfg = write_config(tmp_path, seeds=["x"])
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error: seeds[0] must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_two(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_roster_that_does_not_fit_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, annotators=[{"kind": "ordered_confusion",
+                                                  "noise_level": 0.3}],
+                           dataset=TWO_CLASSES["dataset"])
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "annotators[0] does not fit 2 classes" in capsys.readouterr().err
+
+    def test_failure_keeps_finished_records(self, tmp_path, pool_sizes):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TWO_CLASSES))
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["sweep-annotators", "--config", str(path), "--jobs", jobs,
+                         "--out", str(out)]) == 1
+            kept = without_clock(out / "results.jsonl")
+            assert without_clock(out / "results.csv") == kept
+            assert [(d["tag"], d["seed"]) for d in kept] == [("M=2", 0), ("M=2", 1)]
+        assert pool_sizes == [2]
+        assert without_clock(tmp_path / "1" / "results.jsonl") == \
+            without_clock(tmp_path / "2" / "results.jsonl")
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))

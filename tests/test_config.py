@@ -84,10 +84,31 @@ class TestParsing:
         ({"method": {"name": "baseline", "set_index": "0"}}, "method.set_index"),
         ({"meta": [1]}, "meta"),
         ({"dataset": {"cifar10": {"paths": 5}}}, "dataset.cifar10.paths"),
+        ({"meta": {"alpha": True}}, "meta.alpha"),
+        ({"meta": {"beta": True}}, "meta.beta"),
+        ({"meta": {"k": True}}, "meta.k"),
+        ({"meta": {"t_threshold": False}}, "meta.t_threshold"),
+        ({"annotators": [{"kind": "hammer_spammer", "noise_level": True}]},
+         "annotators\\[0\\].noise_level"),
+        ({"dataset": {"synthetic": {"cluster_std": True}}}, "dataset.synthetic.cluster_std"),
+        ({"dataset": {"synthetic": {"center_scale": True}}}, "dataset.synthetic.center_scale"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):
             parse_config_dict(minimal(**overrides))
+
+    @pytest.mark.parametrize("dataset, annotator", [
+        ({"synthetic": {"n_classes": 2}}, {"kind": "ordered_confusion", "noise_level": 0.3}),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"}),
+        ({"synthetic": {"n_classes": 4}},
+         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 4]]}),
+        ({"cifar10": {"paths": ["a.bin"]}},
+         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[10, 0]]}),
+    ])
+    def test_roster_must_fit_the_class_count(self, dataset, annotator):
+        raw = minimal(dataset=dataset, annotators=[annotator, {"kind": "average"}])
+        with pytest.raises(ConfigError, match="annotators\\[0\\] does not fit"):
+            parse_config_dict(raw)
 
     def test_integral_floats_taken_as_integers(self):
         cfg = parse_config_dict(minimal(seeds=[1.0], meta={"epochs": 2.0}))

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from labelattn import experiment
 from labelattn.config import parse_config_dict
-from labelattn.experiment import (CSV_COLUMNS, ResultRecord, build_datasets, emit,
-                                  emit_summary, read_records, run_experiment,
+from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
+                                  emit, emit_summary, read_records, run_experiment,
                                   run_single, summarize, sweep_annotators, sweep_noise)
 
 TINY = {
@@ -121,6 +122,15 @@ class TestSweeps:
         keys = [(r.config_hash, r.seed, r.tag) for r in records]
         assert len(keys) == len(set(keys))
 
+    def test_noise_sweep_builds_one_dataset_pair_per_level(self, monkeypatch):
+        built = []
+        real = experiment.build_datasets
+        monkeypatch.setattr(experiment, "build_datasets",
+                            lambda cfg: built.append(cfg.annotators) or real(cfg))
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
+        assert len(sweep_noise(cfg, [0.2, 0.5])) == 20
+        assert len(built) == 2 and built[0] != built[1]
+
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
             sweep_noise(tiny_config(), [0.0])
@@ -147,6 +157,17 @@ class TestSweeps:
         records = sweep_annotators(cfg, noise_level=0.3)
         assert [r.tag for r in records] == ["M=2", "M=3", "M=4", "M=5"]
         assert all(r.method == "ours" for r in records)
+
+    def test_failing_variant_keeps_finished_records(self):
+        # two classes fit the M=2 roster; the M=3 roster's ordered confusion
+        # needs three, so the first M=3 job fails in build_datasets
+        raw = json.loads(json.dumps(TINY))
+        raw["dataset"]["synthetic"]["n_classes"] = 2
+        raw.update(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
+        with pytest.raises(ExperimentError, match="tag='M=3'") as exc:
+            sweep_annotators(parse_config_dict(raw), noise_level=0.3)
+        assert len(exc.value.completed) == 2
+        assert [(r.tag, r.seed) for r in exc.value.completed] == [("M=2", 0), ("M=2", 1)]
 
 
 class TestEmission:

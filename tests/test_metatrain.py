@@ -606,6 +606,23 @@ class TestCheckpoint:
             assert np.array_equal(back_attn.w.data, attn.w.data)
             assert np.array_equal(back_attn.b.data, attn.b.data)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda data, _: data + bytes(16), "bytes"),
+        (lambda data, _: data[:-8], "bytes"),
+        (lambda data, at: data[:at] + np.int64(7).tobytes() + data[at + 8:], "mode code 7"),
+        (lambda data, at: data[:at - 16] + np.int64(10**6).tobytes() * 2 + data[at:], "bytes"),
+    ], ids=["trailing-bytes", "truncated", "unknown-mode", "oversized-header"])
+    def test_bad_payload_rejected(self, tmp_path, edit, match):
+        from labelattn.metatrain import load_checkpoint, save_checkpoint
+        from labelattn.model import classifier_bytes
+        model = classifier_init((3, 5, 4), n_classes=2, rng=np.random.default_rng(10))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(model, attention_init(3, 4), path)
+        mode_at = len(classifier_bytes(model)) + 16   # after n_sets and feat_dim
+        path.write_bytes(edit(path.read_bytes(), mode_at))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
 
 class TestMetaConfig:
     def test_defaults_match_documented_values(self):

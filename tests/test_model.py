@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (classifier_init, forward, load_params, params_get,
-                             params_set, predict_class, save_params)
+from labelattn.model import (classifier_bytes, classifier_from_bytes, classifier_init,
+                             forward, load_params, params_get, params_set, predict_class,
+                             save_params)
 
 
 def tiny_model(seed=0, aux_dim=0):
@@ -191,3 +192,12 @@ class TestPersistence:
         aux = np.random.default_rng(16).normal(size=(3, 2))
         assert np.array_equal(forward(back, x, aux).probs.data,
                               forward(model, x, aux).probs.data)
+
+    # header of tiny_model: [n_dims=3, 4, 8, 5, n_classes=3, aux_dim=0]
+    @pytest.mark.parametrize("index, value", [(0, 1), (2, 0), (4, 0), (5, -1)],
+                             ids=["one-layer-size", "zero-width", "no-classes", "negative-aux"])
+    def test_bad_header_rejected(self, index, value):
+        data = bytearray(classifier_bytes(tiny_model()))
+        data[index * 8:(index + 1) * 8] = np.int64(value).tobytes()
+        with pytest.raises(ValueError, match="header"):
+            classifier_from_bytes(bytes(data))
