@@ -4,9 +4,8 @@ attending over the label sets with meta-training feedback."""
 from .annotators import (AnnotatorSpec, ConfusionMatrix, NoisyLabelSet, cm_adversarial,
                          cm_average, cm_hammer_spammer, cm_ordered_confusion,
                          cm_structured_flips, corrupt, empirical_cm, noise_level_of)
-from .autodiff import (Tensor, backward, bce_loss, concat, constant, detach,
-                       finite_diff_grad, gradients, matmul, relu, sigmoid, softmax,
-                       tensor_new)
+from .autodiff import (Tensor, bce_loss, concat, constant, detach, finite_diff_grad,
+                       gradients, matmul, relu, sigmoid, softmax, tensor_new)
 from .config import ExperimentConfig, config_hash, parse_config
 from .data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators,
                    load_cifar10, minibatches, one_hot, split, synth_blobs)

@@ -3,14 +3,16 @@
 A :class:`Tensor` wraps a float64 numpy array. Every differentiable
 operation attaches a :class:`TapeNode` to its output recording the input
 tensors and a closure that maps the output gradient to input gradients.
-:func:`backward` replays the recorded graph so that every consumer is
-visited before its producer, accumulating gradients additively into the
-``grad`` buffers of all tensors that require them. :func:`detach` returns a
-value-equal tensor severed from the graph: no later backward pass can reach
-the original producers through it.
+:func:`gradients` is the only way to differentiate: it replays the graph
+below a scalar loss so that every consumer is visited before its producer,
+sums the gradients reaching each tensor, and returns fresh arrays for the
+requested tensors. Tensors hold no gradient state, so one graph can be
+differentiated any number of times. :func:`detach` returns a value-equal
+tensor severed from the graph: no gradient reaches the original producers
+through it.
 
 Graphs are plain per-tensor links; there is no global registry, so tensors
-can move freely between threads as values while any single backward pass
+can move freely between threads as values while any single gradient pass
 stays on one thread.
 """
 
@@ -53,13 +55,12 @@ class TapeNode:
 class Tensor:
     """Dense float64 array participating in the gradient graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, *, node: TapeNode | None = None,
                  copy: bool = True):
         self.data = np.array(data, dtype=np.float64, copy=copy)
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self.node = node
 
     @property
@@ -127,28 +128,9 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ValueError(f"shape mismatch in {op}: {a.shape} vs {b.shape}")
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return make_op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return make_op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     return make_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def scalar_mul(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return make_op(a.data * c, (a,), lambda g: (g * c,))
-
-
-def scalar_add(a: Tensor, c: float) -> Tensor:
-    return make_op(a.data + float(c), (a,), lambda g: (g,))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -239,7 +221,7 @@ def detach(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward pass
+# differentiation
 # ---------------------------------------------------------------------------
 
 
@@ -263,10 +245,13 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _pullback(loss: Tensor) -> tuple[list[Tensor], dict[int, np.ndarray]]:
-    order = _toposort(loss)
+def gradients(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
+    """Gradient arrays of a scalar loss w.r.t. the given tensors, summed over
+    every path from each tensor to the loss. Unreached tensors get zeros."""
+    if loss.data.size != 1:
+        raise ValueError(f"gradients requires a scalar loss, got shape {loss.shape}")
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(order):
+    for t in reversed(_toposort(loss)):
         g = acc.get(id(t))
         if g is None or t.node is None:
             continue
@@ -275,34 +260,6 @@ def _pullback(loss: Tensor) -> tuple[list[Tensor], dict[int, np.ndarray]]:
                 continue
             prev = acc.get(id(inp))
             acc[id(inp)] = gi if prev is None else prev + gi
-    return order, acc
-
-
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` of every requires-grad ancestor of a scalar loss.
-
-    Accumulation is additive: calling backward twice without clearing the
-    buffers doubles the gradients.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    order, acc = _pullback(loss)
-    for t in order:
-        if not t.requires_grad:
-            continue
-        g = acc.get(id(t))
-        if g is None:
-            continue
-        g = np.asarray(g, dtype=np.float64).reshape(t.shape)
-        t.grad = g.copy() if t.grad is None else t.grad + g
-
-
-def gradients(loss: Tensor, wrt: Sequence[Tensor]) -> list[np.ndarray]:
-    """Gradient arrays of a scalar loss w.r.t. given tensors, without touching
-    any ``grad`` buffer. Unreached tensors get zeros."""
-    if loss.data.size != 1:
-        raise ValueError(f"gradients requires a scalar loss, got shape {loss.shape}")
-    _, acc = _pullback(loss)
     out = []
     for t in wrt:
         g = acc.get(id(t))

@@ -39,11 +39,11 @@ def _trace_sink(out_dir: Path):
     return sink
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True)
-    common.add_argument("--jobs", type=_jobs, default=1,
+    common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for the seed runs (default 1)")
     common.add_argument("--out", default=None, help="output directory (default: config's)")
 
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
                        help="noise level for the adjustable annotators")
 
     p_verify = sub.add_parser("verify", help="run the numeric oracle suites")
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=_positive_int, default=1000)
 
     args = parser.parse_args(argv)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,25 +73,34 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
-def _integer_list(value, where: str) -> tuple[int, ...]:
+def _seed(value, where: str) -> int:
+    """An integer numpy accepts as a seed, i.e. not negative."""
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
+    return seed
+
+
+def _integer_list(value, where: str, check=_integer) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a nonempty list of integers, got {value!r}")
-    return tuple(_integer(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return tuple(check(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _number(value, where: str):
-    """A JSON number, kept as given so that the config hash does not change;
-    a bool is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    """A finite JSON number, kept as given so that the config hash does not
+    change; a bool, NaN or an infinity is rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return value
 
 
-def _checked_fields(payload: dict, where: str, integers=(), numbers=()) -> dict:
-    """Copy of ``payload`` with the given keys checked as integers or numbers;
-    a null is left to the dataclass's own checks."""
+def _checked_fields(payload: dict, where: str, integers=(), numbers=(), seeds=()) -> dict:
+    """Copy of ``payload`` with the given keys checked as integers, numbers or
+    seeds; a null is left to the dataclass's own checks."""
     out = dict(payload)
-    for keys, check in ((integers, _integer), (numbers, _number)):
+    for keys, check in ((integers, _integer), (numbers, _number), (seeds, _seed)):
         for key in keys:
             if out.get(key) is not None:
                 out[key] = check(out[key], f"{where}.{key}")
@@ -119,14 +129,14 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         _expect_keys(payload, {"n_classes", "dim", "samples_per_class", "cluster_std",
                                "center_scale", "seed"}, set(), "dataset.synthetic")
         payload = _checked_fields(payload, "dataset.synthetic",
-                                  integers=("n_classes", "dim", "samples_per_class", "seed"),
-                                  numbers=("cluster_std", "center_scale"))
+                                  integers=("n_classes", "dim", "samples_per_class"),
+                                  numbers=("cluster_std", "center_scale"), seeds=("seed",))
         dataset = _build(SyntheticSpec, payload, "dataset.synthetic")
     elif kind == "cifar10":
         _expect_keys(payload, {"paths", "test_paths", "subset", "test_subset", "seed"},
                      {"paths"}, "dataset.cifar10")
         payload = _checked_fields(payload, "dataset.cifar10",
-                                  integers=("subset", "test_subset", "seed"))
+                                  integers=("subset", "test_subset"), seeds=("seed",))
         payload.setdefault("test_paths", [])
         for key in ("paths", "test_paths"):
             if not (isinstance(payload[key], list)
@@ -197,7 +207,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"method.set_index {method.set_index} out of range for "
                           f"{len(annotators)} annotators")
 
-    seeds = _integer_list(raw["seeds"], "seeds")
+    seeds = _integer_list(raw["seeds"], "seeds", check=_seed)
     val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")

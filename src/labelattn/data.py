@@ -55,12 +55,12 @@ class LabeledDataset:
         self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.clean_labels.shape[0]:
             raise ValueError("features and clean_labels disagree on sample count")
-        if self.clean_labels.size and self.clean_labels.max() >= self.n_classes:
+        if _out_of_range(self.clean_labels, self.n_classes):
             raise ValueError("clean label index out of range")
         for ls in self.label_sets:
             if ls.labels.shape[0] != self.n_samples:
                 raise ValueError("label set length differs from the dataset")
-            if ls.labels.size and ls.labels.max() >= self.n_classes:
+            if _out_of_range(ls.labels, self.n_classes):
                 raise ValueError("noisy label index out of range")
         if self.aux is not None:
             self.aux = np.asarray(self.aux, dtype=np.float64)
@@ -99,9 +99,13 @@ class SplitIndices:
     fraction: float
 
 
+def _out_of_range(labels: np.ndarray, n: int) -> bool:
+    return bool(labels.size) and (labels.min() < 0 or labels.max() >= n)
+
+
 def one_hot(labels, n: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n):
+    if _out_of_range(labels, n):
         raise ValueError(f"label index out of range for {n} classes")
     out = np.zeros((labels.shape[0], n))
     out[np.arange(labels.shape[0]), labels] = 1.0
@@ -218,7 +222,10 @@ def consensus_labels(ds: LabeledDataset) -> np.ndarray:
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Self-describing container: int64 header [S, D, N, M, A], float64
-    features, uint8 clean labels, M uint8 label sets, float64 aux."""
+    features, uint8 clean labels, M uint8 label sets, float64 aux. S must be
+    at least 1, so that the file length bounds every other header entry."""
+    if ds.n_samples < 1:
+        raise ValueError("the container cannot hold a dataset with no samples")
     if ds.n_classes > 256:
         raise ValueError(f"{ds.n_classes} classes do not fit the container's uint8 labels")
     a = 0 if ds.aux is None else ds.aux.shape[1]
@@ -242,6 +249,8 @@ def load_dataset(path) -> LabeledDataset:
     s, d, n, m, a = (int(v) for v in np.frombuffer(raw, dtype=np.int64, count=5))
     if min(s, d, n, m, a) < 0:
         raise ValueError(f"dataset header holds a negative size: {[s, d, n, m, a]}")
+    if s < 1:
+        raise ValueError("dataset header holds no samples")
     expected = off + s * d * 8 + s * (1 + m) + s * a * 8
     if len(raw) != expected:
         raise ValueError(f"dataset file holds {len(raw)} bytes, its header implies {expected}")

@@ -213,6 +213,8 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
     method plus every per-set baseline. The adversarial annotator has no
     adjustable level and is excluded."""
     levels = list(levels)
+    if not levels:
+        raise ValueError("the noise sweep needs at least one level")
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError("noise levels must lie strictly inside (0, 1)")
     variants = []

@@ -150,7 +150,7 @@ def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) ->
 def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
     """Per-sample stack of the probe models' feature vectors, detached.
 
-    Returns a constant [B, M*D] tensor; no later backward pass can reach the
+    Returns a constant [B, M*D] tensor; no later gradient pass can reach the
     probe parameters through it.
     """
     feats = [detach(forward(m, x, aux).features) for m in meta_models]
@@ -207,8 +207,10 @@ def binarize(y_soft: Tensor, k: float, t: float) -> Tensor:
 
 def final_step(model: Classifier, y_tilde: Tensor, pred: Tensor,
                adam_state: AdamState) -> tuple[Classifier, AdamState, float]:
-    """Model update against the binarized target held constant. Returns the
-    new classifier, the advanced Adam state and the driving loss value."""
+    """Adam update of the model against a target held constant: the binarized
+    label of ``train_iteration`` or the fixed label set of ``train_baseline``.
+    Returns the new classifier, the advanced Adam state and the driving loss
+    value."""
     loss = bce_loss(pred, detach(y_tilde))
     value = loss.item()
     if not np.isfinite(value):
@@ -219,13 +221,13 @@ def final_step(model: Classifier, y_tilde: Tensor, pred: Tensor,
     return params_set(model, new_params), new_state, value
 
 
-def attention_step(attn: AttentionParams, label_sets: np.ndarray, stacked: Tensor,
-                   pred: Tensor, k: float, t: float, beta: float) -> AttentionParams:
+def attention_step(attn: AttentionParams, y_tilde: Tensor, pred: Tensor,
+                   beta: float) -> AttentionParams:
     """Attention-parameter update: gradient of the BCE between the constant
-    predictions and the binarized sampled label, flowing through binarization,
-    the label sum and the softmax into the linear map."""
-    weights = attend(attn, stacked)
-    y_tilde = binarize(sample_label(weights, label_sets), k, t)
+    predictions and the binarized sampled label ``y_tilde``, flowing through
+    binarization, the label sum and the softmax into the linear map.
+    ``y_tilde`` must be the graph that ``attend``, ``sample_label`` and
+    ``binarize`` built from ``attn``."""
     loss = bce_loss(detach(pred), y_tilde)
     if not np.isfinite(loss.item()):
         raise ValueError("non-finite attention loss")
@@ -322,8 +324,7 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
                        config.k, config.t_threshold)
 
     new_model, new_state, loss_pre = final_step(model, y_tilde, pred, adam_state)
-    new_attn = attention_step(attn, batch.label_sets, stacked, pred,
-                              config.k, config.t_threshold, config.beta)
+    new_attn = attention_step(attn, y_tilde, pred, config.beta)
 
     model_delta = np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
                               for a, b in zip(new_model.params, model.params)))
@@ -431,14 +432,12 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
                                               config.seed, epoch)):
             target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
                           else batch.label_sets[int(target)])
-            fwd = forward(model, batch.x, batch.aux)
-            loss = bce_loss(fwd.probs, constant(target_arr))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise ValueError(f"epoch {epoch}, batch {i}: non-finite loss")
-            grads = gradients(loss, params_get(model))
-            new_params, adam_state = adam_step(adam_state, params_get(model), grads)
-            model = params_set(model, new_params)
+            pred = forward(model, batch.x, batch.aux).probs
+            try:
+                model, adam_state, value = final_step(model, constant(target_arr),
+                                                      pred, adam_state)
+            except ValueError as err:
+                raise ValueError(f"epoch {epoch}, batch {i}: {err}") from err
             losses.append(value)
 
         stats = EpochStats(train_loss=float(np.mean(losses)) if losses else float("nan"))

@@ -88,32 +88,10 @@ def gradient_oracle_sweep(trials: int = 20, seed: int = 0) -> list[OpCheck]:
         return _fd_check(lambda x: ad.sum_all(ad.matmul(x, b)),
                          Tensor(r.uniform(-2, 2, size=(5, 4)), requires_grad=True))
 
-    def add_case(r):
-        other = constant(r.uniform(-2, 2, size=(3, 4)))
-        wgt = constant(r.uniform(-2, 2, size=(3, 4)))
-        return _fd_check(weighted_sum_of(lambda x: ad.add(x, other), wgt),
-                         Tensor(r.uniform(-2, 2, size=(3, 4)), requires_grad=True))
-
-    def sub_case(r):
-        other = constant(r.uniform(-2, 2, size=(3, 4)))
-        wgt = constant(r.uniform(-2, 2, size=(3, 4)))
-        return _fd_check(weighted_sum_of(lambda x: ad.sub(other, x), wgt),
-                         Tensor(r.uniform(-2, 2, size=(3, 4)), requires_grad=True))
-
     def mul_case(r):
         other = constant(r.uniform(-2, 2, size=6))
         return _fd_check(lambda x: ad.sum_all(ad.mul(x, other)),
                          Tensor(r.uniform(-2, 2, size=6), requires_grad=True))
-
-    def scalar_mul_case(r):
-        wgt = constant(r.uniform(-2, 2, size=5))
-        return _fd_check(weighted_sum_of(lambda x: ad.scalar_mul(x, 1.7), wgt),
-                         Tensor(r.uniform(-2, 2, size=5), requires_grad=True))
-
-    def scalar_add_case(r):
-        wgt = constant(r.uniform(-2, 2, size=5))
-        return _fd_check(weighted_sum_of(lambda x: ad.scalar_add(x, 0.4), wgt),
-                         Tensor(r.uniform(-2, 2, size=5), requires_grad=True))
 
     def add_bias_case(r):
         mat = constant(r.uniform(-2, 2, size=(4, 3)))
@@ -180,11 +158,7 @@ def gradient_oracle_sweep(trials: int = 20, seed: int = 0) -> list[OpCheck]:
         return _fd_check(loss_of, Tensor(r.uniform(-1, 1, size=(3, 5)), requires_grad=True))
 
     check("matmul", matmul_case)
-    check("add", add_case)
-    check("sub", sub_case)
     check("mul", mul_case)
-    check("scalar_mul", scalar_mul_case)
-    check("scalar_add", scalar_add_case)
     check("add_bias", add_bias_case)
     check("sigmoid", sigmoid_case)
     check("relu", relu_case)

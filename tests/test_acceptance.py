@@ -66,7 +66,7 @@ def test_criterion_2_gradient_correctness():
     failing = [r.name for r in results if not r.passed]
     ok = (not failing) and chain_gap <= 1e-8 and fd_ratio <= 1.0 and elapsed < 30.0
     check("criterion 2 (gradient correctness)", ok,
-          f"16 ops x 100 draws worst ratio {worst:.3f} of tolerance"
+          f"{len(results)} ops x 100 draws worst ratio {worst:.3f} of tolerance"
           f"{(' FAILING: ' + ','.join(failing)) if failing else ''}; "
           f"attention chain gap {chain_gap:.2e} (tol 1e-8), fd ratio {fd_ratio:.3f}; "
           f"{elapsed:.1f}s (< 30s)")

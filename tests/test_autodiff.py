@@ -1,4 +1,4 @@
-"""Tensor engine: op semantics, backward contracts, finite-difference oracles."""
+"""Tensor engine: op semantics, gradient contracts, finite-difference oracles."""
 
 import math
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import labelattn.autodiff as ad
-from labelattn.autodiff import (Tensor, backward, bce_loss, concat, constant, detach,
-                                finite_diff_grad, gradients, matmul, relu, sigmoid,
-                                softmax, sum_all, tensor_new)
+from labelattn.autodiff import (Tensor, bce_loss, concat, constant, detach, finite_diff_grad,
+                                gradients, matmul, relu, sigmoid, softmax, sum_all,
+                                tensor_new)
 
 
 def fd_close(ad_grad, fd_grad, rel=1e-4, floor=1e-6):
@@ -23,7 +23,7 @@ class TestTensorNew:
 
     def test_zero_vector_without_grad(self):
         t = tensor_new([3], [0, 0, 0])
-        assert t.grad is None and not t.requires_grad
+        assert not t.requires_grad and t.node is None
         assert np.array_equal(t.data, np.zeros(3))
 
     def test_length_mismatch(self):
@@ -61,10 +61,6 @@ class TestMatmul:
 
 
 class TestElementwise:
-    def test_add(self):
-        out = ad.add(tensor_new([2], [1, 2]), tensor_new([2], [3, 4]))
-        assert np.array_equal(out.data, [4, 6])
-
     def test_mul_by_zero_annihilates_value_and_gradient(self):
         x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         out = ad.mul(x, constant(np.zeros(2)))
@@ -83,12 +79,7 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            ad.add(tensor_new([2], [1, 2]), tensor_new([3], [1, 2, 3]))
-
-    def test_scalar_ops(self):
-        x = tensor_new([2], [1, 2])
-        assert np.array_equal(ad.scalar_mul(x, 3).data, [3, 6])
-        assert np.array_equal(ad.scalar_add(x, -1).data, [0, 1])
+            ad.mul(tensor_new([2], [1, 2]), tensor_new([3], [1, 2, 3]))
 
 
 class TestSigmoid:
@@ -220,23 +211,17 @@ class TestBceLoss:
 
 
 class TestBackward:
+    """The reverse pass, through its only entry point ``gradients``."""
+
     def test_linear(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
-        backward(ad.scalar_mul(x, 2.0))
-        assert np.array_equal(x.grad, [2.0])
-
-    def test_accumulation_doubles(self):
-        x = Tensor(np.array([3.0]), requires_grad=True)
-        y = ad.scalar_mul(x, 2.0)
-        backward(y)
-        first = x.grad.copy()
-        backward(y)
-        assert np.array_equal(x.grad, 2 * first)
+        (g,) = gradients(sum_all(ad.mul(x, constant([2.0]))), [x])
+        assert np.array_equal(g, [2.0])
 
     def test_rejects_non_scalar(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            backward(ad.scalar_mul(x, 2.0))
+            gradients(ad.mul(x, constant([2.0, 2.0])), [x])
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -248,27 +233,34 @@ class TestBackward:
         def loss_of(wt, bt):
             return bce_loss(sigmoid(ad.add_bias(matmul(x, wt), bt)), y)
 
-        backward(loss_of(w, b))
+        gw, gb = gradients(loss_of(w, b), [w, b])
         fd_w = finite_diff_grad(lambda t: loss_of(t, b), w)
         fd_b = finite_diff_grad(lambda t: loss_of(w, t), b)
-        fd_close(w.grad, fd_w.data)
-        fd_close(b.grad, fd_b.data)
+        fd_close(gw, fd_w.data)
+        fd_close(gb, fd_b.data)
+
+    def test_repeated_calls_return_fresh_equal_arrays(self):
+        x = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        loss = sum_all(ad.mul(x, x))
+        (first,) = gradients(loss, [x])
+        first += 100.0
+        (second,) = gradients(loss, [x])
+        assert np.array_equal(second, [6.0, -2.0])
 
     def test_shared_input_accumulates_both_paths(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        backward(sum_all(ad.mul(x, x)))  # d(x^2)/dx = 2x
-        assert np.allclose(x.grad, [4.0])
+        (g,) = gradients(sum_all(ad.mul(x, x)), [x])  # d(x^2)/dx = 2x
+        assert np.array_equal(g, [4.0])
 
 
 class TestDetach:
     def test_severed_path_gets_zero_grad(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        inner = ad.scalar_mul(x, 3.0)
+        inner = ad.mul(x, constant([3.0, 3.0]))
         out = sum_all(ad.mul(detach(inner), constant(np.ones(2))))
+        assert not out.requires_grad and out.node is None
         (g,) = gradients(out, [x])
         assert np.array_equal(g, np.zeros(2))
-        backward(out)
-        assert x.grad is None
 
     def test_values_preserved_exactly(self):
         x = Tensor(np.array([0.1, -0.7, 3.3]), requires_grad=True)
@@ -309,7 +301,7 @@ class TestFiniteDiff:
 
 class TestGraphInvariants:
     def test_constant_folding_skips_nodes(self):
-        out = ad.add(constant([1.0]), constant([2.0]))
+        out = ad.mul(constant([1.0]), constant([2.0]))
         assert out.node is None and not out.requires_grad
 
     def test_all_values_finite_after_ops(self):

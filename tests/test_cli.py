@@ -139,6 +139,13 @@ class TestErrors:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_two(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", trials])
+        assert exc.value.code == 2
+        assert "[PASS]" not in capsys.readouterr().out
+
     def test_roster_that_does_not_fit_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, annotators=[{"kind": "ordered_confusion",
                                                   "noise_level": 0.3}],
@@ -162,7 +169,9 @@ class TestErrors:
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))
-        assert main(["sweep-noise", "--config", str(cfg), "--levels", "0.0,0.5"]) == 2
+        for levels in ("0.0,0.5", ","):
+            assert main(["sweep-noise", "--config", str(cfg), "--levels", levels]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommands:

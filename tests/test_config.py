@@ -92,6 +92,14 @@ class TestParsing:
          "annotators\\[0\\].noise_level"),
         ({"dataset": {"synthetic": {"cluster_std": True}}}, "dataset.synthetic.cluster_std"),
         ({"dataset": {"synthetic": {"center_scale": True}}}, "dataset.synthetic.center_scale"),
+        ({"meta": {"alpha": float("nan")}}, "meta.alpha"),
+        ({"meta": {"beta": float("inf")}}, "meta.beta"),
+        ({"meta": {"k": float("inf")}}, "meta.k"),
+        ({"dataset": {"synthetic": {"cluster_std": float("inf")}}},
+         "dataset.synthetic.cluster_std"),
+        ({"seeds": [0, -1]}, "seeds\\[1\\]"),
+        ({"dataset": {"synthetic": {"seed": -3}}}, "dataset.synthetic.seed"),
+        ({"dataset": {"cifar10": {"paths": ["a.bin"], "seed": -1}}}, "dataset.cifar10.seed"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):

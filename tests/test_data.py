@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from labelattn.annotators import AnnotatorSpec
+from labelattn.annotators import AnnotatorSpec, NoisyLabelSet
 from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
                             attach_annotators, consensus_labels, load_cifar10,
                             load_dataset, minibatches, one_hot, save_dataset, split,
@@ -261,6 +261,24 @@ class TestContainer:
         edge = LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 255], n_classes=256)
         save_dataset(edge, path)
         assert np.array_equal(load_dataset(path).clean_labels, [0, 255])
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="clean label"):
+            LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, -1], n_classes=2)
+        with pytest.raises(ValueError, match="noisy label"):
+            LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 1], n_classes=2,
+                           label_sets=[NoisyLabelSet(np.array([-1, 0]))])
+
+    def test_empty_dataset_refused(self, tmp_path):
+        path = tmp_path / "ds.bin"
+        empty = LabeledDataset(features=np.zeros((0, 1)), clean_labels=[], n_classes=2)
+        with pytest.raises(ValueError, match="no samples"):
+            save_dataset(empty, path)
+        assert not path.exists()
+        # zero samples leave the label-set count unbounded by the file length
+        path.write_bytes(np.array([0, 1, 1, 200_000, 0], dtype=np.int64).tobytes())
+        with pytest.raises(ValueError, match="no samples"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("cut", ["header", "short", "trailing"])
     def test_length_mismatch_rejected(self, tmp_path, cut):

@@ -280,6 +280,11 @@ class TestFinalStep:
             assert after < before
 
 
+def y_tilde_of(attn, stacked, sets):
+    """The binarized sampled label, built as ``train_iteration`` builds it."""
+    return binarize(sample_label(attend(attn, stacked), sets), 50.0, 0.5)
+
+
 class TestAttentionStep:
     def test_identical_sets_leave_parameters_unchanged(self):
         rng = np.random.default_rng(19)
@@ -290,7 +295,7 @@ class TestAttentionStep:
                                b=Tensor(rng.normal(size=m), requires_grad=True))
         stacked = constant(rng.normal(size=(b, m * d)))
         pred = constant(rng.uniform(0.1, 0.9, size=(b, n)))
-        out = attention_step(attn, sets, stacked, pred, k=50.0, t=0.5, beta=0.1)
+        out = attention_step(attn, y_tilde_of(attn, stacked, sets), pred, beta=0.1)
         assert np.array_equal(out.w.data, attn.w.data)
         assert np.array_equal(out.b.data, attn.b.data)
 
@@ -305,7 +310,7 @@ class TestAttentionStep:
         stacked = constant(rng.normal(size=(b, m * d)))
         attn = attention_init(m, d)
         for _ in range(50):
-            attn = attention_step(attn, sets, stacked, pred, k=50.0, t=0.5, beta=0.5)
+            attn = attention_step(attn, y_tilde_of(attn, stacked, sets), pred, beta=0.5)
         weights = attend(attn, stacked).data
         assert np.all(weights[:, 0] > weights[:, 1])
 
