@@ -42,6 +42,15 @@ def bce_value(pred: np.ndarray, target: np.ndarray) -> float:
     return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
 
 
+def bce_pred_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Gradient of the mean binary cross entropy w.r.t. the predictions, zero
+    where the [BCE_EPS, 1 - BCE_EPS] clamp is active. ``target`` may carry
+    leading axes over ``pred``'s shape; the mean is over ``pred.size``."""
+    c = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+    inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
+    return np.where(inside, -(target / c - (1.0 - target) / (1.0 - c)) / pred.size, 0.0)
+
+
 class TapeNode:
     """One recorded operation: ordered inputs plus a local-gradient closure."""
 
@@ -206,11 +215,8 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     def grad_fn(g):
         s = float(g)
         c = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-        # zero prediction gradient where the clamp is active
-        inside = (p > BCE_EPS) & (p < 1.0 - BCE_EPS)
-        gp = np.where(inside, -(y / c - (1.0 - y) / (1.0 - c)) / p.size, 0.0)
         gy = -(np.log(c) - np.log1p(-c)) / p.size
-        return s * gp.reshape(pred.shape), s * gy.reshape(target.shape)
+        return s * bce_pred_grad(p, y).reshape(pred.shape), s * gy.reshape(target.shape)
 
     return make_op(np.array(value), (pred, target), grad_fn)
 

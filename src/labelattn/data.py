@@ -266,5 +266,10 @@ def load_dataset(path) -> LabeledDataset:
     aux = None
     if a:
         aux = np.frombuffer(raw, dtype=np.float64, count=s * a, offset=off).reshape(s, a).copy()
+    # Checked here rather than in LabeledDataset, which splits and subsets
+    # rebuild several times per run: a forward's ReLU would turn a NaN
+    # feature into 0 and hide it until an update fails far from the input.
+    if not np.isfinite(feats).all() or (aux is not None and not np.isfinite(aux).all()):
+        raise ValueError("dataset file holds non-finite features or aux")
     return LabeledDataset(features=feats, clean_labels=clean, n_classes=n,
                           label_sets=sets, aux=aux)

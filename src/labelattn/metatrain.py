@@ -3,11 +3,16 @@
 Each training iteration runs, on one minibatch carrying M candidate label
 sets:
 
-1. a single forward pass caching the predictions ``pred``;
-2. one throwaway gradient probe per label set at rate ``alpha`` producing a
-   meta-updated classifier (the probe never mutates the live model);
-3. a feature-feedback pass: the probe models' feature vectors, detached and
-   stacked per sample;
+1. a single forward pass caching the predictions ``pred`` and the hidden
+   activations;
+2. one throwaway gradient probe per label set at rate ``alpha``, all M in
+   one stacked pass: the closed-form MLP backward turns the M output
+   gradients into [M, ...] parameter gradients, and the probe weights
+   ``W - alpha * G`` are formed in those buffers (the live model is never
+   mutated);
+3. a feature-feedback pass: one stacked hidden-layer forward of the M probe
+   weights gives their feature vectors, constant and stacked per sample
+   [B, M*D] (the probe head is never run, since only features are fed back);
 4. a softmax attention over the stacked feedback producing per-sample,
    per-set weights on the simplex;
 5. per-sample label sampling: the weighted sum of the one-hot label sets;
@@ -22,6 +27,10 @@ sets:
 The weighted soft label is an exact loss reweighting: the BCE against the
 weighted label equals the weight-averaged BCE against the individual sets
 (see :func:`theorem1_gap`), which holds before binarization only.
+
+Steps 2, 3 and 7 run on the closed forms of :mod:`labelattn.model`, not on
+the tape. :func:`meta_step` is the tape version of one probe, kept as the
+oracle the closed forms are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +42,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, add_bias, bce_loss, bce_value, concat, constant, detach,
-                       gradients, logistic, make_op, matmul, softmax)
+from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_value, concat,
+                       constant, detach, gradients, logistic, make_op, matmul, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
-from .model import (Classifier, classifier_bytes, classifier_from_bytes, forward,
-                    params_get, params_set, predict_class)
+from .model import (Classifier, ForwardResult, classifier_bytes, classifier_from_bytes,
+                    forward, param_gradients, params_get, params_set, predict_class,
+                    stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
@@ -132,29 +142,59 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
+def _logit_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean BCE at the logits of predictions ``p``, chained as
+    the tape chains ``bce_loss`` and ``sigmoid``; ``y`` may be [M, B, N]."""
+    return bce_pred_grad(p, y) * p * (1.0 - p)
+
+
 def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) -> Classifier:
-    """One throwaway gradient probe toward label set ``y_m``.
+    """One throwaway gradient probe toward label set ``y_m``, on the tape.
 
     ``pred`` must be the cached, graph-connected forward output of ``model``
     for the current batch; the probe returns a new classifier and leaves the
-    input model untouched.
+    input model untouched. Training runs all M probes at once in
+    :func:`probe_features`; this is the oracle it is tested against.
     """
     loss = bce_loss(pred, constant(y_m))
-    if not np.isfinite(loss.item()):
-        raise ValueError("non-finite meta loss")
     params = params_get(model)
     grads = gradients(loss, params)
     return params_set(model, sgd_step(params, grads, alpha))
+
+
+def probe_features(model: Classifier, fwd: ForwardResult, label_sets: np.ndarray,
+                   alpha: float, x, aux=None) -> Tensor:
+    """The M probes toward ``label_sets`` [M, B, N] and their feedback in one
+    stacked pass: a constant [B, M*D] tensor equal bit for bit to
+    ``collect_feedback`` of the ``meta_step`` probes.
+
+    ``fwd`` is ``model``'s forward of the batch ``x`` (and ``aux``). Only the
+    hidden parameters of a probe reach its features, so its head is never
+    formed.
+    """
+    p = fwd.probs.data
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite predictions")
+    grads = param_gradients(model, fwd, _logit_grad(p, np.asarray(label_sets, np.float64)))
+    hidden = grads[:-2]
+    for g, param in zip(hidden, model.params):
+        g *= alpha
+        np.subtract(param.data, g, out=g)
+    return Tensor(stacked_features(model, hidden, x, aux), copy=False)
 
 
 def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
     """Per-sample stack of the probe models' feature vectors, detached.
 
     Returns a constant [B, M*D] tensor; no later gradient pass can reach the
-    probe parameters through it.
+    probe parameters through it. The models' hidden parameters are stacked
+    and run through the same stacked forward as :func:`probe_features`.
     """
-    feats = [detach(forward(m, x, aux).features) for m in meta_models]
-    return constant(np.concatenate([f.data for f in feats], axis=1))
+    if not meta_models:
+        raise ValueError("no probe models to collect feedback from")
+    n_hidden = len(meta_models[0].params) - 2
+    hidden = [np.stack([m.params[j].data for m in meta_models]) for j in range(n_hidden)]
+    return Tensor(stacked_features(meta_models[0], hidden, x, aux), copy=False)
 
 
 def attend(attn: AttentionParams, stacked: Tensor) -> Tensor:
@@ -205,19 +245,23 @@ def binarize(y_soft: Tensor, k: float, t: float) -> Tensor:
     return make_op(out, (y_soft,), lambda g: (g * k * out * (1.0 - out),))
 
 
-def final_step(model: Classifier, y_tilde: Tensor, pred: Tensor,
+def final_step(model: Classifier, y_tilde: Tensor, fwd: ForwardResult,
                adam_state: AdamState) -> tuple[Classifier, AdamState, float]:
     """Adam update of the model against a target held constant: the binarized
     label of ``train_iteration`` or the fixed label set of ``train_baseline``.
-    Returns the new classifier, the advanced Adam state and the driving loss
-    value."""
-    loss = bce_loss(pred, detach(y_tilde))
-    value = loss.item()
+    ``fwd`` is the model's forward of the batch. Returns the new classifier,
+    the advanced Adam state and the driving loss value.
+
+    The gradient is the closed-form backward, equal bit for bit to the tape's
+    gradient of ``bce_loss(fwd.probs, detach(y_tilde))``."""
+    p, y = fwd.probs.data, y_tilde.data
+    if p.shape != y.shape:
+        raise ValueError(f"target shape {y.shape} does not match predictions {p.shape}")
+    value = bce_value(np.ascontiguousarray(p).ravel(), np.ascontiguousarray(y).ravel())
     if not np.isfinite(value):
         raise ValueError("non-finite final loss")
-    params = params_get(model)
-    grads = gradients(loss, params)
-    new_params, new_state = adam_step(adam_state, params, grads)
+    grads = param_gradients(model, fwd, _logit_grad(p, y))
+    new_params, new_state = adam_step(adam_state, params_get(model), grads)
     return params_set(model, new_params), new_state, value
 
 
@@ -229,8 +273,6 @@ def attention_step(attn: AttentionParams, y_tilde: Tensor, pred: Tensor,
     ``y_tilde`` must be the graph that ``attend``, ``sample_label`` and
     ``binarize`` built from ``attn``."""
     loss = bce_loss(detach(pred), y_tilde)
-    if not np.isfinite(loss.item()):
-        raise ValueError("non-finite attention loss")
     gw, gb = gradients(loss, [attn.w, attn.b])
     new_w, new_b = sgd_step([attn.w, attn.b], [gw, gb], beta)
     return replace(attn, w=new_w, b=new_b)
@@ -315,15 +357,13 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     fwd = forward(model, batch.x, batch.aux)
     pred = fwd.probs
 
-    metas = [meta_step(model, batch.label_sets[m], config.alpha, pred)
-             for m in range(attn.n_sets)]
-    stacked = collect_feedback(metas, batch.x, batch.aux)
+    stacked = probe_features(model, fwd, batch.label_sets, config.alpha, batch.x, batch.aux)
 
     weights = attend(attn, stacked)
     y_tilde = binarize(sample_label(weights, batch.label_sets),
                        config.k, config.t_threshold)
 
-    new_model, new_state, loss_pre = final_step(model, y_tilde, pred, adam_state)
+    new_model, new_state, loss_pre = final_step(model, y_tilde, fwd, adam_state)
     new_attn = attention_step(attn, y_tilde, pred, config.beta)
 
     model_delta = np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
@@ -432,10 +472,10 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
                                               config.seed, epoch)):
             target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
                           else batch.label_sets[int(target)])
-            pred = forward(model, batch.x, batch.aux).probs
+            fwd = forward(model, batch.x, batch.aux)
             try:
                 model, adam_state, value = final_step(model, constant(target_arr),
-                                                      pred, adam_state)
+                                                      fwd, adam_state)
             except ValueError as err:
                 raise ValueError(f"epoch {epoch}, batch {i}: {err}") from err
             losses.append(value)

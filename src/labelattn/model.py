@@ -1,11 +1,20 @@
 """Desk-scale multi-label classifier: a dense ReLU stack producing a feature
 vector, an optional auxiliary-feature concatenation, and a per-class sigmoid
-head. Classifiers are immutable; parameter updates produce new instances."""
+head. Classifiers are immutable; parameter updates produce new instances.
+
+Besides the tape forward, the module holds the two closed forms training
+runs on: :func:`param_gradients`, the MLP backward from a gradient at the
+logits (one or a stack of M), and :func:`stacked_features`, the hidden stack
+of M classifiers that differ only in their hidden parameters. Both repeat the
+tape's products in the tape's order, so their results equal the tape's bit
+for bit; ``tests/test_closed_form.py`` holds them to that.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +38,7 @@ class ForwardResult:
     features: Tensor                     # penultimate activations, post-aux concat
     logits: Tensor
     probs: Tensor
+    activations: tuple[np.ndarray, ...] = ()   # the input, then each hidden ReLU output
 
 
 def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,
@@ -53,28 +63,78 @@ def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,
                       params=tuple(params))
 
 
-def forward(model: Classifier, x, aux=None) -> ForwardResult:
-    """Differentiable forward pass over a batch [B, input_dim]."""
-    h = x if isinstance(x, Tensor) else constant(x)
-    if h.data.ndim != 2 or h.shape[1] != model.layer_dims[0]:
-        raise ValueError(f"input width {h.shape} does not match layer_dims[0]={model.layer_dims[0]}")
+def _check_batch(model: Classifier, x: np.ndarray, aux: np.ndarray | None) -> None:
+    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
+        raise ValueError(f"input width {x.shape} does not match layer_dims[0]={model.layer_dims[0]}")
     if aux is not None and model.aux_dim == 0:
         raise ValueError("auxiliary features supplied to a model with aux_dim=0")
     if aux is None and model.aux_dim > 0:
         raise ValueError(f"model expects auxiliary features of width {model.aux_dim}")
+    if aux is not None and (aux.ndim != 2 or aux.shape[1] != model.aux_dim
+                            or aux.shape[0] != x.shape[0]):
+        raise ValueError(f"aux shape {aux.shape} does not match (batch, {model.aux_dim})")
 
+
+def forward(model: Classifier, x, aux=None) -> ForwardResult:
+    """Differentiable forward pass over a batch [B, input_dim]."""
+    h = x if isinstance(x, Tensor) else constant(x)
+    a = aux if aux is None or isinstance(aux, Tensor) else constant(aux)
+    _check_batch(model, h.data, None if a is None else a.data)
+
+    activations = [h.data]
     for i in range(len(model.layer_dims) - 1):
         h = relu(add_bias(matmul(h, model.params[2 * i]), model.params[2 * i + 1]))
+        activations.append(h.data)
 
-    feats = h
-    if model.aux_dim > 0:
-        a = aux if isinstance(aux, Tensor) else constant(aux)
-        if a.data.ndim != 2 or a.shape[1] != model.aux_dim or a.shape[0] != h.shape[0]:
-            raise ValueError(f"aux shape {a.shape} does not match (batch, {model.aux_dim})")
-        feats = concat([feats, a], axis=1)
-
+    feats = h if a is None else concat([h, a], axis=1)
     logits = add_bias(matmul(feats, model.params[-2]), model.params[-1])
-    return ForwardResult(features=feats, logits=logits, probs=sigmoid(logits))
+    return ForwardResult(features=feats, logits=logits, probs=sigmoid(logits),
+                         activations=tuple(activations))
+
+
+def param_gradients(model: Classifier, fwd: ForwardResult, g: np.ndarray) -> list[np.ndarray]:
+    """Gradients of every parameter, in declaration order, from the gradient
+    ``g`` at the logits of ``fwd`` (the forward of ``model``).
+
+    ``g`` is [B, N], or a stack [M, B, N] of M gradients, which gives [M, ...]
+    gradients through ``np.matmul`` over the leading axis. Each one equals
+    ``autodiff.gradients`` on the tape of ``fwd`` bit for bit: the same
+    products in the same order, the ReLU masks read as ``h > 0``, and no
+    gradient for the input.
+    """
+    acts = fwd.activations
+    grads: list = [None] * len(model.params)
+    grads[-2] = np.matmul(fwd.features.data.T, g)
+    grads[-1] = g.sum(axis=-2)
+    g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
+    for i in reversed(range(len(acts) - 1)):
+        g = g * (acts[i + 1] > 0.0)
+        grads[2 * i] = np.matmul(acts[i].T, g)
+        grads[2 * i + 1] = g.sum(axis=-2)
+        if i:
+            g = np.matmul(g, model.params[2 * i].data.T)
+    return grads
+
+
+def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x, aux=None) -> np.ndarray:
+    """Features of M classifiers shaped like ``model`` whose hidden parameters
+    are ``hidden`` = [W1, b1, ..., Wk, bk], each stacked [M, ...]. Returns
+    [B, M*D]: row b holds sample b's M feature vectors (aux appended to each),
+    each equal bit for bit to what ``forward`` gives for that classifier."""
+    x = np.ascontiguousarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    if aux is not None:
+        aux = np.asarray(aux.data if isinstance(aux, Tensor) else aux, dtype=np.float64)
+    _check_batch(model, x, aux)
+    h = x
+    for w, b in zip(hidden[0::2], hidden[1::2]):
+        pre = np.matmul(h, w) + b[:, None, :]
+        h = np.where(pre > 0.0, pre, 0.0)
+    m, batch, width = h.shape
+    out = np.empty((batch, m, width + model.aux_dim))
+    out[:, :, :width] = h.transpose(1, 0, 2)
+    if aux is not None:
+        out[:, :, width:] = aux[:, None, :]
+    return out.reshape(batch, -1)
 
 
 def params_get(model: Classifier) -> list[Tensor]:

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelattn.annotators import KINDS
 from labelattn.config import (ConfigError, config_hash, parse_config,
                               parse_config_dict, to_canonical_dict)
 
@@ -173,3 +176,102 @@ class TestHash:
     def test_canonical_dict_is_json_serializable(self):
         cfg = parse_config_dict(minimal())
         json.dumps(to_canonical_dict(cfg))
+
+
+# ---------------------------------------------------------------------------
+# property: any JSON value parses to a config or fails with a ConfigError
+# ---------------------------------------------------------------------------
+
+# Integers and integral floats stay within +-1000 (plus a few numbers too
+# big for any array): a class count becomes an n x n confusion matrix while
+# parsing, and the test must not allocate gigabytes.
+_HUGE = [2**31, 2**63, -2**63, 10**30, 1e300, -1e300]
+_NUMBERS = (st.integers(-1000, 1000)
+            | st.floats(-1000, 1000)
+            | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, *_HUGE]))
+_WORDS = st.sampled_from(["synthetic", "cifar10", "hammer_spammer", "structured_flips",
+                          "ordered_confusion", "adversarial", "average", "ours", "baseline",
+                          "baseline_avg", "concat", "shared", "name", "kind", "true", ""])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=8) | _WORDS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6) | _WORDS, inner, max_size=4)),
+    max_leaves=12)
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+_SMALL = st.integers(1, 12)
+_FRACTION = st.floats(0.0, 1.0)
+_PLAUSIBLE = st.fixed_dictionaries({
+    "dataset": (st.fixed_dictionaries({"synthetic": _optional(
+        n_classes=_SMALL, dim=_SMALL, samples_per_class=_SMALL, cluster_std=_FRACTION,
+        center_scale=_FRACTION, seed=_SMALL)})
+        | st.fixed_dictionaries({"cifar10": st.fixed_dictionaries(
+            {"paths": st.lists(st.text(max_size=4), max_size=2)},
+            optional={"subset": _SMALL, "seed": _SMALL})})),
+    "annotators": st.lists(st.fixed_dictionaries(
+        {"kind": st.sampled_from(KINDS)},
+        optional={"noise_level": _FRACTION,
+                  "flip_pairs": st.lists(st.lists(st.integers(-1, 12), min_size=2, max_size=2),
+                                         max_size=3)}),
+        min_size=1, max_size=4),
+    "seeds": st.lists(_SMALL, min_size=1, max_size=3),
+}, optional={
+    "model": _optional(hidden_dims=st.lists(_SMALL, min_size=1, max_size=3), aux_dim=_SMALL),
+    "meta": _optional(alpha=_FRACTION, beta=_FRACTION, k=_SMALL, t_threshold=_FRACTION,
+                      batch_size=_SMALL, epochs=_SMALL,
+                      attention_mode=st.sampled_from(["concat", "shared"])),
+    "method": st.fixed_dictionaries({"name": st.sampled_from(["ours", "baseline",
+                                                              "baseline_avg"])},
+                                    optional={"set_index": _SMALL}),
+    "val_fraction": _FRACTION,
+    "output": st.text(max_size=4),
+    "trace": st.booleans(),
+})
+
+
+def _replace_one_entry(raw, data):
+    """Walk down from the root to a random entry and replace it with any
+    JSON value."""
+    node = raw
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        node[key] = data.draw(_JSON)
+        return
+
+
+def _parses_or_config_error(raw):
+    try:
+        cfg = parse_config_dict(raw)
+    except ConfigError:
+        return
+    json.dumps(to_canonical_dict(cfg))
+    assert len(config_hash(cfg)) == 16
+
+
+class TestParseProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_any_json_value(self, raw):
+        _parses_or_config_error(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAUSIBLE)
+    def test_config_shaped_json(self, raw):
+        _parses_or_config_error(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAUSIBLE, st.data())
+    def test_config_with_one_entry_replaced(self, raw, data):
+        _replace_one_entry(raw, data)
+        _parses_or_config_error(raw)

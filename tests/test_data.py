@@ -289,3 +289,14 @@ class TestContainer:
         path.write_bytes({"header": raw[:20], "short": raw[:-1], "trailing": raw + b"\0"}[cut])
         with pytest.raises(ValueError, match="bytes"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("where, bad", [("features", np.nan), ("features", np.inf),
+                                            ("aux", np.nan), ("aux", -np.inf)])
+    def test_non_finite_features_rejected(self, tmp_path, where, bad):
+        ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3)], seed=8)
+        ds.aux = np.random.default_rng(9).normal(size=(ds.n_samples, 2))
+        getattr(ds, where)[3, 1] = bad
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_dataset(path)

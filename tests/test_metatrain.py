@@ -6,7 +6,7 @@ import pytest
 
 from labelattn.annotators import AnnotatorSpec
 from labelattn.autodiff import Tensor, constant, gradients
-from labelattn.data import Batch, SyntheticSpec, attach_annotators, synth_blobs
+from labelattn.data import Batch, SyntheticSpec, attach_annotators, minibatches, synth_blobs
 from labelattn.metatrain import (ATTENTION_SHARED, AttentionParams, MetaConfig, attend,
                                  attention_init, attention_step, binarize,
                                  collect_feedback, final_step, meta_step,
@@ -242,10 +242,10 @@ class TestFinalStep:
     def test_zero_lr_keeps_model(self):
         model = tiny_classifier()
         x = np.random.default_rng(15).normal(size=(4, 3))
-        pred = forward(model, x).probs
+        fwd = forward(model, x)
         state = adam_init(params_get(model), lr=0.0)
         target = binarize(constant(np.random.default_rng(16).uniform(size=(4, 2))), 50, 0.5)
-        new_model, _, _ = final_step(model, target, pred, state)
+        new_model, _, _ = final_step(model, target, fwd, state)
         for a, b in zip(new_model.params, model.params):
             assert np.array_equal(a.data, b.data)
 
@@ -256,11 +256,11 @@ class TestFinalStep:
         model = params_set(model, [np.array([[2.0]]), np.array([0.0]),
                                    np.array([[10.0]]), np.array([5.0])])
         x = np.array([[1.0]])
-        pred = forward(model, x).probs
-        assert abs(pred.data[0, 0] - 1.0) < 1e-7
+        fwd = forward(model, x)
+        assert abs(fwd.probs.data[0, 0] - 1.0) < 1e-7
         target = binarize(constant(np.array([[1.0]])), 1e6, 0.5)
         state = adam_init(params_get(model), lr=1e-4)
-        new_model, _, _ = final_step(model, target, pred, state)
+        new_model, _, _ = final_step(model, target, fwd, state)
         delta = max(np.max(np.abs(a.data - b.data))
                     for a, b in zip(new_model.params, model.params))
         assert delta <= 1e-6
@@ -273,9 +273,9 @@ class TestFinalStep:
         y = constant(np.array([[1.0]]))
         state = adam_init(params_get(model), lr=0.01)
         for _ in range(5):
-            pred = forward(model, x).probs
-            before = manual_bce(pred.data, y.data)
-            model, state, _ = final_step(model, y, pred, state)
+            fwd = forward(model, x)
+            before = manual_bce(fwd.probs.data, y.data)
+            model, state, _ = final_step(model, y, fwd, state)
             after = manual_bce(forward(model, x).probs.data, y.data)
             assert after < before
 
@@ -566,6 +566,24 @@ class TestTrainingLoops:
         model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(6))
         result = train_baseline(model, ds, "avg", MetaConfig(epochs=1, batch_size=16))
         assert len(result.history) == 1
+
+    @pytest.mark.parametrize("trainer", ["attention", "baseline"])
+    def test_nan_prediction_names_epoch_and_batch(self, trainer):
+        # an aux value goes straight into the head, so a NaN there is a NaN
+        # prediction for its sample, in whichever batch holds it
+        ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3),
+                                AnnotatorSpec("adversarial")])
+        ds.aux = np.zeros((ds.n_samples, 2))
+        ds.aux[17, 1] = np.nan
+        cfg = MetaConfig(epochs=1, batch_size=16, seed=9)
+        batch = next(i for i, b in enumerate(minibatches(ds, 16, 9, 0)) if 17 in b.indices)
+        assert batch > 0
+        model = classifier_init((4, 8, 4), 3, aux_dim=2, rng=np.random.default_rng(8))
+        with pytest.raises(ValueError, match=f"^epoch 0, batch {batch}: non-finite"):
+            if trainer == "attention":
+                train_attention(model, ds, cfg)
+            else:
+                train_baseline(model, ds, 0, cfg)
 
     def test_baseline_rejects_bad_index(self):
         ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3)])
