@@ -11,15 +11,15 @@ from .data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators,
                    load_cifar10, minibatches, one_hot, split, synth_blobs)
 from .experiment import (ResultRecord, emit, read_records, run_experiment, run_single,
                          sweep_annotators, sweep_noise)
-from .metatrain import (AttentionParams, MetaConfig, attend, attention_init,
-                        attention_step, binarize, collect_feedback, final_step,
-                        load_checkpoint, meta_step, probe_features, reweighted_loss,
-                        sample_label, save_checkpoint, theorem1_gap, train_attention,
-                        train_baseline, train_iteration)
+from .metatrain import (AttentionParams, LabelPath, MetaConfig, attend, attention_gradients,
+                        attention_init, attention_step, binarize, collect_feedback,
+                        final_step, label_path, load_checkpoint, meta_step, probe_features,
+                        reweighted_loss, sample_label, save_checkpoint, theorem1_gap,
+                        train_attention, train_baseline, train_iteration)
 from .metrics import accuracy, auc_roc, mean_auc, per_class_auc
-from .model import (Classifier, ForwardResult, classifier_init, forward, load_params,
-                    param_gradients, params_get, params_set, predict_class, save_params,
-                    stacked_features)
+from .model import (ArrayForward, Classifier, ForwardResult, classifier_init, forward,
+                    forward_arrays, load_params, param_gradients, params_get, params_set,
+                    predict_class, save_params, stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 __version__ = "0.1.0"

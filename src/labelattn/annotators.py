@@ -36,6 +36,10 @@ def default_flip_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 ROW_SUM_TOL = 1e-12
 
+# The fewest classes each kind is defined on; ordered confusion needs two
+# distinct neighbours.
+MIN_CLASSES = {HAMMER_SPAMMER: 2, STRUCTURED_FLIPS: 2, ORDERED_CONFUSION: 3, ADVERSARIAL: 2}
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -116,14 +120,9 @@ def cm_structured_flips(n: int, noise_level: float,
         pairs = default_flip_pairs(n)
     if not 0.0 <= noise_level <= 1.0:
         raise ValueError("noise_level must be in [0, 1]")
+    _check_flip_pairs(pairs, n)
     rows = np.zeros((n, n))
-    paired = {}
-    for src, dst in pairs:
-        if src == dst:
-            raise ValueError(f"flip pair ({src}, {dst}) maps a class to itself")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"flip pair ({src}, {dst}) outside of {n} classes")
-        paired[int(src)] = int(dst)
+    paired = {int(src): int(dst) for src, dst in pairs}
     for i in range(n):
         if i in paired:
             rows[i, i] = 1.0 - noise_level
@@ -132,6 +131,14 @@ def cm_structured_flips(n: int, noise_level: float,
             rows[i, :] = noise_level / (n - 1)
             rows[i, i] = 1.0 - noise_level
     return ConfusionMatrix(n, rows)
+
+
+def _check_flip_pairs(pairs: tuple[tuple[int, int], ...], n: int) -> None:
+    for src, dst in pairs:
+        if src == dst:
+            raise ValueError(f"flip pair ({src}, {dst}) maps a class to itself")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"flip pair ({src}, {dst}) outside of {n} classes")
 
 
 def cm_ordered_confusion(n: int, noise_level: float) -> ConfusionMatrix:
@@ -180,6 +187,18 @@ def noise_level_of(cm: ConfusionMatrix) -> float:
     n = cm.n_classes
     per_row = [math.fsum(cm.rows[i, j] for j in range(n) if j != i) for i in range(n)]
     return math.fsum(per_row) / n
+
+
+def check_fits(spec: AnnotatorSpec, n: int) -> None:
+    """Raise a ValueError where ``build_cm(spec, n)`` would for a non-average
+    spec, without building its n x n matrix: too few classes for the kind, or
+    a flip pair that maps a class to itself or leaves the n classes. An
+    average fits whenever its companions do."""
+    least = MIN_CLASSES.get(spec.kind, 0)
+    if n < least:
+        raise ValueError(f"{spec.kind} needs n >= {least}")
+    if spec.kind == STRUCTURED_FLIPS and spec.flip_pairs is not None:
+        _check_flip_pairs(spec.flip_pairs, n)
 
 
 def build_cm(spec: AnnotatorSpec, n: int,

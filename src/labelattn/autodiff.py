@@ -36,10 +36,11 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
 
 def bce_value(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean binary cross entropy of flat arrays, predictions clamped to
-    [BCE_EPS, 1 - BCE_EPS]."""
-    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log1p(-p)))
+    """Mean binary cross entropy over all elements of two same-size arrays,
+    taken flat, predictions clamped to [BCE_EPS, 1 - BCE_EPS]."""
+    p = np.clip(np.ascontiguousarray(pred).ravel(), BCE_EPS, 1.0 - BCE_EPS)
+    y = np.ascontiguousarray(target).ravel()
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
 def bce_pred_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -49,6 +50,20 @@ def bce_pred_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     c = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
     return np.where(inside, -(target / c - (1.0 - target) / (1.0 - c)) / pred.size, 0.0)
+
+
+def bce_target_grad(pred: np.ndarray) -> np.ndarray:
+    """Gradient of the mean binary cross entropy w.r.t. the targets,
+    -(log p - log(1 - p)) / size with p clamped to [BCE_EPS, 1 - BCE_EPS]."""
+    c = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+    return -(np.log(c) - np.log1p(-c)) / pred.size
+
+
+def row_softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array, shifted by the row maximum."""
+    zc = np.ascontiguousarray(z)
+    e = np.exp(zc - zc.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TapeNode:
@@ -164,9 +179,7 @@ def softmax(z: Tensor) -> Tensor:
     """Softmax over the last axis of a vector or a batch of row vectors."""
     if z.data.ndim not in (1, 2):
         raise ValueError(f"softmax expects a vector or matrix, got {z.shape}")
-    zc = np.ascontiguousarray(z.data)
-    e = np.exp(zc - zc.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = row_softmax(z.data)
 
     def grad_fn(g):
         dot = np.sum(g * w, axis=-1, keepdims=True)
@@ -214,9 +227,8 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def grad_fn(g):
         s = float(g)
-        c = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
-        gy = -(np.log(c) - np.log1p(-c)) / p.size
-        return s * bce_pred_grad(p, y).reshape(pred.shape), s * gy.reshape(target.shape)
+        return (s * bce_pred_grad(p, y).reshape(pred.shape),
+                s * bce_target_grad(p).reshape(target.shape))
 
     return make_op(np.array(value), (pred, target), grad_fn)
 

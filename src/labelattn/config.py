@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .annotators import AnnotatorSpec, AVERAGE, KINDS, build_cm
+from .annotators import AnnotatorSpec, AVERAGE, KINDS, check_fits
 from .data import CIFAR10_CLASSES, SyntheticSpec
 from .metatrain import MetaConfig
 
@@ -170,15 +170,15 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         annotators.append(_build(AnnotatorSpec, payload, where))
     if all(a.kind == AVERAGE for a in annotators):
         raise ConfigError("annotators cannot all be 'average'")
-    # An average only mixes the others, so it fits whenever they do.
+    # Checked without building the n x n matrices, so parsing allocates
+    # nothing that grows with the class count.
     n_classes = dataset.n_classes if isinstance(dataset, SyntheticSpec) else CIFAR10_CLASSES
     for i, spec in enumerate(annotators):
-        if spec.kind != AVERAGE:
-            try:
-                build_cm(spec, n_classes)
-            except ValueError as err:
-                raise ConfigError(f"annotators[{i}] does not fit {n_classes} classes: "
-                                  f"{err}") from err
+        try:
+            check_fits(spec, n_classes)
+        except ValueError as err:
+            raise ConfigError(f"annotators[{i}] does not fit {n_classes} classes: "
+                              f"{err}") from err
 
     model_raw = raw.get("model", {})
     _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")

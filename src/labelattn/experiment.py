@@ -21,7 +21,7 @@ from .data import (LabeledDataset, SyntheticSpec, attach_annotators, load_cifar1
                    split, synth_blobs, take_subset)
 from .metatrain import TrainResult, train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
-from .model import classifier_init, forward, predict_class
+from .model import classifier_init, forward_arrays, predict_class
 
 _INIT_TAG = 2001
 
@@ -100,10 +100,9 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
-    fwd = forward(model, test.features, test.aux)
-    predicted = predict_class(fwd)
-    acc = float(np.mean(predicted == test.clean_labels))
-    aucs = per_class_auc(fwd.probs.data, test.clean_labels, test.n_classes)
+    fwd = forward_arrays(model, test.features, test.aux)
+    acc = float(np.mean(predict_class(fwd) == test.clean_labels))
+    aucs = per_class_auc(fwd.probs, test.clean_labels, test.n_classes)
     return acc, aucs
 
 

@@ -28,9 +28,14 @@ The weighted soft label is an exact loss reweighting: the BCE against the
 weighted label equals the weight-averaged BCE against the individual sets
 (see :func:`theorem1_gap`), which holds before binarization only.
 
-Steps 2, 3 and 7 run on the closed forms of :mod:`labelattn.model`, not on
-the tape. :func:`meta_step` is the tape version of one probe, kept as the
-oracle the closed forms are tested against bit for bit.
+Every step runs on plain arrays and builds no tape graph. Step 1 is
+:func:`labelattn.model.forward_arrays`; steps 2, 3 and 7 run on the closed
+forms of :mod:`labelattn.model`; steps 4-6 are :func:`label_path`, and step
+8 is :func:`attention_gradients`, the chain product BCE target gradient x
+binarization slope x label-sum transpose x softmax Jacobian. The tape is the oracle only: :func:`meta_step` is one
+probe on it, and :func:`attend`, :func:`sample_label` and :func:`binarize`
+are steps 4-6 as tape ops. ``tests/test_closed_form.py`` holds the array
+paths equal to the tape bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_value, concat,
-                       constant, detach, gradients, logistic, make_op, matmul, softmax)
+from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_target_grad,
+                       bce_value, concat, constant, gradients, logistic, make_op, matmul,
+                       row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
-from .model import (Classifier, ForwardResult, classifier_bytes, classifier_from_bytes,
-                    forward, param_gradients, params_get, params_set, predict_class,
+from .model import (ArrayForward, Classifier, classifier_bytes, classifier_from_bytes,
+                    forward_arrays, param_gradients, params_get, params_set, predict_class,
                     stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
@@ -110,6 +116,18 @@ def attention_init(n_sets: int, feat_dim: int, mode: str = ATTENTION_CONCAT) -> 
 
 
 @dataclass(frozen=True)
+class LabelPath:
+    """Steps 4-6 of an iteration on plain arrays: the values the attention
+    update differentiates through."""
+
+    stacked: np.ndarray                   # [B, M*D] probe feedback
+    weights: np.ndarray                   # [B, M] attention weights
+    label_sets: np.ndarray                # [M, B, N] float64 label sets
+    k: float                              # binarization sharpness
+    y_tilde: np.ndarray                   # [B, N] binarized sampled label
+
+
+@dataclass(frozen=True)
 class IterationTrace:
     weight_means: np.ndarray              # [M] batch-mean attention weights
     loss_pre: float                       # loss value driving both updates
@@ -162,17 +180,17 @@ def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) ->
     return params_set(model, sgd_step(params, grads, alpha))
 
 
-def probe_features(model: Classifier, fwd: ForwardResult, label_sets: np.ndarray,
-                   alpha: float, x, aux=None) -> Tensor:
+def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
+                   alpha: float, x, aux=None) -> np.ndarray:
     """The M probes toward ``label_sets`` [M, B, N] and their feedback in one
-    stacked pass: a constant [B, M*D] tensor equal bit for bit to
-    ``collect_feedback`` of the ``meta_step`` probes.
+    stacked pass: a [B, M*D] array equal bit for bit to ``collect_feedback``
+    of the ``meta_step`` probes.
 
-    ``fwd`` is ``model``'s forward of the batch ``x`` (and ``aux``). Only the
-    hidden parameters of a probe reach its features, so its head is never
-    formed.
+    ``fwd`` is ``model``'s array forward of the batch ``x`` (and ``aux``).
+    Only the hidden parameters of a probe reach its features, so its head is
+    never formed. The [M, ...] gradient stack is freed on return.
     """
-    p = fwd.probs.data
+    p = fwd.probs
     if not np.isfinite(p).all():
         raise ValueError("non-finite predictions")
     grads = param_gradients(model, fwd, _logit_grad(p, np.asarray(label_sets, np.float64)))
@@ -180,7 +198,7 @@ def probe_features(model: Classifier, fwd: ForwardResult, label_sets: np.ndarray
     for g, param in zip(hidden, model.params):
         g *= alpha
         np.subtract(param.data, g, out=g)
-    return Tensor(stacked_features(model, hidden, x, aux), copy=False)
+    return stacked_features(model, hidden, x, aux)
 
 
 def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
@@ -245,35 +263,92 @@ def binarize(y_soft: Tensor, k: float, t: float) -> Tensor:
     return make_op(out, (y_soft,), lambda g: (g * k * out * (1.0 - out),))
 
 
-def final_step(model: Classifier, y_tilde: Tensor, fwd: ForwardResult,
+def final_step(model: Classifier, y_tilde: np.ndarray, fwd: ArrayForward,
                adam_state: AdamState) -> tuple[Classifier, AdamState, float]:
-    """Adam update of the model against a target held constant: the binarized
-    label of ``train_iteration`` or the fixed label set of ``train_baseline``.
-    ``fwd`` is the model's forward of the batch. Returns the new classifier,
-    the advanced Adam state and the driving loss value.
+    """Adam update of the model against a constant target array: the
+    binarized label of ``train_iteration`` or the fixed label set of
+    ``train_baseline``. ``fwd`` is the model's array forward of the batch.
+    Returns the new classifier, the advanced Adam state and the driving loss
+    value.
 
     The gradient is the closed-form backward, equal bit for bit to the tape's
-    gradient of ``bce_loss(fwd.probs, detach(y_tilde))``."""
-    p, y = fwd.probs.data, y_tilde.data
+    gradient of ``bce_loss(forward(...).probs, constant(y_tilde))``. The new
+    classifier holds Adam's fresh parameter tensors."""
+    p, y = fwd.probs, np.asarray(y_tilde, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"target shape {y.shape} does not match predictions {p.shape}")
-    value = bce_value(np.ascontiguousarray(p).ravel(), np.ascontiguousarray(y).ravel())
+    value = bce_value(p, y)
     if not np.isfinite(value):
         raise ValueError("non-finite final loss")
     grads = param_gradients(model, fwd, _logit_grad(p, y))
     new_params, new_state = adam_step(adam_state, params_get(model), grads)
-    return params_set(model, new_params), new_state, value
+    return replace(model, params=tuple(new_params)), new_state, value
 
 
-def attention_step(attn: AttentionParams, y_tilde: Tensor, pred: Tensor,
+def _feature_block(stacked: np.ndarray, i: int, d: int) -> np.ndarray:
+    """Sample block i of the stacked feedback, as the shared-mode ``attend``
+    copies it."""
+    return np.ascontiguousarray(stacked[:, i * d:(i + 1) * d])
+
+
+def label_path(attn: AttentionParams, stacked: np.ndarray, label_sets: np.ndarray,
+               k: float, t: float) -> LabelPath:
+    """Steps 4-6 on plain arrays: the attention weights of ``attend``, the
+    label sum of ``sample_label`` over the [M, B, N] ``label_sets`` and the
+    ``binarize`` step, each equal bit for bit to the tape op's value."""
+    m, d = attn.n_sets, attn.feat_dim
+    if stacked.ndim != 2 or stacked.shape[1] != m * d:
+        raise ValueError(f"stacked features {stacked.shape} do not match M*D = {m}*{d}")
+    labels = np.ascontiguousarray(label_sets, dtype=np.float64)
+    if labels.ndim != 3 or labels.shape[:2] != (m, stacked.shape[0]):
+        raise ValueError(f"label sets {labels.shape} do not match {m} sets of "
+                         f"{stacked.shape[0]} samples")
+    if k <= 0:
+        raise ValueError("k must be positive")
+    w, b = attn.w.data, attn.b.data
+    if attn.mode == ATTENTION_CONCAT:
+        logits = stacked @ w
+        logits += b
+    else:
+        logits = np.concatenate([_feature_block(stacked, i, d) @ w for i in range(m)], axis=1)
+        logits += b[0]
+    weights = row_softmax(logits)
+    soft = np.einsum("bm,mbn->bn", weights, labels)
+    y_tilde = logistic(float(k) * (soft - float(t)))
+    return LabelPath(stacked=stacked, weights=weights, label_sets=labels, k=k,
+                     y_tilde=y_tilde)
+
+
+def attention_gradients(attn: AttentionParams, path: LabelPath,
+                        pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the attention weight matrix and bias, in closed form, of
+    the BCE between the constant predictions ``pred`` and ``path.y_tilde``:
+    BCE target gradient x binarization slope x label-sum transpose x softmax
+    Jacobian, then the linear map. The products run in the tape's order, so
+    the result equals ``autodiff.gradients`` through ``attend``,
+    ``sample_label`` and ``binarize`` bit for bit."""
+    out, w = path.y_tilde, path.weights
+    g = bce_target_grad(np.asarray(pred, dtype=np.float64)).reshape(out.shape)
+    g = g * path.k * out * (1.0 - out)
+    g = np.einsum("bn,mbn->bm", g, path.label_sets)
+    g = w * (g - np.sum(g * w, axis=-1, keepdims=True))
+    if attn.mode == ATTENTION_CONCAT:
+        return path.stacked.T @ g, g.sum(axis=0)
+    # The tape sums the M block contributions from the last block down.
+    d = attn.feat_dim
+    gw = None
+    for i in reversed(range(attn.n_sets)):
+        part = _feature_block(path.stacked, i, d).T @ g[:, i:i + 1]
+        gw = part if gw is None else gw + part
+    return gw, np.array([g.sum()])
+
+
+def attention_step(attn: AttentionParams, path: LabelPath, pred: np.ndarray,
                    beta: float) -> AttentionParams:
-    """Attention-parameter update: gradient of the BCE between the constant
-    predictions and the binarized sampled label ``y_tilde``, flowing through
-    binarization, the label sum and the softmax into the linear map.
-    ``y_tilde`` must be the graph that ``attend``, ``sample_label`` and
-    ``binarize`` built from ``attn``."""
-    loss = bce_loss(detach(pred), y_tilde)
-    gw, gb = gradients(loss, [attn.w, attn.b])
+    """Attention-parameter update: one plain gradient step at rate ``beta``
+    along :func:`attention_gradients`. ``path`` must be the
+    :func:`label_path` of ``attn``."""
+    gw, gb = attention_gradients(attn, path, pred)
     new_w, new_b = sgd_step([attn.w, attn.b], [gw, gb], beta)
     return replace(attn, w=new_w, b=new_b)
 
@@ -326,7 +401,7 @@ def reweighted_loss(pred, label_sets, weights) -> float:
         raise ValueError(f"{sets.shape[0]} label sets but {w.size} weights")
     total = 0.0
     for m in range(w.size):
-        total += w[m] * bce_value(p, np.ascontiguousarray(sets[m]).ravel())
+        total += w[m] * bce_value(p, sets[m])
     return total
 
 
@@ -338,7 +413,7 @@ def theorem1_gap(pred, label_sets, weights) -> float:
     sets = np.asarray(label_sets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64).ravel()
     mixed = np.tensordot(w, sets, axes=(0, 0))
-    lhs = bce_value(p, np.ascontiguousarray(mixed).ravel())
+    lhs = bce_value(p, mixed)
     return abs(lhs - reweighted_loss(p, sets, w))
 
 
@@ -354,17 +429,12 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     if batch.label_sets.shape[0] != attn.n_sets:
         raise ValueError(f"batch carries {batch.label_sets.shape[0]} label sets, "
                          f"attention expects {attn.n_sets}")
-    fwd = forward(model, batch.x, batch.aux)
-    pred = fwd.probs
-
+    fwd = forward_arrays(model, batch.x, batch.aux)
     stacked = probe_features(model, fwd, batch.label_sets, config.alpha, batch.x, batch.aux)
+    path = label_path(attn, stacked, batch.label_sets, config.k, config.t_threshold)
 
-    weights = attend(attn, stacked)
-    y_tilde = binarize(sample_label(weights, batch.label_sets),
-                       config.k, config.t_threshold)
-
-    new_model, new_state, loss_pre = final_step(model, y_tilde, fwd, adam_state)
-    new_attn = attention_step(attn, y_tilde, pred, config.beta)
+    new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
+    new_attn = attention_step(attn, path, fwd.probs, config.beta)
 
     model_delta = np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
                               for a, b in zip(new_model.params, model.params)))
@@ -373,10 +443,10 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     loss_post = None
     per_sample = None
     if full_trace:
-        post = bce_loss(forward(new_model, batch.x, batch.aux).probs, detach(y_tilde))
-        loss_post = post.item()
-        per_sample = weights.data.copy()
-    trace = IterationTrace(weight_means=weights.data.mean(axis=0),
+        loss_post = bce_value(forward_arrays(new_model, batch.x, batch.aux).probs,
+                              path.y_tilde)
+        per_sample = path.weights
+    trace = IterationTrace(weight_means=path.weights.mean(axis=0),
                            loss_pre=loss_pre,
                            model_update_norm=model_delta,
                            attn_update_norm=attn_delta,
@@ -387,11 +457,9 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
 
 def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.ndarray):
     """(accuracy, bce loss) of the model against the given noisy targets."""
-    fwd = forward(model, ds.features, ds.aux)
-    predicted = predict_class(fwd)
-    acc = float(np.mean(predicted == target_labels))
-    loss = bce_loss(fwd.probs, constant(one_hot(target_labels, ds.n_classes)))
-    return acc, loss.item()
+    fwd = forward_arrays(model, ds.features, ds.aux)
+    acc = float(np.mean(predict_class(fwd) == target_labels))
+    return acc, bce_value(fwd.probs, one_hot(target_labels, ds.n_classes))
 
 
 def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
@@ -472,10 +540,9 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
                                               config.seed, epoch)):
             target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
                           else batch.label_sets[int(target)])
-            fwd = forward(model, batch.x, batch.aux)
+            fwd = forward_arrays(model, batch.x, batch.aux)
             try:
-                model, adam_state, value = final_step(model, constant(target_arr),
-                                                      fwd, adam_state)
+                model, adam_state, value = final_step(model, target_arr, fwd, adam_state)
             except ValueError as err:
                 raise ValueError(f"epoch {epoch}, batch {i}: {err}") from err
             losses.append(value)

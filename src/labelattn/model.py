@@ -2,12 +2,13 @@
 vector, an optional auxiliary-feature concatenation, and a per-class sigmoid
 head. Classifiers are immutable; parameter updates produce new instances.
 
-Besides the tape forward, the module holds the two closed forms training
-runs on: :func:`param_gradients`, the MLP backward from a gradient at the
-logits (one or a stack of M), and :func:`stacked_features`, the hidden stack
-of M classifiers that differ only in their hidden parameters. Both repeat the
-tape's products in the tape's order, so their results equal the tape's bit
-for bit; ``tests/test_closed_form.py`` holds them to that.
+Training runs on plain arrays: :func:`forward_arrays` is the forward it
+uses, :func:`param_gradients` the MLP backward from a gradient at the logits
+(one or a stack of M), and :func:`stacked_features` the hidden stack of M
+classifiers that differ only in their hidden parameters. None of them builds
+a tape graph. The tape :func:`forward` is the oracle: the array paths repeat
+its products in its order, so their results equal the tape's bit for bit;
+``tests/test_closed_form.py`` holds them to that.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, add_bias, concat, constant, matmul, relu, sigmoid
+from .autodiff import Tensor, add_bias, concat, constant, logistic, matmul, relu, sigmoid
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,21 @@ class Classifier:
 
 @dataclass(frozen=True)
 class ForwardResult:
+    """The tape forward of a batch."""
+
     features: Tensor                     # penultimate activations, post-aux concat
     logits: Tensor
     probs: Tensor
     activations: tuple[np.ndarray, ...] = ()   # the input, then each hidden ReLU output
+
+
+@dataclass(frozen=True)
+class ArrayForward:
+    """The array forward of a batch: what training and evaluation read."""
+
+    features: np.ndarray                 # penultimate activations, post-aux concat
+    probs: np.ndarray
+    activations: tuple[np.ndarray, ...]  # the input, then each hidden ReLU output
 
 
 def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,
@@ -76,7 +88,8 @@ def _check_batch(model: Classifier, x: np.ndarray, aux: np.ndarray | None) -> No
 
 
 def forward(model: Classifier, x, aux=None) -> ForwardResult:
-    """Differentiable forward pass over a batch [B, input_dim]."""
+    """Differentiable forward pass over a batch [B, input_dim] on the tape:
+    the oracle of :func:`forward_arrays`, which training runs."""
     h = x if isinstance(x, Tensor) else constant(x)
     a = aux if aux is None or isinstance(aux, Tensor) else constant(aux)
     _check_batch(model, h.data, None if a is None else a.data)
@@ -92,9 +105,39 @@ def forward(model: Classifier, x, aux=None) -> ForwardResult:
                          activations=tuple(activations))
 
 
-def param_gradients(model: Classifier, fwd: ForwardResult, g: np.ndarray) -> list[np.ndarray]:
+def relu_in_place(pre: np.ndarray) -> np.ndarray:
+    """ReLU written over ``pre``, with the bits of ``np.where(pre > 0.0, pre,
+    0.0)`` but no branch per element: ``fmax`` maps NaN to 0, and adding 0.0
+    turns the -0.0 that ``fmax`` may keep into +0.0."""
+    np.fmax(pre, 0.0, out=pre)
+    pre += 0.0
+    return pre
+
+
+def forward_arrays(model: Classifier, x, aux=None) -> ArrayForward:
+    """Forward pass over a batch [B, input_dim] on plain arrays, with no tape
+    and no copy of the input; equal bit for bit to :func:`forward`."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if aux is not None:
+        aux = np.asarray(aux, dtype=np.float64)
+    _check_batch(model, x, aux)
+    h = x
+    activations = [h]
+    for i in range(len(model.layer_dims) - 1):
+        pre = h @ model.params[2 * i].data
+        pre += model.params[2 * i + 1].data
+        h = relu_in_place(pre)
+        activations.append(h)
+    feats = h if aux is None else np.concatenate([h, aux], axis=1)
+    logits = feats @ model.params[-2].data
+    logits += model.params[-1].data
+    return ArrayForward(features=feats, probs=logistic(logits),
+                        activations=tuple(activations))
+
+
+def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
     """Gradients of every parameter, in declaration order, from the gradient
-    ``g`` at the logits of ``fwd`` (the forward of ``model``).
+    ``g`` at the logits of ``fwd`` (the array forward of ``model``).
 
     ``g`` is [B, N], or a stack [M, B, N] of M gradients, which gives [M, ...]
     gradients through ``np.matmul`` over the leading axis. Each one equals
@@ -104,7 +147,7 @@ def param_gradients(model: Classifier, fwd: ForwardResult, g: np.ndarray) -> lis
     """
     acts = fwd.activations
     grads: list = [None] * len(model.params)
-    grads[-2] = np.matmul(fwd.features.data.T, g)
+    grads[-2] = np.matmul(fwd.features.T, g)
     grads[-1] = g.sum(axis=-2)
     g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
     for i in reversed(range(len(acts) - 1)):
@@ -127,8 +170,9 @@ def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x, aux=Non
     _check_batch(model, x, aux)
     h = x
     for w, b in zip(hidden[0::2], hidden[1::2]):
-        pre = np.matmul(h, w) + b[:, None, :]
-        h = np.where(pre > 0.0, pre, 0.0)
+        pre = np.matmul(h, w)
+        pre += b[:, None, :]
+        h = relu_in_place(pre)
     m, batch, width = h.shape
     out = np.empty((batch, m, width + model.aux_dim))
     out[:, :, :width] = h.transpose(1, 0, 2)
@@ -156,9 +200,9 @@ def params_set(model: Classifier, params) -> Classifier:
                       aux_dim=model.aux_dim, params=tuple(fresh))
 
 
-def predict_class(result: ForwardResult) -> np.ndarray | int:
+def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray | int:
     """Argmax over probabilities; ties break toward the lowest index."""
-    probs = result.probs.data
+    probs = result.probs.data if isinstance(result, ForwardResult) else result.probs
     if probs.ndim == 1:
         return int(np.argmax(probs))
     return np.argmax(probs, axis=1)

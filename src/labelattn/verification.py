@@ -1,6 +1,7 @@
 """Self-verification sweeps: the loss-reweighting identity and
 finite-difference checks of every differentiable operation, including the
-full attention gradient path with its closed-form chain product.
+full attention gradient path against the closed-form attention gradient that
+training runs.
 
 Used by the ``verify`` CLI subcommand and by the acceptance tests.
 """
@@ -13,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from .metatrain import (ATTENTION_CONCAT, AttentionParams, attend, binarize,
-                        sample_label, theorem1_gap)
+from .metatrain import (ATTENTION_CONCAT, AttentionParams, attend, attention_gradients,
+                        binarize, label_path, sample_label, theorem1_gap)
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
@@ -173,10 +174,11 @@ def gradient_oracle_sweep(trials: int = 20, seed: int = 0) -> list[OpCheck]:
 
 
 def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, float]:
-    """(max abs difference autodiff vs closed-form chain product,
-    worst finite-difference tolerance ratio) for the attention gradient path.
+    """(max abs difference autodiff vs closed form, worst finite-difference
+    tolerance ratio) for the attention gradient path.
 
-    Closed form per sample: dL/dz_j = sum_m [sum_i dL/dy~_i * k y~_i (1-y~_i)
+    The closed form is :func:`metatrain.attention_gradients`, the one training
+    runs: per sample dL/dz_j = sum_m [sum_i dL/dy~_i * k y~_i (1-y~_i)
     * y_{m,i}] * w_m (delta_mj - w_j) with dL/dy~_i = -(1/K) logit(pred_i),
     then dL/dW[d, j] = F_d * dL/dz_j and dL/db_j = dL/dz_j.
     """
@@ -205,24 +207,13 @@ def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, fl
         b_t = Tensor(b0, requires_grad=True)
         gw, gb = gradients(loss_from(w_t, b_t), [w_t, b_t])
 
-        # closed-form chain product, batch-averaged like the loss
-        logits = feats @ w0 + b0
-        ws = np.exp(logits - logits.max(axis=1, keepdims=True))
-        ws /= ws.sum(axis=1, keepdims=True)
-        ybar = np.einsum("bm,mbn->bn", ws, labels)
-        ytil = 1.0 / (1.0 + np.exp(-k * (ybar - t)))
-        total = batch * n
-        dl_dyt = -(np.log(pred) - np.log1p(-pred)) / total
-        dl_dybar = dl_dyt * k * ytil * (1.0 - ytil)
-        dl_dw = np.einsum("bn,mbn->bm", dl_dybar, labels)
-        inner = np.sum(dl_dw * ws, axis=1, keepdims=True)
-        dl_dz = ws * (dl_dw - inner)
-        gw_manual = feats.T @ dl_dz
-        gb_manual = dl_dz.sum(axis=0)
+        attn = AttentionParams(n_sets=m, feat_dim=d, w=w_t, b=b_t, mode=ATTENTION_CONCAT)
+        gw_closed, gb_closed = attention_gradients(attn, label_path(attn, feats, labels, k, t),
+                                                   pred)
 
         worst_chain = max(worst_chain,
-                          float(np.max(np.abs(gw - gw_manual))),
-                          float(np.max(np.abs(gb - gb_manual))))
+                          float(np.max(np.abs(gw - gw_closed))),
+                          float(np.max(np.abs(gb - gb_closed))))
 
         if trial < 10:  # finite differences are slow; spot-check a subset
             fd = finite_diff_grad(lambda wt: loss_from(wt, constant(b0)), w_t)

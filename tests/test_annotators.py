@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from labelattn.annotators import (DEFAULT_FLIP_PAIRS, AnnotatorSpec, ConfusionMatrix,
-                                  cm_adversarial, cm_average, cm_hammer_spammer,
-                                  cm_ordered_confusion, cm_structured_flips, corrupt,
-                                  empirical_cm, noise_level_of)
+from labelattn.annotators import (AVERAGE, DEFAULT_FLIP_PAIRS, KINDS, AnnotatorSpec,
+                                  ConfusionMatrix, build_cm, check_fits, cm_adversarial,
+                                  cm_average, cm_hammer_spammer, cm_ordered_confusion,
+                                  cm_structured_flips, corrupt, empirical_cm, noise_level_of)
 
 
 def assert_row_stochastic(cm, tol=1e-12):
@@ -234,3 +234,30 @@ class TestSpecAndSerialization:
             ConfusionMatrix(2, np.array([[0.5, 0.4], [0.0, 1.0]]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ConfusionMatrix(2, np.array([[1.5, -0.5], [0.0, 1.0]]))
+
+
+class TestCheckFits:
+    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("spec", [
+        *(AnnotatorSpec(kind, 0.3) for kind in KINDS if kind != AVERAGE),
+        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 1), (2, 3))),
+        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((4, 0),)),
+        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((1, 1),)),
+        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((-1, 0),)),
+    ], ids=lambda spec: f"{spec.kind}-{spec.flip_pairs}")
+    def test_raises_exactly_where_build_cm_raises(self, spec, n):
+        try:
+            build_cm(spec, n)
+        except ValueError:
+            with pytest.raises(ValueError):
+                check_fits(spec, n)
+        else:
+            check_fits(spec, n)
+
+    def test_huge_class_count_needs_no_matrix(self):
+        # 10**6 classes would be an 8 TB matrix; the check never forms it
+        for kind in KINDS:
+            check_fits(AnnotatorSpec(kind, 0.3), 10**6)
+        with pytest.raises(ValueError, match="outside"):
+            check_fits(AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 10**6),)),
+                       10**6)

@@ -121,6 +121,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="annotators\\[0\\] does not fit"):
             parse_config_dict(raw)
 
+    def test_million_classes_parse_without_confusion_matrices(self):
+        roster = [{"kind": kind, "noise_level": 0.3} for kind in KINDS]
+        roster.append({"kind": "structured_flips", "noise_level": 0.3,
+                       "flip_pairs": [[0, 999_999]]})
+        cfg = parse_config_dict(minimal(dataset={"synthetic": {"n_classes": 10**6}},
+                                        annotators=roster))
+        assert cfg.dataset.n_classes == 10**6
+        roster[-1]["flip_pairs"] = [[0, 10**6]]
+        with pytest.raises(ConfigError, match="annotators\\[5\\] does not fit"):
+            parse_config_dict(minimal(dataset={"synthetic": {"n_classes": 10**6}},
+                                      annotators=roster))
+
     def test_integral_floats_taken_as_integers(self):
         cfg = parse_config_dict(minimal(seeds=[1.0], meta={"epochs": 2.0}))
         assert cfg.seeds == (1,) and cfg.meta.epochs == 2
@@ -182,12 +194,13 @@ class TestHash:
 # property: any JSON value parses to a config or fails with a ConfigError
 # ---------------------------------------------------------------------------
 
-# Integers and integral floats stay within +-1000 (plus a few numbers too
-# big for any array): a class count becomes an n x n confusion matrix while
-# parsing, and the test must not allocate gigabytes.
-_HUGE = [2**31, 2**63, -2**63, 10**30, 1e300, -1e300]
-_NUMBERS = (st.integers(-1000, 1000)
-            | st.floats(-1000, 1000)
+# Integers and integral floats reach +-10**6, plus a few numbers too big for
+# any array. Parsing checks a roster against the class count without
+# building the n x n confusion matrices, so a class count of 10**6 must
+# parse (or be refused) without allocating.
+_HUGE = [10**6, 2**31, 2**63, -2**63, 10**30, 1e300, -1e300]
+_NUMBERS = (st.integers(-10**6, 10**6)
+            | st.floats(-10**6, 10**6)
             | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, *_HUGE]))
 _WORDS = st.sampled_from(["synthetic", "cifar10", "hammer_spammer", "structured_flips",
                           "ordered_confusion", "adversarial", "average", "ours", "baseline",

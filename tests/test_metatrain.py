@@ -9,10 +9,10 @@ from labelattn.autodiff import Tensor, constant, gradients
 from labelattn.data import Batch, SyntheticSpec, attach_annotators, minibatches, synth_blobs
 from labelattn.metatrain import (ATTENTION_SHARED, AttentionParams, MetaConfig, attend,
                                  attention_init, attention_step, binarize,
-                                 collect_feedback, final_step, meta_step,
+                                 collect_feedback, final_step, label_path, meta_step,
                                  reweighted_loss, sample_label, theorem1_gap,
                                  train_attention, train_baseline, train_iteration)
-from labelattn.model import classifier_init, forward, params_get, params_set
+from labelattn.model import classifier_init, forward, forward_arrays, params_get, params_set
 from labelattn.optim import adam_init
 
 
@@ -242,9 +242,9 @@ class TestFinalStep:
     def test_zero_lr_keeps_model(self):
         model = tiny_classifier()
         x = np.random.default_rng(15).normal(size=(4, 3))
-        fwd = forward(model, x)
+        fwd = forward_arrays(model, x)
         state = adam_init(params_get(model), lr=0.0)
-        target = binarize(constant(np.random.default_rng(16).uniform(size=(4, 2))), 50, 0.5)
+        target = binarize(constant(np.random.default_rng(16).uniform(size=(4, 2))), 50, 0.5).data
         new_model, _, _ = final_step(model, target, fwd, state)
         for a, b in zip(new_model.params, model.params):
             assert np.array_equal(a.data, b.data)
@@ -256,9 +256,9 @@ class TestFinalStep:
         model = params_set(model, [np.array([[2.0]]), np.array([0.0]),
                                    np.array([[10.0]]), np.array([5.0])])
         x = np.array([[1.0]])
-        fwd = forward(model, x)
-        assert abs(fwd.probs.data[0, 0] - 1.0) < 1e-7
-        target = binarize(constant(np.array([[1.0]])), 1e6, 0.5)
+        fwd = forward_arrays(model, x)
+        assert abs(fwd.probs[0, 0] - 1.0) < 1e-7
+        target = binarize(constant(np.array([[1.0]])), 1e6, 0.5).data
         state = adam_init(params_get(model), lr=1e-4)
         new_model, _, _ = final_step(model, target, fwd, state)
         delta = max(np.max(np.abs(a.data - b.data))
@@ -270,19 +270,19 @@ class TestFinalStep:
         model = params_set(model, [np.array([[1.0]]), np.array([0.0]),
                                    np.array([[1.0]]), np.array([0.0])])
         x = np.array([[1.0]])
-        y = constant(np.array([[1.0]]))
+        y = np.array([[1.0]])
         state = adam_init(params_get(model), lr=0.01)
         for _ in range(5):
-            fwd = forward(model, x)
-            before = manual_bce(fwd.probs.data, y.data)
+            fwd = forward_arrays(model, x)
+            before = manual_bce(fwd.probs, y)
             model, state, _ = final_step(model, y, fwd, state)
-            after = manual_bce(forward(model, x).probs.data, y.data)
+            after = manual_bce(forward_arrays(model, x).probs, y)
             assert after < before
 
 
-def y_tilde_of(attn, stacked, sets):
+def path_of(attn, stacked, sets):
     """The binarized sampled label, built as ``train_iteration`` builds it."""
-    return binarize(sample_label(attend(attn, stacked), sets), 50.0, 0.5)
+    return label_path(attn, stacked, sets, 50.0, 0.5)
 
 
 class TestAttentionStep:
@@ -293,9 +293,9 @@ class TestAttentionStep:
         sets = np.concatenate([y] * m, axis=0)
         attn = AttentionParams(m, d, w=Tensor(rng.normal(size=(m * d, m)), requires_grad=True),
                                b=Tensor(rng.normal(size=m), requires_grad=True))
-        stacked = constant(rng.normal(size=(b, m * d)))
-        pred = constant(rng.uniform(0.1, 0.9, size=(b, n)))
-        out = attention_step(attn, y_tilde_of(attn, stacked, sets), pred, beta=0.1)
+        stacked = rng.normal(size=(b, m * d))
+        pred = rng.uniform(0.1, 0.9, size=(b, n))
+        out = attention_step(attn, path_of(attn, stacked, sets), pred, beta=0.1)
         assert np.array_equal(out.w.data, attn.w.data)
         assert np.array_equal(out.b.data, attn.b.data)
 
@@ -306,12 +306,12 @@ class TestAttentionStep:
         disagreeing = 1.0 - agreeing
         sets = np.stack([agreeing, disagreeing])
         # predictions confidently match set 0
-        pred = constant(np.clip(agreeing, 0.05, 0.95))
-        stacked = constant(rng.normal(size=(b, m * d)))
+        pred = np.clip(agreeing, 0.05, 0.95)
+        stacked = rng.normal(size=(b, m * d))
         attn = attention_init(m, d)
         for _ in range(50):
-            attn = attention_step(attn, y_tilde_of(attn, stacked, sets), pred, beta=0.5)
-        weights = attend(attn, stacked).data
+            attn = attention_step(attn, path_of(attn, stacked, sets), pred, beta=0.5)
+        weights = path_of(attn, stacked, sets).weights
         assert np.all(weights[:, 0] > weights[:, 1])
 
 

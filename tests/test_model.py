@@ -6,7 +6,7 @@ import pytest
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
 from labelattn.model import (classifier_bytes, classifier_from_bytes, classifier_init,
                              forward, load_params, params_get, params_set, predict_class,
-                             save_params)
+                             relu_in_place, save_params)
 
 
 def tiny_model(seed=0, aux_dim=0):
@@ -201,3 +201,40 @@ class TestPersistence:
         data[index * 8:(index + 1) * 8] = np.int64(value).tobytes()
         with pytest.raises(ValueError, match="header"):
             classifier_from_bytes(bytes(data))
+
+
+def where_relu(pre):
+    """The tape's ReLU, the reference for ``relu_in_place``."""
+    return np.where(pre > 0.0, pre, 0.0)
+
+
+class TestReluInPlace:
+    SPECIALS = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5]
+
+    @pytest.mark.parametrize("value", SPECIALS, ids=repr)
+    @pytest.mark.parametrize("size", [1, 3, 8, 17, 64])
+    def test_special_values_bitwise(self, value, size):
+        # every length: SIMD lanes and the scalar tail may treat -0.0 apart
+        pre = np.full(size, value)
+        expected = where_relu(pre)
+        assert relu_in_place(pre.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 13), (5, 32, 128), (3, 1, 9)])
+    def test_random_arrays_with_planted_zeros_and_nans_bitwise(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        pre = rng.normal(size=shape)
+        flat = pre.reshape(-1)
+        spots = rng.choice(flat.size, size=(4, max(1, flat.size // 8)), replace=False)
+        flat[spots[0]] = -0.0
+        flat[spots[1]] = np.nan
+        flat[spots[2]] = -np.nan
+        flat[spots[3]] = 0.0
+        expected = where_relu(pre)
+        assert np.signbit(expected).sum() == 0
+        got = relu_in_place(pre.copy())
+        assert got.shape == shape and got.tobytes() == expected.tobytes()
+
+    def test_writes_over_its_argument(self):
+        pre = np.array([[-1.0, 2.0]])
+        assert relu_in_place(pre) is pre
+        assert pre.tolist() == [[0.0, 2.0]]
