@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .annotators import AnnotatorSpec, AVERAGE, KINDS, check_fits
-from .data import CIFAR10_CLASSES, SyntheticSpec
+from .data import CIFAR10_CLASSES, SyntheticSpec, validation_size
 from .metatrain import MetaConfig
 
 METHOD_OURS = "ours"
@@ -211,6 +211,11 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    if isinstance(dataset, SyntheticSpec):
+        try:
+            validation_size(dataset.n_classes * dataset.samples_per_class, val_fraction)
+        except ValueError as err:
+            raise ConfigError(f"val_fraction: {err}") from err
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")

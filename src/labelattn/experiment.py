@@ -122,8 +122,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
         pool, test = build_datasets(cfg)
     train_ds, val_ds, _ = split(pool, cfg.val_fraction, seed=seed)
 
-    input_dim = pool.features.shape[1]
-    layer_dims = (input_dim, *cfg.hidden_dims)
+    layer_dims = (pool.n_features, *cfg.hidden_dims)
     model = classifier_init(layer_dims, pool.n_classes, cfg.aux_dim,
                             rng=np.random.default_rng([seed, _INIT_TAG]))
     meta = replace(cfg.meta, seed=seed)

@@ -153,6 +153,14 @@ class TestErrors:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "annotators[0] does not fit 2 classes" in capsys.readouterr().err
 
+    def test_empty_validation_split_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           dataset={"synthetic": {"n_classes": 2, "dim": 4,
+                                                  "samples_per_class": 2}})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "leaves no validation samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failure_keeps_finished_records(self, tmp_path, pool_sizes):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(TWO_CLASSES))

@@ -49,6 +49,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="missing required key 'annotators'"):
             parse_config_dict(raw)
 
+    def test_empty_validation_split_refused(self):
+        raw = minimal(val_fraction=0.2)
+        raw["dataset"]["synthetic"].update(n_classes=2, samples_per_class=2)
+        with pytest.raises(ConfigError, match="pool of 4 samples at val_fraction 0.2"):
+            parse_config_dict(raw)
+        raw["val_fraction"] = 0.25
+        assert parse_config_dict(raw).val_fraction == 0.25
+
     def test_threshold_range_error(self):
         raw = minimal()
         raw["meta"] = {"t_threshold": 1.5}

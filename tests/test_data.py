@@ -1,5 +1,7 @@
 """Datasets: synthetic blobs, CIFAR-10 binary ingestion, splits, batching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from labelattn.annotators import AnnotatorSpec, NoisyLabelSet
 from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
                             attach_annotators, consensus_labels, load_cifar10,
                             load_dataset, minibatches, one_hot, save_dataset, split,
-                            synth_blobs)
+                            synth_blobs, take_subset)
 
 
 class TestSynthBlobs:
@@ -44,6 +46,18 @@ class TestSynthBlobs:
     def test_unknown_stream(self):
         with pytest.raises(ValueError, match="stream"):
             synth_blobs(SyntheticSpec(), "validation")
+
+
+def traced(fn, *args, **kwargs):
+    """``fn``'s result and the peak bytes it allocates on top of what is live
+    when it starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def write_cifar_fixture(path, records):
@@ -96,10 +110,31 @@ class TestLoadCifar10:
         ds = load_cifar10([p1, p2])
         assert np.array_equal(ds.clean_labels, [1, 2, 3])
 
+    def test_decodes_in_place_with_the_old_bits(self, tmp_path):
+        rng = np.random.default_rng(11)
+        paths, blocks = [], []
+        for i in range(4):
+            raw = rng.integers(0, 256, size=(40, CIFAR_RECORD_BYTES), dtype=np.uint8)
+            raw[:, 0] %= 10
+            paths.append(tmp_path / f"data_batch_{i}.bin")
+            paths[-1].write_bytes(raw.tobytes())
+            blocks.append(raw)
+        ds, peak = traced(load_cifar10, paths)
+        # the output plus the bytes of one file, not a decoded copy per file
+        assert peak <= 1.1 * ds.features.nbytes
+        expected = np.concatenate([b[:, 1:].astype(np.float64) / 255.0 for b in blocks])
+        assert ds.features.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.clean_labels, np.concatenate([b[:, 0] for b in blocks]))
+
 
 def blob_dataset(seed=0, per_class=40, n_classes=4):
     return synth_blobs(SyntheticSpec(n_classes=n_classes, dim=5,
                                      samples_per_class=per_class, seed=seed))
+
+
+def with_aux(ds, aux):
+    return LabeledDataset(features=ds.features, clean_labels=ds.clean_labels,
+                          n_classes=ds.n_classes, label_sets=ds.label_sets, aux=aux)
 
 
 class TestAttachAnnotators:
@@ -174,6 +209,13 @@ class TestSplit:
         with pytest.raises(ValueError, match="val_fraction"):
             split(blob_dataset(), 1.0, seed=0)
 
+    def test_empty_validation_half_refused(self):
+        pool = blob_dataset(per_class=2, n_classes=2)
+        with pytest.raises(ValueError, match="pool of 4 samples at val_fraction 0.2"):
+            split(pool, 0.2, seed=0)
+        train, val, _ = split(pool, 0.25, seed=0)
+        assert (train.n_samples, val.n_samples) == (3, 1)
+
 
 class TestMinibatches:
     def make(self):
@@ -205,6 +247,110 @@ class TestMinibatches:
         assert np.all(batch.label_sets.sum(axis=2) == 1.0)
         expected = one_hot(ds.label_sets[1].labels[batch.indices], 4)
         assert np.array_equal(batch.label_sets[1], expected)
+
+
+def eager(ds, rows):
+    """The samples at ``rows`` of ``ds`` as a dataset holding its own copies."""
+    return LabeledDataset(
+        features=ds.features[rows].copy(), clean_labels=ds.clean_labels[rows].copy(),
+        n_classes=ds.n_classes,
+        label_sets=[NoisyLabelSet(ls.labels[rows].copy()) for ls in ds.label_sets],
+        aux=None if ds.aux is None else ds.aux[rows].copy())
+
+
+class TestRowView:
+    def noisy(self, aux_dim=0):
+        ds = blob_dataset(per_class=25)  # 100 samples
+        if aux_dim:
+            ds = with_aux(ds, np.random.default_rng(12).normal(size=(ds.n_samples, aux_dim)))
+        return attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3),
+                                      AnnotatorSpec("adversarial"),
+                                      AnnotatorSpec("average")], seed=13)
+
+    def assert_same(self, view, ref):
+        assert view.n_samples == ref.n_samples
+        assert view.features.tobytes() == ref.features.tobytes()
+        assert (view.aux is None) == (ref.aux is None)
+        if ref.aux is not None:
+            assert view.aux.tobytes() == ref.aux.tobytes()
+        assert view.clean_labels.tobytes() == ref.clean_labels.tobytes()
+        for a, b in zip(view.label_sets, ref.label_sets, strict=True):
+            assert a.labels.tobytes() == b.labels.tobytes()
+        assert consensus_labels(view).tobytes() == consensus_labels(ref).tobytes()
+        for epoch in range(2):
+            for a, b in zip(minibatches(view, 16, seed=4, epoch=epoch),
+                            minibatches(ref, 16, seed=4, epoch=epoch), strict=True):
+                assert a.x.tobytes() == b.x.tobytes()
+                assert a.label_sets.tobytes() == b.label_sets.tobytes()
+                assert a.indices.tobytes() == b.indices.tobytes()
+                assert (a.aux is None) == (b.aux is None)
+                if b.aux is not None:
+                    assert a.aux.tobytes() == b.aux.tobytes()
+
+    @pytest.mark.parametrize("aux_dim", [0, 3])
+    def test_split_halves_match_eager_copies(self, aux_dim):
+        ds = self.noisy(aux_dim)
+        train, val, idx = split(ds, 0.2, seed=5)
+        self.assert_same(train, eager(ds, idx.train))
+        self.assert_same(val, eager(ds, idx.val))
+        self.assert_same(ds, eager(ds, np.arange(ds.n_samples)))
+
+    @pytest.mark.parametrize("aux_dim", [0, 3])
+    def test_subset_of_a_subset_composes_rows(self, aux_dim):
+        ds = self.noisy(aux_dim)
+        first = np.random.default_rng(6).permutation(ds.n_samples)[:70]
+        second = np.array([69, 0, 5, 5, 33, 12, 40, 1, 2, 68, 3, 50, 51, 52, 17, 18, 19])
+        twice = take_subset(take_subset(ds, first), second)
+        assert np.array_equal(twice.rows, first[second])
+        self.assert_same(twice, eager(ds, first[second]))
+        # annotators attached to a view see the same rows
+        again = attach_annotators(twice, [AnnotatorSpec("adversarial")], seed=2)
+        assert np.shares_memory(again.rows, twice.rows) and again.n_sets == 4
+        assert again.features.tobytes() == twice.features.tobytes()
+
+    def test_subset_split_and_attach_share_the_features(self):
+        wide = synth_blobs(SyntheticSpec(n_classes=4, dim=1024, samples_per_class=250, seed=7))
+        budget = 0.05 * wide.features.nbytes
+        specs = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("adversarial")]
+        assert traced(attach_annotators, wide, specs, seed=1)[1] < budget
+        noisy = attach_annotators(wide, specs, seed=1)
+        assert traced(split, noisy, 0.2, seed=2)[1] < budget
+        assert traced(take_subset, noisy, np.arange(0, 1000, 3))[1] < budget
+        train, val, _ = split(noisy, 0.2, seed=2)
+        for ds in (noisy, train, val, take_subset(train, np.arange(10))):
+            assert np.shares_memory(ds._features, wide.features)
+
+    def test_writes_through_a_dataset_raise(self):
+        feats = np.zeros((6, 2))
+        aux = np.ones((6, 1))
+        ds = LabeledDataset(features=feats, clean_labels=[0, 1, 0, 1, 0, 1], n_classes=2,
+                            aux=aux)
+        noisy = attach_annotators(ds, [AnnotatorSpec("adversarial")], seed=0)
+        for view in (ds, noisy):
+            for array in (view.features, view.aux, view.clean_labels):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7
+        # the caller's own arrays keep their flags and their values
+        assert feats.flags.writeable and aux.flags.writeable
+        assert not feats.any() and np.all(aux == 1.0)
+        feats[0, 0] = 3.0
+        assert ds.features[0, 0] == 3.0
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.zeros((2, 2), dtype=np.int64), "1-D integer"),
+        (np.array([0.0, 1.0]), "1-D integer"),
+        (np.array([True, False, True]), "1-D integer"),
+        (np.array([0, 3]), "out of range for 3 rows"),
+        (np.array([-1, 0]), "out of range for 3 rows"),
+    ])
+    def test_bad_rows_refused(self, rows, message):
+        ds = LabeledDataset(features=np.zeros((3, 2)), clean_labels=[0, 1, 0], n_classes=2)
+        with pytest.raises(ValueError, match=message):
+            take_subset(ds, rows)
+        n = rows.shape[0]
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(features=ds.features, clean_labels=np.zeros(n, dtype=np.int64),
+                           n_classes=2, rows=rows)
 
 
 class TestOneHot:
@@ -241,7 +387,7 @@ class TestContainer:
     def test_round_trip(self, tmp_path):
         ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3),
                                                 AnnotatorSpec("adversarial")], seed=8)
-        ds.aux = np.random.default_rng(9).normal(size=(ds.n_samples, 3))
+        ds = with_aux(ds, np.random.default_rng(9).normal(size=(ds.n_samples, 3)))
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
         back = load_dataset(path)
@@ -294,8 +440,12 @@ class TestContainer:
                                             ("aux", np.nan), ("aux", -np.inf)])
     def test_non_finite_features_rejected(self, tmp_path, where, bad):
         ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3)], seed=8)
-        ds.aux = np.random.default_rng(9).normal(size=(ds.n_samples, 2))
-        getattr(ds, where)[3, 1] = bad
+        arrays = {"features": ds.features.copy(),
+                  "aux": np.random.default_rng(9).normal(size=(ds.n_samples, 2))}
+        arrays[where][3, 1] = bad
+        ds = LabeledDataset(features=arrays["features"], clean_labels=ds.clean_labels,
+                            n_classes=ds.n_classes, label_sets=ds.label_sets,
+                            aux=arrays["aux"])
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
         with pytest.raises(ValueError, match="non-finite"):

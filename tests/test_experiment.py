@@ -8,6 +8,7 @@ import pytest
 
 from labelattn import experiment
 from labelattn.config import parse_config_dict
+from labelattn.data import LabeledDataset
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
                                   emit, emit_summary, read_records, run_experiment,
                                   run_single, summarize, sweep_annotators, sweep_noise)
@@ -73,8 +74,9 @@ class TestRunExperiment:
     def test_aux_configured_model(self):
         cfg = tiny_config(model={"hidden_dims": [8, 6], "aux_dim": 2})
         pool, test = build_datasets(cfg)
-        pool.aux = np.zeros((pool.n_samples, 2))
-        test.aux = np.zeros((test.n_samples, 2))
+        pool, test = (LabeledDataset(features=d.features, clean_labels=d.clean_labels,
+                                     n_classes=d.n_classes, label_sets=d.label_sets,
+                                     aux=np.zeros((d.n_samples, 2))) for d in (pool, test))
         out = run_single(cfg, seed=0, pool=pool, test=test)
         assert 0.0 <= out.record.test_accuracy <= 1.0
 

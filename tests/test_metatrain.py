@@ -6,7 +6,8 @@ import pytest
 
 from labelattn.annotators import AnnotatorSpec
 from labelattn.autodiff import Tensor, constant, gradients
-from labelattn.data import Batch, SyntheticSpec, attach_annotators, minibatches, synth_blobs
+from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators, minibatches,
+                            synth_blobs)
 from labelattn.metatrain import (ATTENTION_SHARED, AttentionParams, MetaConfig, attend,
                                  attention_init, attention_step, binarize,
                                  collect_feedback, final_step, label_path, meta_step,
@@ -573,8 +574,10 @@ class TestTrainingLoops:
         # prediction for its sample, in whichever batch holds it
         ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3),
                                 AnnotatorSpec("adversarial")])
-        ds.aux = np.zeros((ds.n_samples, 2))
-        ds.aux[17, 1] = np.nan
+        aux = np.zeros((ds.n_samples, 2))
+        aux[17, 1] = np.nan
+        ds = LabeledDataset(features=ds.features, clean_labels=ds.clean_labels,
+                            n_classes=ds.n_classes, label_sets=ds.label_sets, aux=aux)
         cfg = MetaConfig(epochs=1, batch_size=16, seed=9)
         batch = next(i for i, b in enumerate(minibatches(ds, 16, 9, 0)) if 17 in b.indices)
         assert batch > 0
