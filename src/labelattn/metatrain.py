@@ -7,7 +7,7 @@ sets:
    activations;
 2. one throwaway gradient probe per label set at rate ``alpha``, all M in
    one stacked pass: the closed-form MLP backward turns the M output
-   gradients into [M, ...] parameter gradients, and the probe weights
+   gradients into [M, ...] hidden-parameter gradients, and the probe weights
    ``W - alpha * G`` are formed in those buffers (the live model is never
    mutated);
 3. a feature-feedback pass: one stacked hidden-layer forward of the M probe
@@ -52,8 +52,8 @@ from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_target_gra
                        row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
 from .model import (ArrayForward, Classifier, classifier_bytes, classifier_from_bytes,
-                    forward_arrays, param_gradients, params_get, params_set, predict_class,
-                    stacked_features)
+                    forward_arrays, hidden_gradients, param_gradients, params_get, params_set,
+                    predict_class, stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
@@ -129,12 +129,30 @@ class LabelPath:
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """What one iteration produced. The update norms are computed when read,
+    from the model and attention before and after the update."""
+
     weight_means: np.ndarray              # [M] batch-mean attention weights
     loss_pre: float                       # loss value driving both updates
-    model_update_norm: float
-    attn_update_norm: float
+    model_before: Classifier
+    model_after: Classifier
+    attn_before: AttentionParams
+    attn_after: AttentionParams
     weights: np.ndarray | None = None     # [B, M] per-sample weights (full trace)
     loss_post: float | None = None        # same-batch loss after the update (full trace)
+
+    @property
+    def model_update_norm(self) -> float:
+        """Euclidean norm of the model update over all parameters."""
+        return np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
+                           for a, b in zip(self.model_after.params, self.model_before.params)))
+
+    @property
+    def attn_update_norm(self) -> float:
+        """Euclidean norm of the attention update, weight matrix and bias."""
+        new, old = self.attn_after, self.attn_before
+        return np.sqrt(float(np.sum((new.w.data - old.w.data) ** 2))
+                       + float(np.sum((new.b.data - old.b.data) ** 2)))
 
 
 @dataclass
@@ -187,14 +205,14 @@ def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
     of the ``meta_step`` probes.
 
     ``fwd`` is ``model``'s array forward of the batch ``x`` (and ``aux``).
-    Only the hidden parameters of a probe reach its features, so its head is
-    never formed. The [M, ...] gradient stack is freed on return.
+    Only the hidden parameters of a probe reach its features, so neither its
+    head nor the head's gradient is formed. The [M, ...] gradient stack is
+    freed on return.
     """
     p = fwd.probs
     if not np.isfinite(p).all():
         raise ValueError("non-finite predictions")
-    grads = param_gradients(model, fwd, _logit_grad(p, np.asarray(label_sets, np.float64)))
-    hidden = grads[:-2]
+    hidden = hidden_gradients(model, fwd, _logit_grad(p, np.asarray(label_sets, np.float64)))
     for g, param in zip(hidden, model.params):
         g *= alpha
         np.subtract(param.data, g, out=g)
@@ -436,10 +454,6 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
     new_attn = attention_step(attn, path, fwd.probs, config.beta)
 
-    model_delta = np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
-                              for a, b in zip(new_model.params, model.params)))
-    attn_delta = np.sqrt(float(np.sum((new_attn.w.data - attn.w.data) ** 2))
-                         + float(np.sum((new_attn.b.data - attn.b.data) ** 2)))
     loss_post = None
     per_sample = None
     if full_trace:
@@ -448,8 +462,8 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
         per_sample = path.weights
     trace = IterationTrace(weight_means=path.weights.mean(axis=0),
                            loss_pre=loss_pre,
-                           model_update_norm=model_delta,
-                           attn_update_norm=attn_delta,
+                           model_before=model, model_after=new_model,
+                           attn_before=attn, attn_after=new_attn,
                            weights=per_sample,
                            loss_post=loss_post)
     return new_model, new_attn, new_state, trace

@@ -4,10 +4,11 @@ head. Classifiers are immutable; parameter updates produce new instances.
 
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
 uses, :func:`param_gradients` the MLP backward from a gradient at the logits
-(one or a stack of M), and :func:`stacked_features` the hidden stack of M
-classifiers that differ only in their hidden parameters. None of them builds
-a tape graph. The tape :func:`forward` is the oracle: the array paths repeat
-its products in its order, so their results equal the tape's bit for bit;
+(one or a stack of M), :func:`hidden_gradients` its hidden-layer part, and
+:func:`stacked_features` the hidden stack of M classifiers that differ only
+in their hidden parameters. None of them builds a tape graph. The tape
+:func:`forward` is the oracle: the array paths repeat its products in its
+order, so their results equal the tape's bit for bit;
 ``tests/test_closed_form.py`` holds them to that.
 """
 
@@ -145,10 +146,16 @@ def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list
     products in the same order, the ReLU masks read as ``h > 0``, and no
     gradient for the input.
     """
+    return hidden_gradients(model, fwd, g) + [np.matmul(fwd.features.T, g), g.sum(axis=-2)]
+
+
+def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
+    """The hidden-layer part of :func:`param_gradients`: the gradients of
+    W1, b1, ..., Wk, bk (every parameter but the head) from the same logit
+    gradient ``g``, with the same bits. The head's own gradients are never
+    formed."""
     acts = fwd.activations
-    grads: list = [None] * len(model.params)
-    grads[-2] = np.matmul(fwd.features.T, g)
-    grads[-1] = g.sum(axis=-2)
+    grads: list = [None] * (len(model.params) - 2)
     g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
     for i in reversed(range(len(acts) - 1)):
         g = g * (acts[i + 1] > 0.0)

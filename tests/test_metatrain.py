@@ -8,8 +8,8 @@ from labelattn.annotators import AnnotatorSpec
 from labelattn.autodiff import Tensor, constant, gradients
 from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators, minibatches,
                             synth_blobs)
-from labelattn.metatrain import (ATTENTION_SHARED, AttentionParams, MetaConfig, attend,
-                                 attention_init, attention_step, binarize,
+from labelattn.metatrain import (ATTENTION_CONCAT, ATTENTION_SHARED, AttentionParams,
+                                 MetaConfig, attend, attention_init, attention_step, binarize,
                                  collect_feedback, final_step, label_path, meta_step,
                                  reweighted_loss, sample_label, theorem1_gap,
                                  train_attention, train_baseline, train_iteration)
@@ -498,6 +498,30 @@ class TestPencilAndPaperIteration:
         train_iteration(model, attn, batch, config, state)
         assert [p.data.tobytes() for p in model.params] == model_bytes
         assert (attn.w.data.tobytes(), attn.b.data.tobytes()) == attn_bytes
+
+
+@pytest.mark.parametrize("mode", [ATTENTION_CONCAT, ATTENTION_SHARED])
+def test_update_norms_equal_the_eager_formula(mode):
+    rng = np.random.default_rng(11)
+    model = classifier_init((3, 5, 4), n_classes=2, aux_dim=1, rng=rng)
+    n_sets, batch_size = 3, 6
+    w_shape, b_shape = ((n_sets * 5, n_sets), (n_sets,)) if mode == ATTENTION_CONCAT \
+        else ((5, 1), (1,))
+    attn = AttentionParams(n_sets, 5, w=Tensor(rng.normal(scale=0.3, size=w_shape)),
+                           b=Tensor(rng.normal(scale=0.3, size=b_shape)), mode=mode)
+    sets = np.eye(2)[rng.integers(0, 2, size=(n_sets, batch_size))]
+    batch = Batch(x=rng.normal(size=(batch_size, 3)), label_sets=sets,
+                  aux=rng.normal(size=(batch_size, 1)), indices=np.arange(batch_size))
+    config = MetaConfig(alpha=0.2, beta=0.05, batch_size=batch_size, epochs=1)
+    state = adam_init(params_get(model), lr=config.beta)
+    new_model, new_attn, _, trace = train_iteration(model, attn, batch, config, state)
+    model_delta = np.sqrt(sum(float(np.sum((a.data - b.data) ** 2))
+                              for a, b in zip(new_model.params, model.params)))
+    attn_delta = np.sqrt(float(np.sum((new_attn.w.data - attn.w.data) ** 2))
+                         + float(np.sum((new_attn.b.data - attn.b.data) ** 2)))
+    assert model_delta > 0 and attn_delta > 0
+    assert np.float64(trace.model_update_norm).tobytes() == np.float64(model_delta).tobytes()
+    assert np.float64(trace.attn_update_norm).tobytes() == np.float64(attn_delta).tobytes()
 
 
 class TestTrainingLoops:

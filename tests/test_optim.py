@@ -82,3 +82,131 @@ class TestAdam:
         for expected in (1, 2, 3):
             p, state = adam_step(state, p, [np.array([1.0])])
             assert state.t == expected
+
+
+def per_tensor_adam(params, grads, t, m, v, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one tensor at a time, as the step was written before it ran on
+    flat vectors: the oracle of ``adam_step``. Returns (params, t, m, v)."""
+    t += 1
+    new_p, new_m, new_v = [], [], []
+    for p, g, m_, v_ in zip(params, grads, m, v):
+        m2 = beta1 * m_ + (1.0 - beta1) * g
+        v2 = beta2 * v_ + (1.0 - beta2) * g * g
+        m_hat = m2 / (1.0 - beta1**t)
+        v_hat = v2 / (1.0 - beta2**t)
+        new_p.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_p, t, new_m, new_v
+
+
+M5_SHAPES = [(32, 128), (128,), (128, 64), (64,), (64, 10), (10,)]
+MIXED_SHAPES = [(1,), (3, 4), (2, 3, 2), (5,)]
+
+
+def random_tensors(shapes, rng):
+    return [Tensor(rng.normal(size=s), requires_grad=True, copy=False) for s in shapes]
+
+
+def random_grads(shapes, rng):
+    """Gradients spanning many magnitudes, with exact zeros mixed in."""
+    out = []
+    for s in shapes:
+        g = rng.normal(size=s) * 10.0 ** rng.uniform(-8, 3, size=s)
+        g[rng.uniform(size=s) < 0.1] = 0.0
+        out.append(g)
+    return out
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes() and np.shape(a) == np.shape(b)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("shapes", [M5_SHAPES, MIXED_SHAPES], ids=["m5", "mixed"])
+    def test_equals_per_tensor_adam_over_chained_steps(self, shapes):
+        rng = np.random.default_rng(3)
+        params = random_tensors(shapes, rng)
+        state = adam_init(params, lr=1e-3)
+        o_params = [p.data for p in params]
+        o_t, o_m, o_v = 0, [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        for _ in range(60):
+            grads = random_grads(shapes, rng)
+            params, state = adam_step(state, params, grads)
+            o_params, o_t, o_m, o_v = per_tensor_adam(o_params, grads, o_t, o_m, o_v, 1e-3)
+            assert state.t == o_t
+            assert all(same_bits(p.data, q) for p, q in zip(params, o_params))
+            assert all(same_bits(a, b) for a, b in zip(state.m, o_m))
+            assert all(same_bits(a, b) for a, b in zip(state.v, o_v))
+
+    def test_moments_read_one_array_per_parameter(self):
+        params = random_tensors(MIXED_SHAPES, np.random.default_rng(0))
+        state = adam_init(params, lr=0.1)
+        _, state = adam_step(state, params, random_grads(MIXED_SHAPES, np.random.default_rng(1)))
+        assert isinstance(state.m, tuple) and isinstance(state.v, tuple)
+        assert [a.shape for a in state.m] == [a.shape for a in state.v] == MIXED_SHAPES
+
+    def test_never_mutates_params_grads_or_state(self):
+        rng = np.random.default_rng(4)
+        params = random_tensors(MIXED_SHAPES, rng)
+        state = adam_init(params, lr=0.1)
+        params, state = adam_step(state, params, random_grads(MIXED_SHAPES, rng))
+        grads = random_grads(MIXED_SHAPES, rng)
+        grads[1] = Tensor(grads[1], copy=False)
+
+        def snapshot():
+            return ([p.data.tobytes() for p in params],
+                    [(g.data if isinstance(g, Tensor) else g).tobytes() for g in grads],
+                    [a.tobytes() for a in state.m + state.v], state.t)
+
+        before = snapshot()
+        adam_step(state, params, grads)
+        assert snapshot() == before
+
+    def test_stepping_one_state_twice_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        params = random_tensors(M5_SHAPES, rng)
+        state = adam_init(params, lr=1e-2)
+        params, state = adam_step(state, params, random_grads(M5_SHAPES, rng))
+        grads = random_grads(M5_SHAPES, rng)
+        (p1, s1), (p2, s2) = adam_step(state, params, grads), adam_step(state, params, grads)
+        assert all(same_bits(a.data, b.data) for a, b in zip(p1, p2))
+        assert all(same_bits(a, b) for a, b in zip(s1.m + s1.v, s2.m + s2.v))
+        assert s1.t == s2.t == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_any_tensor_refused(self, bad):
+        rng = np.random.default_rng(6)
+        params = random_tensors(MIXED_SHAPES, rng)
+        state = adam_init(params, lr=0.1)
+        for i, shape in enumerate(MIXED_SHAPES):
+            grads = random_grads(MIXED_SHAPES, rng)
+            grads[i].flat[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                adam_step(state, params, grads)
+
+    def test_shape_mismatch_refused(self):
+        params = random_tensors(MIXED_SHAPES, np.random.default_rng(7))
+        state = adam_init(params, lr=0.1)
+        grads = [np.zeros(s) for s in MIXED_SHAPES]
+        grads[2] = np.zeros((3, 2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(state, params, grads)
+        swapped = params[:2] + [Tensor(np.zeros((3, 2, 2)), requires_grad=True)] + params[3:]
+        grads[2] = np.zeros((3, 2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(state, swapped, grads)
+
+    def test_state_for_k_parameters_refuses_k_plus_one(self):
+        params = random_tensors(MIXED_SHAPES, np.random.default_rng(8))
+        state = adam_init(params[:-1], lr=0.1)
+        with pytest.raises(ValueError, match="tracks 3 parameters, got 4"):
+            adam_step(state, params, [np.zeros(s) for s in MIXED_SHAPES])
+
+
+def test_sgd_equals_per_tensor_step():
+    rng = np.random.default_rng(9)
+    params = random_tensors(MIXED_SHAPES, rng)
+    grads = random_grads(MIXED_SHAPES, rng)
+    out = sgd_step(params, grads, lr=0.3)
+    assert all(same_bits(o.data, p.data - 0.3 * g) for o, p, g in zip(out, params, grads))
