@@ -13,13 +13,13 @@ from .experiment import (ResultRecord, emit, read_records, run_experiment, run_s
                          sweep_annotators, sweep_noise)
 from .metatrain import (AttentionParams, LabelPath, MetaConfig, attend, attention_gradients,
                         attention_init, attention_step, binarize, collect_feedback,
-                        final_step, label_path, load_checkpoint, meta_step, probe_features,
-                        reweighted_loss, sample_label, save_checkpoint, theorem1_gap,
-                        train_attention, train_baseline, train_iteration)
+                        final_step, label_path, meta_step, probe_features, reweighted_loss,
+                        sample_label, theorem1_gap, train_attention, train_baseline,
+                        train_iteration)
 from .metrics import accuracy, auc_roc, mean_auc, per_class_auc
 from .model import (ArrayForward, Classifier, ForwardResult, classifier_init, forward,
-                    forward_arrays, load_params, param_gradients, params_get, params_set,
-                    predict_class, save_params, stacked_features)
+                    forward_arrays, param_gradients, params_get, params_set, predict_class,
+                    stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 __version__ = "0.1.0"

@@ -26,13 +26,10 @@ BCE_EPS = 1e-7
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-x)) on a plain array, branching on sign so exp never overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+exp(-x)) on a plain array: with e = exp(-|x|), 1/(1+e) where
+    x >= 0 and e/(1+e) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def bce_value(pred: np.ndarray, target: np.ndarray) -> float:

@@ -14,7 +14,6 @@ from pathlib import Path
 from .config import parse_config
 from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants,
                          emit, emit_summary, noise_sweep_variants, run_variants)
-from .verification import run_verification
 
 
 def _write_outputs(records: list[ResultRecord], out_dir: Path,
@@ -72,6 +71,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
+        from .verification import run_verification
         return 0 if run_verification(trials=args.trials) else 1
 
     try:  # a ConfigError is a ValueError, as are bad sweep levels

@@ -300,59 +300,3 @@ def consensus_labels(ds: LabeledDataset) -> np.ndarray:
     if not ds.label_sets:
         raise ValueError("dataset carries no label sets")
     return np.argmax(ds.onehot_label_sets().sum(axis=0), axis=1)
-
-
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """Self-describing container: int64 header [S, D, N, M, A], float64
-    features, uint8 clean labels, M uint8 label sets, float64 aux. S must be
-    at least 1, so that the file length bounds every other header entry."""
-    if ds.n_samples < 1:
-        raise ValueError("the container cannot hold a dataset with no samples")
-    if ds.n_classes > 256:
-        raise ValueError(f"{ds.n_classes} classes do not fit the container's uint8 labels")
-    a = 0 if ds.aux is None else ds.aux.shape[1]
-    header = np.array([ds.n_samples, ds.n_features, ds.n_classes, ds.n_sets, a],
-                      dtype=np.int64)
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        ds.features.astype(np.float64).tofile(fh)
-        ds.clean_labels.astype(np.uint8).tofile(fh)
-        for ls in ds.label_sets:
-            ls.labels.astype(np.uint8).tofile(fh)
-        if ds.aux is not None:
-            ds.aux.astype(np.float64).tofile(fh)
-
-
-def load_dataset(path) -> LabeledDataset:
-    raw = Path(path).read_bytes()
-    off = 5 * 8
-    if len(raw) < off:
-        raise ValueError(f"dataset file of {len(raw)} bytes is shorter than its header")
-    s, d, n, m, a = (int(v) for v in np.frombuffer(raw, dtype=np.int64, count=5))
-    if min(s, d, n, m, a) < 0:
-        raise ValueError(f"dataset header holds a negative size: {[s, d, n, m, a]}")
-    if s < 1:
-        raise ValueError("dataset header holds no samples")
-    expected = off + s * d * 8 + s * (1 + m) + s * a * 8
-    if len(raw) != expected:
-        raise ValueError(f"dataset file holds {len(raw)} bytes, its header implies {expected}")
-    feats = np.frombuffer(raw, dtype=np.float64, count=s * d, offset=off).reshape(s, d).copy()
-    off += s * d * 8
-    clean = np.frombuffer(raw, dtype=np.uint8, count=s, offset=off).astype(np.int64)
-    off += s
-    sets = []
-    for _ in range(m):
-        sets.append(NoisyLabelSet(np.frombuffer(raw, dtype=np.uint8, count=s, offset=off)
-                                  .astype(np.int64)))
-        off += s
-    aux = None
-    if a:
-        aux = np.frombuffer(raw, dtype=np.float64, count=s * a, offset=off).reshape(s, a).copy()
-    # Checked here rather than in LabeledDataset, which attach, split and
-    # subset construct several times per run over one source: a forward's
-    # ReLU would turn a NaN feature into 0 and hide it until an update fails
-    # far from the input.
-    if not np.isfinite(feats).all() or (aux is not None and not np.isfinite(aux).all()):
-        raise ValueError("dataset file holds non-finite features or aux")
-    return LabeledDataset(features=feats, clean_labels=clean, n_classes=n,
-                          label_sets=sets, aux=aux)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -182,6 +181,8 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
     workers = min(jobs, len(work))
     records: list[ResultRecord] = []
     try:
+        if workers > 1:  # imported here, so a serial run never loads the pool
+            from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=workers) if workers > 1
               else nullcontext()) as executor:
             for record, rows in (executor.map if executor else map)(_seed_run, work):

@@ -40,9 +40,7 @@ paths equal to the tape bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +49,8 @@ from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_target_gra
                        bce_value, concat, constant, gradients, logistic, make_op, matmul,
                        row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
-from .model import (ArrayForward, Classifier, classifier_bytes, classifier_from_bytes,
-                    forward_arrays, hidden_gradients, param_gradients, params_get, params_set,
-                    predict_class, stacked_features)
+from .model import (ArrayForward, Classifier, forward_arrays, hidden_gradients,
+                    param_gradients, params_get, params_set, predict_class, stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
@@ -369,44 +366,6 @@ def attention_step(attn: AttentionParams, path: LabelPath, pred: np.ndarray,
     gw, gb = attention_gradients(attn, path, pred)
     new_w, new_b = sgd_step([attn.w, attn.b], [gw, gb], beta)
     return replace(attn, w=new_w, b=new_b)
-
-
-_MODE_CODES = {ATTENTION_CONCAT: 0, ATTENTION_SHARED: 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-
-def save_checkpoint(model: Classifier, attn: AttentionParams, path) -> None:
-    """Classifier parameters (model format) with the attention parameters
-    appended in the same flat layout: int64 [n_sets, feat_dim, mode] then the
-    row-major float64 weight matrix and bias."""
-    attn_header = np.array([attn.n_sets, attn.feat_dim, _MODE_CODES[attn.mode]],
-                           dtype=np.int64)
-    Path(path).write_bytes(classifier_bytes(model) + attn_header.tobytes()
-                           + attn.w.data.tobytes() + attn.b.data.tobytes())
-
-
-def load_checkpoint(path) -> tuple[Classifier, AttentionParams]:
-    data = Path(path).read_bytes()
-    model, offset = classifier_from_bytes(data)
-    n_sets, feat_dim, mode_code = (int(v) for v in
-                                   np.frombuffer(data, np.int64, 3, offset=offset))
-    offset += 3 * 8
-    if mode_code not in _MODE_NAMES:
-        raise ValueError(f"unknown attention mode code {mode_code} in checkpoint")
-    mode = _MODE_NAMES[mode_code]
-    w_shape, b_shape = _attention_shapes(n_sets, feat_dim, mode)
-    w_size, b_size = math.prod(w_shape), math.prod(b_shape)
-    if len(data) != offset + (w_size + b_size) * 8:
-        raise ValueError(f"checkpoint has {len(data)} bytes, its headers imply "
-                         f"{offset + (w_size + b_size) * 8}")
-    w = np.frombuffer(data, np.float64, w_size, offset=offset)
-    offset += w_size * 8
-    b = np.frombuffer(data, np.float64, b_size, offset=offset)
-    attn = AttentionParams(n_sets=n_sets, feat_dim=feat_dim,
-                           w=Tensor(w.reshape(w_shape).copy(), requires_grad=True, copy=False),
-                           b=Tensor(b.copy(), requires_grad=True, copy=False),
-                           mode=mode)
-    return model, attn
 
 
 def reweighted_loss(pred, label_sets, weights) -> float:

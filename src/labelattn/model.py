@@ -15,7 +15,6 @@ order, so their results equal the tape's bit for bit;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -213,57 +212,3 @@ def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray | int:
     if probs.ndim == 1:
         return int(np.argmax(probs))
     return np.argmax(probs, axis=1)
-
-
-def param_shapes(layer_dims, n_classes: int, aux_dim: int) -> list[tuple[int, ...]]:
-    """Parameter shapes in declaration order: (W, b) per layer, then the head."""
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        shapes.extend([(fan_in, fan_out), (fan_out,)])
-    shapes.extend([(layer_dims[-1] + aux_dim, n_classes), (n_classes,)])
-    return shapes
-
-
-def classifier_bytes(model: Classifier) -> bytes:
-    """Flat binary layout: int64 header [n_dims, *layer_dims, n_classes,
-    aux_dim] followed by row-major float64 parameters in declaration order."""
-    header = np.array([len(model.layer_dims), *model.layer_dims,
-                       model.n_classes, model.aux_dim], dtype=np.int64)
-    flat = np.concatenate([p.data.ravel() for p in model.params])
-    return header.tobytes() + flat.tobytes()
-
-
-def classifier_from_bytes(data: bytes, offset: int = 0) -> tuple[Classifier, int]:
-    """Parse one classifier; returns (model, offset past its payload)."""
-    n_dims = int(np.frombuffer(data, dtype=np.int64, count=1, offset=offset)[0])
-    if n_dims < 2:
-        raise ValueError(f"classifier header names {n_dims} layer sizes, needs at least 2")
-    header = np.frombuffer(data, dtype=np.int64, count=n_dims + 3, offset=offset)
-    layer_dims = tuple(int(v) for v in header[1:1 + n_dims])
-    n_classes, aux_dim = int(header[-2]), int(header[-1])
-    if min(layer_dims) < 1 or n_classes < 1 or aux_dim < 0:
-        raise ValueError(f"invalid classifier header: layer_dims={layer_dims}, "
-                         f"n_classes={n_classes}, aux_dim={aux_dim}")
-    offset += header.nbytes
-    params = []
-    for shape in param_shapes(layer_dims, n_classes, aux_dim):
-        size = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype=np.float64, count=size, offset=offset)
-        if arr.size != size:
-            raise ValueError(f"parameter payload truncated at byte offset {offset}")
-        params.append(Tensor(arr.reshape(shape).copy(), requires_grad=True, copy=False))
-        offset += size * 8
-    return Classifier(layer_dims=layer_dims, n_classes=n_classes, aux_dim=aux_dim,
-                      params=tuple(params)), offset
-
-
-def save_params(model: Classifier, path) -> None:
-    Path(path).write_bytes(classifier_bytes(model))
-
-
-def load_params(path) -> Classifier:
-    data = Path(path).read_bytes()
-    model, offset = classifier_from_bytes(data)
-    if offset != len(data):
-        raise ValueError(f"parameter payload has {len(data) - offset} trailing bytes")
-    return model

@@ -98,6 +98,38 @@ class TestSigmoid:
         fd_close(g, fd.data)
 
 
+def masked_logistic(x):
+    """The sign-masked logistic, the reference for ``ad.logistic``."""
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def assert_same_bits(got, expected):
+    nan = np.isnan(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestLogistic:
+    def test_specials_match_the_masked_form(self):
+        edge = np.concatenate([[0.0, np.inf, 5e-324, 1e308, np.finfo(float).max],
+                               np.arange(708.0, 746.5, 0.5)])
+        x = np.concatenate([edge, -edge, [np.nan, -np.nan]])
+        assert np.signbit(x[len(edge)])   # -0.0 is in the sample
+        assert_same_bits(ad.logistic(x), masked_logistic(x))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    @pytest.mark.parametrize("shape", [(32, 10), (1000, 10), (7,)])
+    def test_random_arrays_match_the_masked_form(self, scale, shape):
+        x = np.random.default_rng(int(scale * 1000) + len(shape)).normal(scale=scale, size=shape)
+        assert_same_bits(ad.logistic(x), masked_logistic(x))
+
+
 class TestRelu:
     def test_values(self):
         assert np.array_equal(relu(tensor_new([3], [-1, 0, 2])).data, [0, 0, 2])

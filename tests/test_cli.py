@@ -1,11 +1,16 @@
 """CLI surfaces: subcommands, outputs, exit codes."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
-from labelattn import experiment
+import labelattn
 from labelattn.cli import main
 from labelattn.experiment import read_records
 
@@ -39,7 +44,7 @@ def pool_sizes(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -211,3 +216,30 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert any("loss-reweighting identity" in ln for ln in lines)
         assert all(ln.startswith("[PASS]") for ln in lines if ln.startswith("["))
+
+
+# Loaded only by the commands that use them: the pool at --jobs > 1, the
+# oracle suites by verify.
+ON_DEMAND = ("concurrent.futures", "multiprocessing", "labelattn.verification")
+
+
+def modules_loaded_by(code):
+    """The ON_DEMAND modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(labelattn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {ON_DEMAND!r} if m in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestStartup:
+    def test_import_loads_no_pool_and_no_verification(self):
+        assert modules_loaded_by("import labelattn.cli") == []
+
+    def test_serial_run_loads_no_pool(self, tmp_path):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+        code = f"from labelattn.cli import main; assert main(['run', '--config', {str(cfg)!r}]) == 0"
+        assert modules_loaded_by(code) == []

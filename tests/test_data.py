@@ -7,9 +7,8 @@ import pytest
 
 from labelattn.annotators import AnnotatorSpec, NoisyLabelSet
 from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
-                            attach_annotators, consensus_labels, load_cifar10,
-                            load_dataset, minibatches, one_hot, save_dataset, split,
-                            synth_blobs, take_subset)
+                            attach_annotators, consensus_labels, load_cifar10, minibatches,
+                            one_hot, split, synth_blobs, take_subset)
 
 
 class TestSynthBlobs:
@@ -384,69 +383,9 @@ class TestConsensus:
 
 
 class TestContainer:
-    def test_round_trip(self, tmp_path):
-        ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3),
-                                                AnnotatorSpec("adversarial")], seed=8)
-        ds = with_aux(ds, np.random.default_rng(9).normal(size=(ds.n_samples, 3)))
-        path = tmp_path / "ds.bin"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert np.array_equal(back.clean_labels, ds.clean_labels)
-        assert back.n_classes == ds.n_classes and back.n_sets == 2
-        for a, b in zip(back.label_sets, ds.label_sets):
-            assert np.array_equal(a.labels, b.labels)
-        assert back.aux.tobytes() == ds.aux.tobytes()
-
-    def test_labels_beyond_uint8_rejected(self, tmp_path):
-        wide = LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 299], n_classes=300)
-        path = tmp_path / "ds.bin"
-        with pytest.raises(ValueError, match="300 classes"):
-            save_dataset(wide, path)
-        assert not path.exists()
-        edge = LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 255], n_classes=256)
-        save_dataset(edge, path)
-        assert np.array_equal(load_dataset(path).clean_labels, [0, 255])
-
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="clean label"):
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, -1], n_classes=2)
         with pytest.raises(ValueError, match="noisy label"):
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 1], n_classes=2,
                            label_sets=[NoisyLabelSet(np.array([-1, 0]))])
-
-    def test_empty_dataset_refused(self, tmp_path):
-        path = tmp_path / "ds.bin"
-        empty = LabeledDataset(features=np.zeros((0, 1)), clean_labels=[], n_classes=2)
-        with pytest.raises(ValueError, match="no samples"):
-            save_dataset(empty, path)
-        assert not path.exists()
-        # zero samples leave the label-set count unbounded by the file length
-        path.write_bytes(np.array([0, 1, 1, 200_000, 0], dtype=np.int64).tobytes())
-        with pytest.raises(ValueError, match="no samples"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("cut", ["header", "short", "trailing"])
-    def test_length_mismatch_rejected(self, tmp_path, cut):
-        ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3)], seed=8)
-        path = tmp_path / "ds.bin"
-        save_dataset(ds, path)
-        raw = path.read_bytes()
-        path.write_bytes({"header": raw[:20], "short": raw[:-1], "trailing": raw + b"\0"}[cut])
-        with pytest.raises(ValueError, match="bytes"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("where, bad", [("features", np.nan), ("features", np.inf),
-                                            ("aux", np.nan), ("aux", -np.inf)])
-    def test_non_finite_features_rejected(self, tmp_path, where, bad):
-        ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.3)], seed=8)
-        arrays = {"features": ds.features.copy(),
-                  "aux": np.random.default_rng(9).normal(size=(ds.n_samples, 2))}
-        arrays[where][3, 1] = bad
-        ds = LabeledDataset(features=arrays["features"], clean_labels=ds.clean_labels,
-                            n_classes=ds.n_classes, label_sets=ds.label_sets,
-                            aux=arrays["aux"])
-        path = tmp_path / "ds.bin"
-        save_dataset(ds, path)
-        with pytest.raises(ValueError, match="non-finite"):
-            load_dataset(path)

@@ -636,44 +636,6 @@ class TestSharedAttentionMode:
                 assert np.sum(wm) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestCheckpoint:
-    def test_round_trip_both_modes(self, tmp_path):
-        from labelattn.metatrain import load_checkpoint, save_checkpoint
-        rng = np.random.default_rng(10)
-        model = classifier_init((3, 5, 4), n_classes=2, rng=rng)
-        for mode in ("concat", "shared"):
-            attn = attention_init(3, 4, mode=mode)
-            attn = AttentionParams(3, 4, w=Tensor(rng.normal(size=attn.w.shape),
-                                                  requires_grad=True),
-                                   b=Tensor(rng.normal(size=attn.b.shape),
-                                            requires_grad=True), mode=mode)
-            path = tmp_path / f"ckpt_{mode}.bin"
-            save_checkpoint(model, attn, path)
-            back_model, back_attn = load_checkpoint(path)
-            for a, b in zip(back_model.params, model.params):
-                assert np.array_equal(a.data, b.data)
-            assert back_attn.mode == mode
-            assert np.array_equal(back_attn.w.data, attn.w.data)
-            assert np.array_equal(back_attn.b.data, attn.b.data)
-
-    @pytest.mark.parametrize("edit, match", [
-        (lambda data, _: data + bytes(16), "bytes"),
-        (lambda data, _: data[:-8], "bytes"),
-        (lambda data, at: data[:at] + np.int64(7).tobytes() + data[at + 8:], "mode code 7"),
-        (lambda data, at: data[:at - 16] + np.int64(10**6).tobytes() * 2 + data[at:], "bytes"),
-    ], ids=["trailing-bytes", "truncated", "unknown-mode", "oversized-header"])
-    def test_bad_payload_rejected(self, tmp_path, edit, match):
-        from labelattn.metatrain import load_checkpoint, save_checkpoint
-        from labelattn.model import classifier_bytes
-        model = classifier_init((3, 5, 4), n_classes=2, rng=np.random.default_rng(10))
-        path = tmp_path / "ckpt.bin"
-        save_checkpoint(model, attention_init(3, 4), path)
-        mode_at = len(classifier_bytes(model)) + 16   # after n_sets and feat_dim
-        path.write_bytes(edit(path.read_bytes(), mode_at))
-        with pytest.raises(ValueError, match=match):
-            load_checkpoint(path)
-
-
 class TestMetaConfig:
     def test_defaults_match_documented_values(self):
         cfg = MetaConfig()

@@ -1,12 +1,11 @@
-"""Classifier: initialization, forward pass, parameter isolation, persistence."""
+"""Classifier: initialization, forward pass, parameter isolation."""
 
 import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (classifier_bytes, classifier_from_bytes, classifier_init,
-                             forward, load_params, params_get, params_set, predict_class,
-                             relu_in_place, save_params)
+from labelattn.model import (classifier_init, forward, params_get, params_set, predict_class,
+                             relu_in_place)
 
 
 def tiny_model(seed=0, aux_dim=0):
@@ -176,31 +175,6 @@ class TestPredict:
         got = predict_class(fake)
         expected = [max(range(7), key=lambda j: (probs[i, j], -j)) for i in range(1000)]
         assert np.array_equal(got, expected)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        model = tiny_model(seed=14, aux_dim=2)
-        path = tmp_path / "params.bin"
-        save_params(model, path)
-        back = load_params(path)
-        assert back.layer_dims == model.layer_dims
-        assert back.n_classes == model.n_classes and back.aux_dim == model.aux_dim
-        for a, b in zip(back.params, model.params):
-            assert np.array_equal(a.data, b.data)
-        x = np.random.default_rng(15).normal(size=(3, 4))
-        aux = np.random.default_rng(16).normal(size=(3, 2))
-        assert np.array_equal(forward(back, x, aux).probs.data,
-                              forward(model, x, aux).probs.data)
-
-    # header of tiny_model: [n_dims=3, 4, 8, 5, n_classes=3, aux_dim=0]
-    @pytest.mark.parametrize("index, value", [(0, 1), (2, 0), (4, 0), (5, -1)],
-                             ids=["one-layer-size", "zero-width", "no-classes", "negative-aux"])
-    def test_bad_header_rejected(self, index, value):
-        data = bytearray(classifier_bytes(tiny_model()))
-        data[index * 8:(index + 1) * 8] = np.int64(value).tobytes()
-        with pytest.raises(ValueError, match="header"):
-            classifier_from_bytes(bytes(data))
 
 
 def where_relu(pre):
