@@ -129,6 +129,19 @@ class TestLogistic:
         x = np.random.default_rng(int(scale * 1000) + len(shape)).normal(scale=scale, size=shape)
         assert_same_bits(ad.logistic(x), masked_logistic(x))
 
+    def test_float32_keeps_its_dtype_and_bits(self):
+        x = np.random.default_rng(17).normal(scale=30.0, size=(64, 10)).astype(np.float32)
+        assert_same_bits(ad.logistic(x), masked_logistic(x))
+
+    def test_limits(self):
+        got = ad.logistic(np.array([0.0, -0.0, np.inf, -np.inf]))
+        assert got.tolist() == [0.5, 0.5, 1.0, 0.0]
+
+    def test_mirrored_inputs_sum_to_one(self):
+        x = np.random.default_rng(18).normal(scale=20.0, size=10_000)
+        total = ad.logistic(x) + ad.logistic(-x)
+        assert np.max(np.abs(total - 1.0)) <= np.finfo(float).eps
+
 
 class TestRelu:
     def test_values(self):

@@ -243,3 +243,20 @@ class TestStartup:
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))
         code = f"from labelattn.cli import main; assert main(['run', '--config', {str(cfg)!r}]) == 0"
         assert modules_loaded_by(code) == []
+
+    def test_serial_sweep_loads_no_pool(self, tmp_path):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           meta={"epochs": 1, "batch_size": 16})
+        args = ["sweep-noise", "--config", str(cfg), "--levels", "0.3", "--jobs", "1"]
+        code = f"from labelattn.cli import main; assert main({args!r}) == 0"
+        assert modules_loaded_by(code) == []
+
+    def test_parallel_run_loads_the_pool(self, tmp_path):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"), seeds=[0, 1])
+        args = ["run", "--config", str(cfg), "--jobs", "2"]
+        code = f"from labelattn.cli import main; assert main({args!r}) == 0"
+        assert modules_loaded_by(code) == ["concurrent.futures", "multiprocessing"]
+
+    def test_verify_loads_the_suites(self):
+        code = "from labelattn.cli import main; assert main(['verify', '--trials', '5']) == 0"
+        assert modules_loaded_by(code) == ["labelattn.verification"]
