@@ -240,6 +240,10 @@ def empirical_cm(clean, noisy) -> ConfusionMatrix:
     noisy = np.asarray(noisy, dtype=np.int64)
     if clean.shape != noisy.shape:
         raise ValueError("clean and noisy label lists differ in length")
+    if not clean.size:
+        raise ValueError("empirical_cm needs at least one (clean, noisy) label pair")
+    if min(clean.min(), noisy.min()) < 0:
+        raise ValueError("negative label index in the clean or noisy labels")
     n = int(max(clean.max(), noisy.max())) + 1
     counts = np.zeros((n, n))
     np.add.at(counts, (clean, noisy), 1.0)

@@ -29,7 +29,8 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) on a plain array: with e = exp(-|x|), 1/(1+e) where
     x >= 0 and e/(1+e) below, so exp never overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
 
 
 def bce_value(pred: np.ndarray, target: np.ndarray) -> float:

@@ -16,6 +16,12 @@ gathered when read: ``minibatches`` takes each batch with one
 when ``rows`` is None, else one gather (an evaluation reads them once per
 pass). The sources are read-only views, so an in-place write through a
 dataset raises and never reaches the caller's array.
+
+``synth_blobs`` builds its matrix in place as well: one ``standard_normal``
+draw of every sample (the class blocks are contiguous in draw order), scaled
+by ``cluster_std`` and shifted by each class center through an
+``[n_classes, samples_per_class, dim]`` view, so it allocates little beyond
+the matrix it returns.
 """
 
 from __future__ import annotations
@@ -172,17 +178,16 @@ def synth_blobs(spec: SyntheticSpec, stream: str = "train") -> LabeledDataset:
     tags = {"train": _TRAIN_TAG, "test": _TEST_TAG}
     if stream not in tags:
         raise ValueError(f"unknown stream {stream!r}")
+    n, spc = spec.n_classes, spec.samples_per_class
     centers = np.random.default_rng([spec.seed, _CENTER_TAG]).standard_normal(
-        (spec.n_classes, spec.dim)) * spec.center_scale
-    rng = np.random.default_rng([spec.seed, tags[stream]])
-    feats = np.empty((spec.n_classes * spec.samples_per_class, spec.dim))
-    labels = np.empty(spec.n_classes * spec.samples_per_class, dtype=np.int64)
-    for c in range(spec.n_classes):
-        lo = c * spec.samples_per_class
-        hi = lo + spec.samples_per_class
-        feats[lo:hi] = centers[c] + spec.cluster_std * rng.standard_normal(
-            (spec.samples_per_class, spec.dim))
-        labels[lo:hi] = c
+        (n, spec.dim)) * spec.center_scale
+    # one draw in class order is the stream of n per-class draws; scaling and
+    # then adding the centers in place gives the bits of center + std * draw
+    feats = np.random.default_rng([spec.seed, tags[stream]]).standard_normal((n * spc, spec.dim))
+    feats *= spec.cluster_std
+    blocks = feats.reshape(n, spc, spec.dim)
+    np.add(blocks, centers[:, None, :], out=blocks)
+    labels = np.repeat(np.arange(n, dtype=np.int64), spc)
     return LabeledDataset(features=feats, clean_labels=labels, n_classes=spec.n_classes)
 
 

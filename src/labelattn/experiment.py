@@ -14,7 +14,7 @@ import numpy as np
 
 from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, ORDERED_CONFUSION,
                          STRUCTURED_FLIPS, AnnotatorSpec)
-from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS,
+from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS, Cifar10Spec,
                      ExperimentConfig, MethodSpec, config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, load_cifar10,
                    split, synth_blobs, take_subset)
@@ -75,27 +75,30 @@ def method_label(method: MethodSpec) -> str:
     return method.name
 
 
+def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec) -> tuple[LabeledDataset, LabeledDataset]:
+    """(clean training pool, clean test set) for a dataset spec: the two
+    synthetic streams, or the decoded CIFAR-10 files and their subsets."""
+    if isinstance(ds, SyntheticSpec):
+        return synth_blobs(ds, stream="train"), synth_blobs(ds, stream="test")
+    if not ds.test_paths:
+        raise ValueError("cifar10 dataset needs test_paths for clean evaluation")
+    pool = load_cifar10(ds.paths)
+    if ds.subset:
+        pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
+    test = load_cifar10(ds.test_paths)
+    if ds.test_subset:
+        test = take_subset(test, np.arange(min(ds.test_subset, test.n_samples)))
+    return pool, test
+
+
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """(noisy training pool, clean test set) for the configured dataset.
 
     Corruption streams derive from the dataset seed, so the noisy pool is a
     fixed artifact of the config; run seeds vary split, init and batching.
     """
-    ds = cfg.dataset
-    if isinstance(ds, SyntheticSpec):
-        pool = synth_blobs(ds, stream="train")
-        test = synth_blobs(ds, stream="test")
-    else:
-        if not ds.test_paths:
-            raise ValueError("cifar10 dataset needs test_paths for clean evaluation")
-        pool = load_cifar10(ds.paths)
-        if ds.subset:
-            pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
-        test = load_cifar10(ds.test_paths)
-        if ds.test_subset:
-            test = take_subset(test, np.arange(min(ds.test_subset, test.n_samples)))
-    pool = attach_annotators(pool, cfg.annotators, seed=ds.seed)
-    return pool, test
+    pool, test = build_clean_datasets(cfg.dataset)
+    return attach_annotators(pool, cfg.annotators, seed=cfg.dataset.seed), test
 
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
@@ -156,18 +159,28 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
-# One entry: (dataset, annotators) -> (pool, test) of this process's last job.
-_datasets_memo: dict = {}
+# This process's last clean (pool, test), keyed by dataset spec, and its last
+# noisy pool, keyed by (dataset, annotators): a sweep's variants share one
+# clean build, and the seeds of one variant share one noisy pool.
+_clean_memo: dict = {}
+_noisy_memo: dict = {}
+
+
+def _last_built(memo: dict, key, build):
+    """``memo``'s value for ``key``, built (replacing any other key) if absent."""
+    if key not in memo:
+        memo.clear()
+        memo[key] = build()
+    return memo[key]
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
     """One (variant, seed, tag) job: its record and its trace rows."""
     cfg, seed, tag = job
-    key = (cfg.dataset, cfg.annotators)
-    if key not in _datasets_memo:
-        _datasets_memo.clear()
-        _datasets_memo[key] = build_datasets(cfg)
-    pool, test = _datasets_memo[key]
+    clean, test = _last_built(_clean_memo, cfg.dataset,
+                              lambda: build_clean_datasets(cfg.dataset))
+    pool = _last_built(_noisy_memo, (cfg.dataset, cfg.annotators),
+                       lambda: attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed))
     out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
     return out.record, out.trace_rows
 
@@ -195,7 +208,8 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
             f"run failed (method={method_label(cfg.method)}, seed={seed}, "
             f"tag={tag!r}): {err}", records) from err
     finally:
-        _datasets_memo.clear()
+        _clean_memo.clear()
+        _noisy_memo.clear()
     return records
 
 

@@ -216,6 +216,22 @@ class TestEmpiricalCm:
         with pytest.raises(ValueError, match="class 1"):
             empirical_cm(np.array([0, 0, 2]), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("clean, noisy", [([0, 1, -1], [0, 1, 1]),
+                                              ([0, 1, 1], [0, 1, -1]),
+                                              ([-1, 0, 1], [-2, 0, 1])])
+    def test_negative_label_rejected(self, clean, noisy):
+        # np.add.at would count -1 as the last class
+        with pytest.raises(ValueError, match="negative label index"):
+            empirical_cm(np.array(clean), np.array(noisy))
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            empirical_cm(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            empirical_cm(np.array([0, 1]), np.array([0, 1, 1]))
+
 
 class TestSpecAndSerialization:
     def test_kind_validation(self):

@@ -26,7 +26,7 @@ TINY = {
 
 
 # Two classes: the annotator sweep's M=2 roster fits them, its M=3 roster
-# (ordered confusion) does not, so every M=3 job fails in build_datasets.
+# (ordered confusion) does not, so every M=3 job fails attaching its annotators.
 TWO_CLASSES = {**TINY, "dataset": {"synthetic": {"n_classes": 2, "dim": 4,
                                                  "samples_per_class": 20,
                                                  "center_scale": 4.0, "seed": 5}},

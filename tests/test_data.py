@@ -46,6 +46,48 @@ class TestSynthBlobs:
         with pytest.raises(ValueError, match="stream"):
             synth_blobs(SyntheticSpec(), "validation")
 
+    @pytest.mark.parametrize("stream", ["train", "test"])
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_classes=1, dim=5, samples_per_class=7, seed=4),
+        SyntheticSpec(n_classes=6, dim=3, samples_per_class=1, seed=5),
+        SyntheticSpec(n_classes=4, dim=1, samples_per_class=9, seed=6),
+        SyntheticSpec(n_classes=3, dim=4, samples_per_class=5, cluster_std=0.37,
+                      center_scale=1.9, seed=7),
+        SyntheticSpec(n_classes=1, dim=1, samples_per_class=1, cluster_std=2.5, seed=8),
+    ] + [SyntheticSpec(n_classes=int(r.integers(1, 12)), dim=int(r.integers(1, 40)),
+                       samples_per_class=int(r.integers(1, 30)),
+                       cluster_std=float(r.uniform(0.05, 4.0)),
+                       center_scale=float(r.uniform(0.1, 6.0)), seed=int(r.integers(1000)))
+         for r in [np.random.default_rng(31)] for _ in range(12)])
+    def test_matches_the_per_class_loop_bitwise(self, spec, stream):
+        got, want = synth_blobs(spec, stream), per_class_blobs(spec, stream)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.clean_labels.dtype == np.int64
+        assert np.array_equal(got.clean_labels, want.clean_labels)
+
+    def test_allocates_little_beyond_its_features(self):
+        synth_blobs(SyntheticSpec(n_classes=1, dim=1, samples_per_class=1))  # imports numpy.random
+        ds, peak = traced(synth_blobs, SyntheticSpec(n_classes=4, dim=1024,
+                                                     samples_per_class=250, seed=9))
+        assert peak <= 1.05 * ds.features.nbytes
+
+
+def per_class_blobs(spec, stream):
+    """The per-class draw loop that ``synth_blobs`` replaces: the reference
+    for its bits."""
+    tag = {"train": 1002, "test": 1003}[stream]
+    centers = np.random.default_rng([spec.seed, 1001]).standard_normal(
+        (spec.n_classes, spec.dim)) * spec.center_scale
+    rng = np.random.default_rng([spec.seed, tag])
+    spc = spec.samples_per_class
+    feats = np.empty((spec.n_classes * spc, spec.dim))
+    labels = np.empty(spec.n_classes * spc, dtype=np.int64)
+    for c in range(spec.n_classes):
+        feats[c * spc:(c + 1) * spc] = centers[c] + spec.cluster_std * rng.standard_normal(
+            (spc, spec.dim))
+        labels[c * spc:(c + 1) * spc] = c
+    return LabeledDataset(features=feats, clean_labels=labels, n_classes=spec.n_classes)
+
 
 def traced(fn, *args, **kwargs):
     """``fn``'s result and the peak bytes it allocates on top of what is live

@@ -124,14 +124,25 @@ class TestSweeps:
         keys = [(r.config_hash, r.seed, r.tag) for r in records]
         assert len(keys) == len(set(keys))
 
-    def test_noise_sweep_builds_one_dataset_pair_per_level(self, monkeypatch):
-        built = []
-        real = experiment.build_datasets
-        monkeypatch.setattr(experiment, "build_datasets",
-                            lambda cfg: built.append(cfg.annotators) or real(cfg))
+    def test_noise_sweep_builds_clean_data_once(self, monkeypatch):
+        drawn, rosters = [], []
+        real_blobs, real_attach = experiment.synth_blobs, experiment.attach_annotators
+        monkeypatch.setattr(experiment, "synth_blobs",
+                            lambda spec, stream: drawn.append(stream) or real_blobs(spec, stream))
+        monkeypatch.setattr(experiment, "attach_annotators",
+                            lambda ds, specs, seed: rosters.append(specs)
+                            or real_attach(ds, specs, seed))
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
-        assert len(sweep_noise(cfg, [0.2, 0.5])) == 20
-        assert len(built) == 2 and built[0] != built[1]
+        records = sweep_noise(cfg, [0.2, 0.5])
+        assert len(records) == 20
+        # one clean build for both levels, one noisy pool per level
+        assert drawn == ["train", "test"]
+        assert len(rosters) == 2 and rosters[0] != rosters[1]
+        monkeypatch.undo()
+        alone = [run_single(v, seed, tag, *build_datasets(v)).record
+                 for v, tag in experiment.noise_sweep_variants(cfg, [0.2, 0.5])
+                 for seed in v.seeds]
+        assert [strip_clock(r) for r in records] == [strip_clock(r) for r in alone]
 
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
@@ -162,7 +173,7 @@ class TestSweeps:
 
     def test_failing_variant_keeps_finished_records(self):
         # two classes fit the M=2 roster; the M=3 roster's ordered confusion
-        # needs three, so the first M=3 job fails in build_datasets
+        # needs three, so the first M=3 job fails attaching its annotators
         raw = json.loads(json.dumps(TINY))
         raw["dataset"]["synthetic"]["n_classes"] = 2
         raw.update(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
