@@ -159,28 +159,19 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
-# This process's last clean (pool, test), keyed by dataset spec, and its last
-# noisy pool, keyed by (dataset, annotators): a sweep's variants share one
-# clean build, and the seeds of one variant share one noisy pool.
+# One entry: dataset spec -> clean (pool, test) of this process's last job, so
+# a sweep's variants share one clean build and attach their rosters to it.
 _clean_memo: dict = {}
-_noisy_memo: dict = {}
-
-
-def _last_built(memo: dict, key, build):
-    """``memo``'s value for ``key``, built (replacing any other key) if absent."""
-    if key not in memo:
-        memo.clear()
-        memo[key] = build()
-    return memo[key]
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
     """One (variant, seed, tag) job: its record and its trace rows."""
     cfg, seed, tag = job
-    clean, test = _last_built(_clean_memo, cfg.dataset,
-                              lambda: build_clean_datasets(cfg.dataset))
-    pool = _last_built(_noisy_memo, (cfg.dataset, cfg.annotators),
-                       lambda: attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed))
+    if cfg.dataset not in _clean_memo:
+        _clean_memo.clear()
+        _clean_memo[cfg.dataset] = build_clean_datasets(cfg.dataset)
+    clean, test = _clean_memo[cfg.dataset]
+    pool = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
     out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
     return out.record, out.trace_rows
 
@@ -209,7 +200,6 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
             f"tag={tag!r}): {err}", records) from err
     finally:
         _clean_memo.clear()
-        _noisy_memo.clear()
     return records
 
 
