@@ -87,6 +87,24 @@ class AnnotatorSpec:
             raise ValueError(f"noise_level must be in [0, 1], got {self.noise_level}")
 
 
+def as_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array of class indices. An integer array passes;
+    a float array passes only when every value is an integer within int64's
+    range, and is then cast, as config parsing takes 2.0 for 2. Anything
+    else, NaN included, raises ``ValueError`` instead of being truncated."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind != "f":
+        raise ValueError(f"labels must be integer class indices, got dtype {arr.dtype}")
+    with np.errstate(invalid="ignore"):
+        integral = (arr % 1 == 0) & (np.abs(arr) < 2.0**63)
+    if not integral.all():
+        bad = arr.ravel()[np.argmin(integral.ravel())]
+        raise ValueError(f"float labels must be integers within int64's range, got {float(bad)}")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class NoisyLabelSet:
     """One corrupted copy of the clean labels."""
@@ -96,7 +114,7 @@ class NoisyLabelSet:
     seed: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "labels", as_labels(self.labels))
 
 
 def cm_hammer_spammer(n: int, noise_level: float) -> ConfusionMatrix:
@@ -222,7 +240,7 @@ def build_cm(spec: AnnotatorSpec, n: int,
 def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator,
             annotator: AnnotatorSpec | None = None, seed=None) -> NoisyLabelSet:
     """Sample one noisy label per sample from the true-class row of the matrix."""
-    clean = np.asarray(clean, dtype=np.int64)
+    clean = as_labels(clean)
     if clean.size and (clean.min() < 0 or clean.max() >= cm.n_classes):
         raise ValueError(f"label index out of range for {cm.n_classes} classes")
     cum = np.cumsum(cm.rows, axis=1)
@@ -236,8 +254,7 @@ def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator,
 
 def empirical_cm(clean, noisy) -> ConfusionMatrix:
     """Row-normalized co-occurrence counts of (true, assigned) labels."""
-    clean = np.asarray(clean, dtype=np.int64)
-    noisy = np.asarray(noisy, dtype=np.int64)
+    clean, noisy = as_labels(clean), as_labels(noisy)
     if clean.shape != noisy.shape:
         raise ValueError("clean and noisy label lists differ in length")
     if not clean.size:

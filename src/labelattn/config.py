@@ -212,10 +212,14 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
     if isinstance(dataset, SyntheticSpec):
+        pool_size, where = dataset.n_classes * dataset.samples_per_class, "val_fraction"
+    else:
+        pool_size, where = dataset.subset, "dataset.cifar10.subset"
+    if pool_size is not None:
         try:
-            validation_size(dataset.n_classes * dataset.samples_per_class, val_fraction)
+            validation_size(pool_size, val_fraction)
         except ValueError as err:
-            raise ConfigError(f"val_fraction: {err}") from err
+            raise ConfigError(f"{where}: {err}") from err
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotators import AVERAGE, NoisyLabelSet, build_cm, corrupt
+from .annotators import AVERAGE, NoisyLabelSet, as_labels, build_cm, corrupt
 
 _CENTER_TAG = 1001
 _TRAIN_TAG = 1002
@@ -78,7 +78,7 @@ class LabeledDataset:
                              f"{self._features.shape}")
         self._aux = None if aux is None else _read_only(aux, np.float64)
         self.rows = None if rows is None else _checked_rows(rows, self._features.shape[0])
-        self.clean_labels = _read_only(clean_labels, np.int64)
+        self.clean_labels = _read_only(as_labels(clean_labels), np.int64)
         self.n_classes = n_classes
         self.label_sets: list[NoisyLabelSet] = list(label_sets)
         self._onehot_cache: np.ndarray | None = None
@@ -164,7 +164,7 @@ def _checked_rows(rows, n: int) -> np.ndarray:
 
 
 def one_hot(labels, n: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_labels(labels)
     if _out_of_range(labels, n):
         raise ValueError(f"label index out of range for {n} classes")
     out = np.zeros((labels.shape[0], n))

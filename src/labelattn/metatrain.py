@@ -287,15 +287,18 @@ def final_step(model: Classifier, y_tilde: np.ndarray, fwd: ArrayForward,
     value.
 
     The gradient is the closed-form backward, equal bit for bit to the tape's
-    gradient of ``bce_loss(forward(...).probs, constant(y_tilde))``. The new
-    classifier holds Adam's fresh parameter tensors."""
+    gradient of ``bce_loss(forward(...).probs, constant(y_tilde))``, written
+    straight into one flat vector in Adam's layout, which ``adam_step`` then
+    overwrites as its scratch. The new classifier holds Adam's fresh
+    parameter tensors."""
     p, y = fwd.probs, np.asarray(y_tilde, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"target shape {y.shape} does not match predictions {p.shape}")
     value = bce_value(p, y)
     if not np.isfinite(value):
         raise ValueError("non-finite final loss")
-    grads = param_gradients(model, fwd, _logit_grad(p, y))
+    grads = np.empty(adam_state.offsets[-1])
+    param_gradients(model, fwd, _logit_grad(p, y), out=grads)
     new_params, new_state = adam_step(adam_state, params_get(model), grads)
     return replace(model, params=tuple(new_params)), new_state, value
 
@@ -472,6 +475,9 @@ def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaCon
             epoch_weights.append(trace.weight_means)
             if trace_hook is not None:
                 trace_hook(iteration, trace)
+            # the trace holds the model before the step, a third parameter
+            # vector while the next step runs
+            del trace
             iteration += 1
         iteration_weights.append(epoch_weights)
 

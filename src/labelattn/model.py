@@ -4,7 +4,8 @@ head. Classifiers are immutable; parameter updates produce new instances.
 
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
 uses, :func:`param_gradients` the MLP backward from a gradient at the logits
-(one or a stack of M), :func:`hidden_gradients` its hidden-layer part, and
+(one, optionally written into one flat vector, or a stack of M),
+:func:`hidden_gradients` its hidden-layer part, and
 :func:`stacked_features` the hidden stack of M classifiers that differ only
 in their hidden parameters. None of them builds a tape graph. The tape
 :func:`forward` is the oracle: the array paths repeat its products in its
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, add_bias, concat, constant, logistic, matmul, relu, sigmoid
+from .optim import _offsets, _views
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,8 @@ def forward_arrays(model: Classifier, x, aux=None) -> ArrayForward:
                         activations=tuple(activations))
 
 
-def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
+def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
+                    out: np.ndarray | None = None) -> list[np.ndarray]:
     """Gradients of every parameter, in declaration order, from the gradient
     ``g`` at the logits of ``fwd`` (the array forward of ``model``).
 
@@ -144,25 +147,50 @@ def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list
     ``autodiff.gradients`` on the tape of ``fwd`` bit for bit: the same
     products in the same order, the ReLU masks read as ``h > 0``, and no
     gradient for the input.
+
+    With ``out``, one flat float64 vector with an entry per model parameter
+    (``g`` then [B, N]), each gradient is written into its parameter's slice
+    of ``out``, in declaration order, and those views are returned: the same
+    bits, and no other model-sized array.
     """
-    return hidden_gradients(model, fwd, g) + [np.matmul(fwd.features.T, g), g.sum(axis=-2)]
+    views = _gradient_views(model, g, out)
+    return hidden_gradients(model, fwd, g, out) + [
+        np.matmul(fwd.features.T, g, out=views[-2]), g.sum(axis=-2, out=views[-1])]
 
 
-def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
+def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
+                     out: np.ndarray | None = None) -> list[np.ndarray]:
     """The hidden-layer part of :func:`param_gradients`: the gradients of
     W1, b1, ..., Wk, bk (every parameter but the head) from the same logit
     gradient ``g``, with the same bits. The head's own gradients are never
-    formed."""
+    formed. ``out`` is as in :func:`param_gradients`; its head slices are
+    left as they are."""
+    views = _gradient_views(model, g, out)
     acts = fwd.activations
     grads: list = [None] * (len(model.params) - 2)
     g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
     for i in reversed(range(len(acts) - 1)):
         g = g * (acts[i + 1] > 0.0)
-        grads[2 * i] = np.matmul(acts[i].T, g)
-        grads[2 * i + 1] = g.sum(axis=-2)
+        grads[2 * i] = np.matmul(acts[i].T, g, out=views[2 * i])
+        grads[2 * i + 1] = g.sum(axis=-2, out=views[2 * i + 1])
         if i:
             g = np.matmul(g, model.params[2 * i].data.T)
     return grads
+
+
+def _gradient_views(model: Classifier, g: np.ndarray, out: np.ndarray | None) -> list:
+    """One view of the flat ``out`` per parameter, shaped like it; all None
+    without ``out``."""
+    if out is None:
+        return [None] * len(model.params)
+    arrays = [p.data for p in model.params]
+    offsets = _offsets(arrays)
+    if (g.ndim != 2 or out.shape != (offsets[-1],) or out.dtype != np.float64
+            or not out.flags.c_contiguous or not out.flags.writeable):
+        raise ValueError(f"out must be a writeable flat float64 vector of the model's "
+                         f"{offsets[-1]} parameters, for a [B, N] logit gradient; got out "
+                         f"{out.shape} {out.dtype} and gradient {g.shape}")
+    return list(_views(out, [a.shape for a in arrays], offsets))
 
 
 def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x, aux=None) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Parameter-update rules. Both steps are pure: they never mutate their
-inputs and return fresh parameter tensors.
+parameters or state and return fresh parameter tensors.
 
 Each step runs as one pass over flat float64 vectors: the parameters and the
 gradients are concatenated once in declaration order, finiteness is checked
 once, and the update is a handful of elementwise calls over the whole
 vector. The returned tensors are views of one fresh vector. Elementwise
 arithmetic gives the same bits on one flat vector as on each tensor apart.
+
+Gradients come as a list with one array per parameter, which is read and
+left unmodified. ``adam_step`` also takes them as one flat float64 vector in
+that layout (what ``metatrain.final_step`` writes them into): the step then
+uses that vector as scratch and overwrites it, so no second copy of the
+gradients is made.
 """
 
 from __future__ import annotations
@@ -45,9 +51,13 @@ def _flatten(params: Sequence[Tensor], grads) -> tuple[list[np.ndarray], np.ndar
         p_arrays.append(p.data)
         g_arrays.append(arr)
     flat_g = np.concatenate(g_arrays, axis=None, dtype=np.float64)
+    _check_finite(flat_g)
+    return p_arrays, flat_g
+
+
+def _check_finite(flat_g: np.ndarray) -> None:
     if not np.isfinite(flat_g).all():
         raise ValueError("non-finite gradient")
-    return p_arrays, flat_g
 
 
 def sgd_step(params: Sequence[Tensor], grads, lr: float) -> list[Tensor]:
@@ -100,20 +110,31 @@ def adam_init(params: Sequence[Tensor], lr: float,
 def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[Tensor], AdamState]:
     """Standard Adam with bias correction. Returns (new params, new state).
 
-    The update evaluates, elementwise and in this order, ``m2 = b1*m +
-    (1-b1)*g``, ``v2 = b2*v + ((1-b2)*g)*g``, ``p2 = p -
-    (lr*(m2/(1-b1**t))) / (sqrt(v2/(1-b2**t)) + eps)``, over the flat vectors.
-    The new parameters are views of one fresh vector; the new state holds
-    fresh moment vectors."""
+    ``grads`` is a list of per-parameter gradients, left unmodified, or one
+    flat float64 vector of the state's size in declaration order, which the
+    step overwrites as its scratch. The update evaluates, elementwise and in
+    this order, ``m2 = b1*m + (1-b1)*g``, ``v2 = b2*v + ((1-b2)*g)*g``, ``p2 =
+    p - (lr*(m2/(1-b1**t))) / (sqrt(v2/(1-b2**t)) + eps)``, over the flat
+    vectors. The new parameters are views of one fresh vector; the new state
+    holds fresh moment vectors."""
     if len(params) != len(state.shapes):
         raise ValueError(f"Adam state tracks {len(state.shapes)} parameters, got {len(params)}")
-    p_arrays, g = _flatten(params, grads)
+    if isinstance(grads, np.ndarray):
+        p_arrays, g = [p.data for p in params], grads
+        size = state.offsets[-1]
+        if g.shape != (size,) or g.dtype != np.float64 or not g.flags.writeable:
+            raise ValueError(f"a flat gradient must be a writeable float64 vector of {size} "
+                             f"entries, got shape {g.shape} and dtype {g.dtype}")
+        _check_finite(g)
+    else:
+        p_arrays, g = _flatten(params, grads)
     for arr, shape in zip(p_arrays, state.shapes):
         if arr.shape != shape:
             raise ValueError(f"Adam moment shape {shape} does not match parameter shape {arr.shape}")
-    # Four flat vectors are allocated: m2, v2 and p2, which the step returns,
-    # and the gradient copy g. Each doubles as scratch before it takes its
-    # final value, so the v term is formed first, in m2's buffer.
+    # Three flat vectors are allocated: m2, v2 and p2, which the step returns
+    # (a gradient list adds its concatenation g). Each, and g, doubles as
+    # scratch before it takes its final value, so the v term is formed
+    # first, in m2's buffer.
     b1, b2, t = state.beta1, state.beta2, state.t + 1
     m2 = np.multiply(1.0 - b2, g)
     m2 *= g

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from labelattn.annotators import (AVERAGE, DEFAULT_FLIP_PAIRS, KINDS, AnnotatorSpec,
-                                  ConfusionMatrix, build_cm, check_fits, cm_adversarial,
-                                  cm_average, cm_hammer_spammer, cm_ordered_confusion,
-                                  cm_structured_flips, corrupt, empirical_cm, noise_level_of)
+                                  ConfusionMatrix, NoisyLabelSet, as_labels, build_cm,
+                                  check_fits, cm_adversarial, cm_average, cm_hammer_spammer,
+                                  cm_ordered_confusion, cm_structured_flips, corrupt,
+                                  empirical_cm, noise_level_of)
 
 
 def assert_row_stochastic(cm, tol=1e-12):
@@ -231,6 +232,44 @@ class TestEmpiricalCm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
             empirical_cm(np.array([0, 1]), np.array([0, 1, 1]))
+
+
+# Label arrays that are not class indices: each used to be truncated or
+# wrapped by a cast to int64.
+NOT_LABELS = {"fractions": [0.5, 1.7], "nan": [0.0, np.nan], "inf": [1.0, np.inf],
+              "beyond_int64": [0.0, 1e300], "bool": [True, False], "strings": ["0", "1"]}
+
+
+class TestLabelCheck:
+    @pytest.mark.parametrize("bad", NOT_LABELS.values(), ids=NOT_LABELS.keys())
+    def test_refuses_what_is_not_a_class_index(self, bad):
+        with pytest.raises(ValueError, match="labels must be"):
+            as_labels(np.array(bad))
+
+    def test_integers_pass_and_integral_floats_are_cast(self):
+        for labels in (np.array([0, 2], dtype=np.uint8), [0, 2], np.array([0.0, 2.0]), [-0.0, 2.0]):
+            out = as_labels(labels)
+            assert out.dtype == np.int64 and np.array_equal(out, [0, 2])
+        assert as_labels([]).dtype == np.int64
+
+    def test_corrupt_refuses_non_integer_labels(self):
+        cm, rng = cm_hammer_spammer(3, 0.2), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="got 0.5"):
+            corrupt(np.array([0.5, 1.7]), cm, rng)
+        assert corrupt(np.array([0.0, 2.0]), ConfusionMatrix(3, np.eye(3)),
+                       rng).labels.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("clean, noisy", [([0.9, 1.5], [0.2, 1.0]), ([0, 1], [0.0, 1.5]),
+                                              ([0.0, np.nan], [0, 1])])
+    def test_empirical_cm_refuses_non_integer_labels(self, clean, noisy):
+        with pytest.raises(ValueError, match="labels must be"):
+            empirical_cm(np.array(clean), np.array(noisy))
+        assert np.array_equal(empirical_cm([0.0, 1.0], [1.0, 0.0]).rows, [[0, 1], [1, 0]])
+
+    def test_noisy_label_set_refuses_non_integer_labels(self):
+        with pytest.raises(ValueError, match="got nan"):
+            NoisyLabelSet(np.array([1.0, np.nan]))
+        assert NoisyLabelSet(np.array([1.0, 0.0])).labels.dtype == np.int64
 
 
 class TestSpecAndSerialization:

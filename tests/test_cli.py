@@ -166,6 +166,21 @@ class TestErrors:
         assert "leaves no validation samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_cifar_subset_without_validation_rows_exits_two(self, tmp_path, capsys):
+        # two tiny batch files of 3073-byte records: label byte, then pixels
+        paths = []
+        for name, count in (("train.bin", 4), ("test.bin", 2)):
+            path = tmp_path / name
+            path.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(count)))
+            paths.append(str(path))
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           dataset={"cifar10": {"paths": paths[:1], "test_paths": paths[1:],
+                                                "subset": 2}})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("config error: dataset.cifar10.subset: a pool of 2 samples at val_fraction "
+                "0.2 leaves no validation samples") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failure_keeps_finished_records(self, tmp_path, pool_sizes):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(TWO_CLASSES))

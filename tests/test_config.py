@@ -153,6 +153,17 @@ class TestParsing:
         cfg = parse_config_dict(raw)
         assert cfg.dataset.paths == ("a.bin",) and cfg.dataset.subset == 100
 
+    @pytest.mark.parametrize("subset, val_fraction", [(2, 0.2), (4, 0.2), (1, 0.9), (0, 0.5)])
+    def test_cifar_subset_without_validation_rows_refused(self, subset, val_fraction):
+        raw = minimal(val_fraction=val_fraction)
+        raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "subset": subset}}
+        with pytest.raises(ConfigError, match="dataset.cifar10.subset: a pool of "
+                                              f"{subset} samples .* leaves no validation"):
+            parse_config_dict(raw)
+        raw["dataset"]["cifar10"]["subset"] = 5
+        raw["val_fraction"] = 0.2
+        assert parse_config_dict(raw).dataset.subset == 5
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal()))

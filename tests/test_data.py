@@ -411,6 +411,11 @@ class TestOneHot:
         with pytest.raises(ValueError, match="out of range"):
             one_hot(np.array([5]), 5)
 
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="got 0.7"):
+            one_hot([0.7, 1.9], 3)
+        assert np.array_equal(one_hot([0.0, 2.0], 3), one_hot([0, 2], 3))
+
 
 class TestConsensus:
     def test_plurality_vote(self):
@@ -425,6 +430,12 @@ class TestConsensus:
 
 
 class TestContainer:
+    def test_non_integer_clean_labels_rejected(self):
+        with pytest.raises(ValueError, match="got 0.5"):
+            LabeledDataset(np.zeros((2, 3)), [0.5, 1.2], 3)
+        ds = LabeledDataset(np.zeros((2, 3)), np.array([0.0, 2.0]), 3)
+        assert ds.clean_labels.dtype == np.int64 and ds.clean_labels.tolist() == [0, 2]
+
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="clean label"):
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, -1], n_classes=2)

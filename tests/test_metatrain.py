@@ -1,9 +1,13 @@
 """Meta-training operations: per-op contracts, the loss-reweighting identity,
 and a fully hand-computed single-iteration fixture."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from labelattn import metatrain
 from labelattn.annotators import AnnotatorSpec
 from labelattn.autodiff import Tensor, constant, gradients
 from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators, minibatches,
@@ -649,3 +653,47 @@ class TestMetaConfig:
             MetaConfig(alpha=-1)
         with pytest.raises(ValueError, match="attention_mode"):
             MetaConfig(attention_mode="mlp")
+
+
+class TestMemory:
+    """A training step holds each model-sized array once."""
+
+    def test_final_step_allocates_four_parameter_vectors(self):
+        # the CIFAR-shaped model: the gradients, written once into Adam's
+        # flat layout, then Adam's two moments and the new parameters
+        rng = np.random.default_rng(0)
+        model = classifier_init((3072, 128, 64), 10, rng=rng)
+        x = rng.standard_normal((128, 3072))
+        y = (rng.random((128, 10)) < 0.1).astype(np.float64)
+        state = adam_init(params_get(model), lr=1e-3)
+        fwd = forward_arrays(model, x)
+        final_step(model, y, fwd, state)
+        vector = 8 * sum(p.data.size for p in model.params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            final_step(model, y, fwd, state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        batch_arrays = 8 * x.shape[0] * 128 * 8
+        assert peak <= 4 * vector + batch_arrays, peak / vector
+
+    def test_previous_classifier_is_freed_while_the_next_step_runs(self, monkeypatch):
+        spec = SyntheticSpec(n_classes=3, dim=4, samples_per_class=30, seed=0)
+        ds = attach_annotators(synth_blobs(spec), [AnnotatorSpec("hammer_spammer", 0.3),
+                                                   AnnotatorSpec("adversarial")], seed=0)
+        inputs, alive = [], []
+
+        def watched_final_step(model, *args):
+            # step k updates inputs[k]; inputs[k - 1] must be gone by now
+            if len(inputs) >= 2:
+                alive.append(inputs[-1]() is not None)
+            inputs.append(weakref.ref(model))
+            return real_final_step(model, *args)
+
+        real_final_step = metatrain.final_step
+        monkeypatch.setattr(metatrain, "final_step", watched_final_step)
+        model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(9))
+        train_attention(model, ds, MetaConfig(epochs=2, batch_size=16, seed=3))
+        assert len(alive) == 2 * 6 - 2 and not any(alive)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (classifier_init, forward, params_get, params_set, predict_class,
+from labelattn.model import (classifier_init, forward, forward_arrays, hidden_gradients,
+                             param_gradients, params_get, params_set, predict_class,
                              relu_in_place)
 
 
@@ -149,6 +150,39 @@ class TestParams:
         bad[0] = np.zeros((2, 2))
         with pytest.raises(ValueError, match="shape"):
             params_set(model, bad)
+
+
+class TestGradientsIntoOneVector:
+    @pytest.mark.parametrize("dims, aux_dim", [((4, 8, 5), 0), ((4, 6, 7, 5, 3), 2)])
+    def test_out_gives_the_same_bits_in_parameter_order(self, dims, aux_dim):
+        rng = np.random.default_rng(3)
+        model = classifier_init(dims, n_classes=3, aux_dim=aux_dim, rng=rng)
+        fwd = forward_arrays(model, rng.normal(size=(9, 4)),
+                             rng.normal(size=(9, aux_dim)) if aux_dim else None)
+        g = rng.normal(size=(9, 3))
+        expected = param_gradients(model, fwd, g)
+        out = np.full(sum(p.data.size for p in model.params), np.nan)
+        views = param_gradients(model, fwd, g, out=out)
+        assert np.concatenate(expected, axis=None).tobytes() == out.tobytes()
+        assert all(np.shares_memory(v, out) and v.shape == e.shape
+                   for v, e in zip(views, expected))
+        hidden_out = np.full_like(out, np.nan)
+        hidden_gradients(model, fwd, g, out=hidden_out)
+        head = model.params[-2].data.size + model.params[-1].data.size
+        assert hidden_out[:-head].tobytes() == out[:-head].tobytes()
+        assert np.isnan(hidden_out[-head:]).all()
+
+    @pytest.mark.parametrize("out, g_shape", [(np.zeros(102), (9, 3)), (np.zeros(104), (9, 3)),
+                                              (np.zeros(103, dtype=np.float32), (9, 3)),
+                                              (np.zeros(206)[::2], (9, 3)),
+                                              (np.zeros(103), (2, 9, 3))],
+                             ids=["short", "long", "float32", "strided", "stacked"])
+    def test_out_of_the_wrong_layout_refused(self, out, g_shape):
+        model = tiny_model()
+        assert sum(p.data.size for p in model.params) == 103
+        fwd = forward_arrays(model, np.ones((9, 4)))
+        with pytest.raises(ValueError, match="flat float64 vector of the model's 103"):
+            param_gradients(model, fwd, np.ones(g_shape), out=out)
 
 
 class TestPredict:

@@ -204,6 +204,58 @@ class TestFlatAdam:
             adam_step(state, params, [np.zeros(s) for s in MIXED_SHAPES])
 
 
+class TestFlatGradient:
+    """``adam_step`` takes the gradients as a per-parameter list or as one
+    flat vector in the state's layout, which it overwrites as scratch."""
+
+    @pytest.mark.parametrize("shapes", [M5_SHAPES, MIXED_SHAPES], ids=["m5", "mixed"])
+    def test_flat_vector_equals_the_list_bitwise(self, shapes):
+        rng = np.random.default_rng(10)
+        params = random_tensors(shapes, rng)
+        list_state = flat_state = adam_init(params, lr=1e-3)
+        list_params = flat_params = params
+        for _ in range(20):
+            grads = random_grads(shapes, rng)
+            before = [g.tobytes() for g in grads]
+            list_params, list_state = adam_step(list_state, list_params, grads)
+            assert [g.tobytes() for g in grads] == before
+            flat_params, flat_state = adam_step(flat_state, flat_params,
+                                                np.concatenate(grads, axis=None))
+            assert flat_state.t == list_state.t
+            assert all(same_bits(a.data, b.data) for a, b in zip(flat_params, list_params))
+            assert same_bits(flat_state.m_flat, list_state.m_flat)
+            assert same_bits(flat_state.v_flat, list_state.v_flat)
+
+    def test_flat_form_leaves_params_and_state_unchanged(self):
+        rng = np.random.default_rng(11)
+        params = random_tensors(MIXED_SHAPES, rng)
+        state = adam_init(params, lr=0.1)
+        params, state = adam_step(state, params, random_grads(MIXED_SHAPES, rng))
+        before = ([p.data.tobytes() for p in params], state.m_flat.tobytes(),
+                  state.v_flat.tobytes(), state.t)
+        adam_step(state, params, np.concatenate(random_grads(MIXED_SHAPES, rng), axis=None))
+        assert ([p.data.tobytes() for p in params], state.m_flat.tobytes(),
+                state.v_flat.tobytes(), state.t) == before
+
+    @pytest.mark.parametrize("flat", [np.zeros(29), np.zeros(31), np.zeros((30, 1)),
+                                      np.zeros(30, dtype=np.float32)],
+                             ids=["short", "long", "2d", "float32"])
+    def test_flat_vector_of_the_wrong_layout_refused(self, flat):
+        params = random_tensors(MIXED_SHAPES, np.random.default_rng(12))
+        assert adam_init(params, lr=0.1).offsets[-1] == 30
+        with pytest.raises(ValueError, match="flat gradient must be .* of 30 entries"):
+            adam_step(adam_init(params, lr=0.1), params, flat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 13, 29])
+    def test_non_finite_flat_entry_refused(self, bad, at):
+        params = random_tensors(MIXED_SHAPES, np.random.default_rng(13))
+        flat = np.concatenate(random_grads(MIXED_SHAPES, np.random.default_rng(14)), axis=None)
+        flat[at] = bad
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            adam_step(adam_init(params, lr=0.1), params, flat)
+
+
 def test_sgd_equals_per_tensor_step():
     rng = np.random.default_rng(9)
     params = random_tensors(MIXED_SHAPES, rng)
