@@ -61,16 +61,6 @@ class ConfusionMatrix:
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("confusion matrix rows must sum to 1")
 
-    def to_text(self) -> str:
-        """One row per line, space-separated, full float64 round-trip precision."""
-        return "\n".join(" ".join(repr(float(v)) for v in row) for row in self.rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ConfusionMatrix":
-        rows = [[float(v) for v in line.split()] for line in text.strip().splitlines()]
-        arr = np.asarray(rows, dtype=np.float64)
-        return cls(n_classes=arr.shape[0], rows=arr)
-
 
 @dataclass(frozen=True)
 class AnnotatorSpec:

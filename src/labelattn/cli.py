@@ -17,13 +17,19 @@ from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants
 
 
 def _write_outputs(records: list[ResultRecord], out_dir: Path,
-                   summary_name: str | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    emit(records, out_dir / "results.csv", fmt="csv")
-    emit(records, out_dir / "results.jsonl", fmt="jsonl")
-    if summary_name:
-        emit_summary(records, out_dir / summary_name)
+                   summary_name: str | None = None) -> bool:
+    """Write the record files (and the sweep summary); False, with a
+    ``run failure:`` line, if a file cannot be written."""
+    try:
+        emit(records, out_dir / "results.csv", fmt="csv")
+        emit(records, out_dir / "results.jsonl", fmt="jsonl")
+        if summary_name:
+            emit_summary(records, out_dir / summary_name)
+    except OSError as err:
+        print(f"run failure: {err}", file=sys.stderr)
+        return False
     print(f"wrote {len(records)} records to {out_dir}")
+    return True
 
 
 def _trace_sink(out_dir: Path):
@@ -88,18 +94,22 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out if args.out else cfg.output)
+    try:  # before the first run, so that an unusable directory costs no training
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: cannot write results to {out_dir}: {err}", file=sys.stderr)
+        return 2
+
     try:
         records = run_variants(variants, args.jobs,
                                _trace_sink(out_dir) if cfg.trace else None)
     except ExperimentError as err:
         print(f"run failure: {err}", file=sys.stderr)
-        if err.completed:
-            _write_outputs(err.completed, out_dir)
+        if err.completed and _write_outputs(err.completed, out_dir):
             print(f"preserved {len(err.completed)} completed records", file=sys.stderr)
         return 1
 
-    _write_outputs(records, out_dir, summary)
-    return 0
+    return 0 if _write_outputs(records, out_dir, summary) else 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .annotators import AnnotatorSpec, AVERAGE, KINDS, check_fits
@@ -249,34 +249,15 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
-    """Fully-resolved plain-dict form; the hash input."""
-    if isinstance(cfg.dataset, SyntheticSpec):
-        dataset = {"synthetic": {
-            "n_classes": cfg.dataset.n_classes, "dim": cfg.dataset.dim,
-            "samples_per_class": cfg.dataset.samples_per_class,
-            "cluster_std": cfg.dataset.cluster_std,
-            "center_scale": cfg.dataset.center_scale, "seed": cfg.dataset.seed}}
-    else:
-        dataset = {"cifar10": {
-            "paths": list(cfg.dataset.paths), "test_paths": list(cfg.dataset.test_paths),
-            "subset": cfg.dataset.subset, "test_subset": cfg.dataset.test_subset,
-            "seed": cfg.dataset.seed}}
-    return {
-        "dataset": dataset,
-        "annotators": [{"kind": a.kind, "noise_level": a.noise_level,
-                        "flip_pairs": None if a.flip_pairs is None
-                        else [list(p) for p in a.flip_pairs]}
-                       for a in cfg.annotators],
-        "model": {"hidden_dims": list(cfg.hidden_dims), "aux_dim": cfg.aux_dim},
-        "meta": {"alpha": cfg.meta.alpha, "beta": cfg.meta.beta, "k": cfg.meta.k,
-                 "t_threshold": cfg.meta.t_threshold, "batch_size": cfg.meta.batch_size,
-                 "epochs": cfg.meta.epochs, "attention_mode": cfg.meta.attention_mode},
-        "method": {"name": cfg.method.name, "set_index": cfg.method.set_index},
-        "seeds": list(cfg.seeds),
-        "val_fraction": cfg.val_fraction,
-        "output": cfg.output,
-        "trace": cfg.trace,
-    }
+    """Fully-resolved plain-dict form, in the config file's layout; the hash
+    input. It holds every field but ``meta.seed``, which each run sets to
+    its own seed."""
+    d = asdict(cfg)
+    kind = "synthetic" if isinstance(cfg.dataset, SyntheticSpec) else "cifar10"
+    d["dataset"] = {kind: d["dataset"]}
+    d["model"] = {"hidden_dims": d.pop("hidden_dims"), "aux_dim": d.pop("aux_dim")}
+    del d["meta"]["seed"]
+    return d
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -7,7 +7,7 @@ import csv
 import json
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +24,6 @@ from .model import classifier_init, forward_arrays, predict_class
 
 _INIT_TAG = 2001
 
-CSV_COLUMNS = ("config_hash", "tag", "method", "seed", "best_epoch", "test_accuracy",
-               "mean_auc", "wall_clock_seconds", "per_class_auc", "epochs")
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     config_hash: str
@@ -42,23 +38,20 @@ class ResultRecord:
     epochs: tuple   # per-epoch dicts: train_loss, val_accuracy, val_loss, mean_weights
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash, "tag": self.tag, "method": self.method,
-            "seed": self.seed, "best_epoch": self.best_epoch,
-            "test_accuracy": self.test_accuracy, "mean_auc": self.mean_auc,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "per_class_auc": list(self.per_class_auc),
-            "epochs": [dict(e) for e in self.epochs],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(config_hash=d["config_hash"], tag=d["tag"], method=d["method"],
-                   seed=int(d["seed"]), best_epoch=int(d["best_epoch"]),
-                   test_accuracy=float(d["test_accuracy"]), mean_auc=float(d["mean_auc"]),
-                   wall_clock_seconds=float(d["wall_clock_seconds"]),
-                   per_class_auc=tuple(d["per_class_auc"]),
-                   epochs=tuple(d["epochs"]))
+        values = {f.name: d[f.name] for f in fields(cls)}
+        values.update(seed=int(d["seed"]), best_epoch=int(d["best_epoch"]),
+                      per_class_auc=tuple(d["per_class_auc"]), epochs=tuple(d["epochs"]))
+        return cls(**values)
+
+
+# The CSV columns are the record's fields in declaration order. The text
+# columns are written as they are, every other one as JSON.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRecord))
+_CSV_TEXT_COLUMNS = ("config_hash", "tag", "method")
 
 
 class ExperimentError(RuntimeError):
@@ -271,14 +264,9 @@ def emit(records, path, fmt: str = "csv") -> None:
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(CSV_COLUMNS)
-                for rec in records:
-                    d = rec.to_dict()
-                    writer.writerow([
-                        d["config_hash"], d["tag"], d["method"], d["seed"],
-                        d["best_epoch"], json.dumps(d["test_accuracy"]),
-                        json.dumps(d["mean_auc"]), json.dumps(d["wall_clock_seconds"]),
-                        json.dumps(d["per_class_auc"]), json.dumps(d["epochs"]),
-                    ])
+                writer.writerows(
+                    [v if k in _CSV_TEXT_COLUMNS else json.dumps(v) for k, v in
+                     rec.to_dict().items()] for rec in records)
         elif fmt == "jsonl":
             with open(path, "w") as fh:
                 for rec in records:
@@ -301,19 +289,17 @@ def read_records(path, fmt: str | None = None) -> list[ResultRecord]:
         return records
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(next(reader, ())) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
         for row in reader:
-            d = dict(zip(CSV_COLUMNS, row))
-            records.append(ResultRecord(
-                config_hash=d["config_hash"], tag=d["tag"], method=d["method"],
-                seed=int(d["seed"]), best_epoch=int(d["best_epoch"]),
-                test_accuracy=json.loads(d["test_accuracy"]),
-                mean_auc=json.loads(d["mean_auc"]),
-                wall_clock_seconds=json.loads(d["wall_clock_seconds"]),
-                per_class_auc=tuple(json.loads(d["per_class_auc"])),
-                epochs=tuple(json.loads(d["epochs"]))))
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, "
+                                 f"expected {len(CSV_COLUMNS)}")
+            records.append(ResultRecord.from_dict(
+                {k: v if k in _CSV_TEXT_COLUMNS else json.loads(v)
+                 for k, v in zip(CSV_COLUMNS, row)}))
     return records
 
 

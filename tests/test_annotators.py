@@ -279,11 +279,6 @@ class TestSpecAndSerialization:
         with pytest.raises(ValueError, match="noise_level"):
             AnnotatorSpec(kind="hammer_spammer", noise_level=1.5)
 
-    def test_text_round_trip(self):
-        cm = cm_structured_flips(10, 0.4)
-        back = ConfusionMatrix.from_text(cm.to_text())
-        assert np.array_equal(back.rows, cm.rows)
-
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ConfusionMatrix(2, np.array([[0.5, 0.4], [0.0, 1.0]]))

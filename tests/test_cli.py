@@ -201,6 +201,26 @@ class TestErrors:
             assert main(["sweep-noise", "--config", str(cfg), "--levels", levels]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_unusable_out_exits_two_before_training(self, tmp_path, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained despite an unusable output directory")
+
+        monkeypatch.setattr("labelattn.cli.run_variants", no_training)
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(regular_file / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write results to {regular_file / 'out'}: ")
+
+    def test_unwritable_results_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"run failure: cannot write results to {out / 'results.csv'}: ")
+
 
 class TestSweepCommands:
     def test_sweep_annotators_writes_plot_data(self, tmp_path):

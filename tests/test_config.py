@@ -198,6 +198,14 @@ class TestHash:
             minimal(meta={"alpha": 0.3}),
             minimal(model={"hidden_dims": [64]}),
             minimal(annotators=[{"kind": "hammer_spammer", "noise_level": 0.4}]),
+            minimal(annotators=[{"kind": "structured_flips", "noise_level": 0.3,
+                                 "flip_pairs": [[0, 1]]}]),
+            minimal(model={"aux_dim": 2}),
+            minimal(meta={"attention_mode": "shared"}),
+            minimal(method={"name": "baseline", "set_index": 0}),
+            minimal(dataset={"synthetic": {"n_classes": 4, "dim": 6,
+                                           "samples_per_class": 10, "seed": 1}}),
+            minimal(output="elsewhere"),
         ]
         hashes = {config_hash(base)}
         for raw in variants:
@@ -207,6 +215,45 @@ class TestHash:
     def test_canonical_dict_is_json_serializable(self):
         cfg = parse_config_dict(minimal())
         json.dumps(to_canonical_dict(cfg))
+
+    # A change to one of these values changes the config_hash of every record
+    # already written for that config.
+    @pytest.mark.parametrize("raw, expected", [
+        ({  # the README example, with flip_pairs, aux_dim, shared mode and a baseline
+            "dataset": {"synthetic": {"n_classes": 10, "dim": 32, "samples_per_class": 500,
+                                      "cluster_std": 1.0, "center_scale": 3.0, "seed": 7}},
+            "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
+                           {"kind": "structured_flips", "noise_level": 0.4,
+                            "flip_pairs": [[0, 2], [3, 5]]},
+                           {"kind": "ordered_confusion", "noise_level": 0.5},
+                           {"kind": "adversarial"}, {"kind": "average"}],
+            "model": {"hidden_dims": [128, 64], "aux_dim": 4},
+            "meta": {"alpha": 0.2, "beta": 1e-4, "k": 50, "t_threshold": 0.5,
+                     "batch_size": 32, "epochs": 30, "attention_mode": "shared"},
+            "method": {"name": "baseline", "set_index": 2},
+            "seeds": [0, 1, 2], "val_fraction": 0.2, "output": "results", "trace": False,
+        }, "a04e245fd64107b7"),
+        ({
+            "dataset": {"cifar10": {"paths": ["data_batch_1.bin"],
+                                    "test_paths": ["test_batch.bin"],
+                                    "subset": 5000, "test_subset": 2000, "seed": 0}},
+            "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
+                           {"kind": "adversarial"}],
+            "seeds": [0],
+        }, "0e4b565b4ea9ae4c"),
+        ({  # the sweep-noise-serial benchmark workload at seed 0
+            "dataset": {"synthetic": {"n_classes": 10, "dim": 32, "samples_per_class": 100,
+                                      "seed": 0}},
+            "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
+                           {"kind": "adversarial"}],
+            "model": {"hidden_dims": [128, 64]},
+            "meta": {"epochs": 2, "batch_size": 32, "beta": 1e-3},
+            "method": {"name": "ours"},
+            "seeds": [0, 1],
+        }, "8908b565b2a425b1"),
+    ], ids=["readme", "cifar10", "benchmark"])
+    def test_pinned_values(self, raw, expected):
+        assert config_hash(parse_config_dict(raw)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,14 @@ class TestEmission:
             [r.wall_clock_seconds for r in records]
 
     def test_csv_header_documented_order(self, tmp_path):
+        # The column list in README's CLI section.
+        documented = ("config_hash, tag, method, seed, best_epoch, test_accuracy, mean_auc, "
+                      "wall_clock_seconds, per_class_auc, epochs")
         path = tmp_path / "results.csv"
         emit(self.make_records(), path, fmt="csv")
         header = path.read_text().splitlines()[0]
-        assert header == ",".join(CSV_COLUMNS)
+        assert header == documented.replace(", ", ",")
+        assert ", ".join(CSV_COLUMNS) == documented
 
     def test_jsonl_round_trip(self, tmp_path):
         records = self.make_records()
@@ -236,3 +240,76 @@ class TestEmission:
         back = read_records(path)[0]
         assert np.isnan(back.mean_auc)
         assert back.per_class_auc == (None, None, None)
+
+    # A record with a NaN mean AUC, an undefined per-class AUC and a tag that
+    # needs CSV quoting, and its bytes in each format: files already written
+    # must keep reading back, and new ones must compare equal to them.
+    PINNED = ResultRecord(
+        config_hash="0123456789abcdef", tag='noise=0.3, "odd"', method="baseline:1", seed=3,
+        best_epoch=1, test_accuracy=0.875, mean_auc=float("nan"), wall_clock_seconds=1.25,
+        per_class_auc=(None, 0.5, 1.0),
+        epochs=({"train_loss": 0.693, "val_accuracy": 0.5, "val_loss": 0.7,
+                 "mean_weights": [0.25, 0.75]},
+                {"train_loss": 0.5, "val_accuracy": 0.75, "val_loss": None,
+                 "mean_weights": None}))
+    PINNED_CSV_ROW = (
+        b'0123456789abcdef,"noise=0.3, ""odd""",baseline:1,3,1,0.875,NaN,1.25,'
+        b'"[null, 0.5, 1.0]","[{""train_loss"": 0.693, ""val_accuracy"": 0.5, '
+        b'""val_loss"": 0.7, ""mean_weights"": [0.25, 0.75]}, {""train_loss"": 0.5, '
+        b'""val_accuracy"": 0.75, ""val_loss"": null, ""mean_weights"": null}]"\r\n')
+    PINNED_JSONL = (
+        b'{"best_epoch": 1, "config_hash": "0123456789abcdef", "epochs": '
+        b'[{"mean_weights": [0.25, 0.75], "train_loss": 0.693, "val_accuracy": 0.5, '
+        b'"val_loss": 0.7}, {"mean_weights": null, "train_loss": 0.5, "val_accuracy": 0.75, '
+        b'"val_loss": null}], "mean_auc": NaN, "method": "baseline:1", '
+        b'"per_class_auc": [null, 0.5, 1.0], "seed": 3, "tag": "noise=0.3, \\"odd\\"", '
+        b'"test_accuracy": 0.875, "wall_clock_seconds": 1.25}\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_pinned_bytes(self, tmp_path, fmt):
+        path = tmp_path / f"results.{fmt}"
+        emit([self.PINNED], path, fmt=fmt)
+        data = path.read_bytes()
+        if fmt == "csv":
+            header, row = data.split(b"\r\n", 1)
+            assert header == ",".join(CSV_COLUMNS).encode()
+            assert row == self.PINNED_CSV_ROW
+        else:
+            assert data == self.PINNED_JSONL
+        back = read_records(path)
+        assert len(back) == 1 and np.isnan(back[0].mean_auc)
+        assert strip_nan(back[0]) == strip_nan(self.PINNED)
+
+
+def strip_nan(record: ResultRecord) -> dict:
+    d = record.to_dict()
+    d.pop("mean_auc")
+    return d
+
+
+class TestMalformedCsv:
+    def read(self, tmp_path, *lines):
+        """read_records of a results.csv holding the header, then ``lines``, in
+        which ``{row}`` is the pinned record's row."""
+        path = tmp_path / "results.csv"
+        emit([TestEmission.PINNED], path, fmt="csv")
+        header, row = path.read_text().splitlines()
+        path.write_text("\n".join([header, *(line.format(row=row) for line in lines)]))
+        return read_records(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        back = self.read(tmp_path, "", "{row}", "", "{row}", "")
+        assert [r.tag for r in back] == [TestEmission.PINNED.tag] * 2
+
+    @pytest.mark.parametrize("line, width", [
+        ("{row},1", 11),
+        ("0123456789abcdef,tag,ours,0,1,0.5,0.5,1.0,[]", 9),
+    ], ids=["wide", "short"])
+    def test_wrong_width_names_file_and_line(self, tmp_path, line, width):
+        with pytest.raises(ValueError, match=f"results.csv line 3: {width} fields, expected 10"):
+            self.read(tmp_path, "{row}", line)
+
+    def test_empty_file_refused(self, tmp_path):
+        (tmp_path / "results.csv").write_text("")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            read_records(tmp_path / "results.csv")
