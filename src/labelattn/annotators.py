@@ -95,18 +95,6 @@ def as_labels(labels) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class NoisyLabelSet:
-    """One corrupted copy of the clean labels."""
-
-    labels: np.ndarray
-    annotator: AnnotatorSpec | None = None
-    seed: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", as_labels(self.labels))
-
-
 def cm_hammer_spammer(n: int, noise_level: float) -> ConfusionMatrix:
     """Correct with probability 1-noise; error mass uniform on the other n-1."""
     if n < 2:
@@ -227,9 +215,9 @@ def build_cm(spec: AnnotatorSpec, n: int,
     raise ValueError(f"unknown annotator kind {spec.kind!r}")
 
 
-def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator,
-            annotator: AnnotatorSpec | None = None, seed=None) -> NoisyLabelSet:
-    """Sample one noisy label per sample from the true-class row of the matrix."""
+def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:
+    """One noisy int64 label per sample, drawn from the true-class row of the
+    matrix."""
     clean = as_labels(clean)
     if clean.size and (clean.min() < 0 or clean.max() >= cm.n_classes):
         raise ValueError(f"label index out of range for {cm.n_classes} classes")
@@ -238,8 +226,7 @@ def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator,
     # the count of cumulative sums at or below the draw is the class index; a
     # draw at or above a row's last sum (rounding below 1) takes the last class
     idx = np.sum(cum[clean] <= uniforms[:, None], axis=1)
-    noisy = np.minimum(idx, cm.n_classes - 1).astype(np.int64)
-    return NoisyLabelSet(labels=noisy, annotator=annotator, seed=seed)
+    return np.minimum(idx, cm.n_classes - 1).astype(np.int64)
 
 
 def empirical_cm(clean, noisy) -> ConfusionMatrix:

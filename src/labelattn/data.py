@@ -17,6 +17,12 @@ when ``rows`` is None, else one gather (an evaluation reads them once per
 pass). The sources are read-only views, so an in-place write through a
 dataset raises and never reaches the caller's array.
 
+The noisy labels are one int64 ``[M, S]`` matrix, ``label_sets``: row m is
+labeler m's label for each sample (M may be 0). The dataset keeps its own
+read-only copy, checked once at construction, so its one-hot form
+``[M, S, N]`` is built once and never goes stale. Attaching annotators
+stacks new rows under it, and a subset takes its columns.
+
 ``synth_blobs`` builds its matrix in place as well: one ``standard_normal``
 draw of every sample (the class blocks are contiguous in draw order), scaled
 by ``cluster_std`` and shifted by each class center through an
@@ -31,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotators import AVERAGE, NoisyLabelSet, as_labels, build_cm, corrupt
+from .annotators import AVERAGE, as_labels, build_cm, corrupt
 
 _CENTER_TAG = 1001
 _TRAIN_TAG = 1002
@@ -64,14 +70,16 @@ class LabeledDataset:
 
     ``features`` [S_src, D] and ``aux`` [S_src, A] are the source arrays;
     ``rows`` (int64, None for all rows) picks this dataset's samples out of
-    them, in order. ``clean_labels`` and the label sets hold one entry per
-    selected sample. The sources are kept as read-only views, so a dataset
-    never writes into its caller's arrays and an in-place write through
-    ``features`` or ``aux`` raises.
+    them, in order. ``clean_labels`` [S] and ``label_sets`` [M, S] hold the
+    labels of the selected samples. The sources are kept as read-only views,
+    so a dataset never writes into its caller's arrays and an in-place write
+    through ``features``, ``aux``, ``clean_labels`` or ``label_sets`` raises;
+    ``label_sets`` is the dataset's own copy, so a caller's later write to
+    the matrix it passed in does not reach the dataset either.
     """
 
     def __init__(self, features, clean_labels, n_classes: int,
-                 label_sets=(), aux=None, rows=None):
+                 label_sets=None, aux=None, rows=None):
         self._features = _read_only(features, np.float64)
         if self._features.ndim != 2:
             raise ValueError(f"features must be [samples, dims], got shape "
@@ -80,17 +88,19 @@ class LabeledDataset:
         self.rows = None if rows is None else _checked_rows(rows, self._features.shape[0])
         self.clean_labels = _read_only(as_labels(clean_labels), np.int64)
         self.n_classes = n_classes
-        self.label_sets: list[NoisyLabelSet] = list(label_sets)
-        self._onehot_cache: np.ndarray | None = None
         if self.n_samples != self.clean_labels.shape[0]:
             raise ValueError("features and clean_labels disagree on sample count")
         if _out_of_range(self.clean_labels, self.n_classes):
             raise ValueError("clean label index out of range")
-        for ls in self.label_sets:
-            if ls.labels.shape[0] != self.n_samples:
-                raise ValueError("label set length differs from the dataset")
-            if _out_of_range(ls.labels, self.n_classes):
-                raise ValueError("noisy label index out of range")
+        sets = np.zeros((0, self.n_samples), np.int64) if label_sets is None \
+            else as_labels(label_sets)
+        if sets.ndim != 2 or sets.shape[1] != self.n_samples:
+            raise ValueError(f"label sets must be a [sets, {self.n_samples}] matrix, "
+                             f"got shape {sets.shape}")
+        if _out_of_range(sets, self.n_classes):
+            raise ValueError("noisy label index out of range")
+        self.label_sets = _read_only(sets.copy(), np.int64)
+        self._onehot: np.ndarray | None = None
         if self._aux is not None and self._aux.shape[0] != self._features.shape[0]:
             raise ValueError("aux feature count differs from the dataset")
 
@@ -115,15 +125,13 @@ class LabeledDataset:
 
     @property
     def n_sets(self) -> int:
-        return len(self.label_sets)
+        return self.label_sets.shape[0]
 
     def onehot_label_sets(self) -> np.ndarray:
-        """All label sets as one-hot float64 [M, S, N]; cached."""
-        if self._onehot_cache is None or self._onehot_cache.shape[0] != self.n_sets:
-            self._onehot_cache = np.stack(
-                [one_hot(ls.labels, self.n_classes) for ls in self.label_sets]
-            ) if self.label_sets else np.zeros((0, self.n_samples, self.n_classes))
-        return self._onehot_cache
+        """All label sets as one-hot float64 [M, S, N], built on first use."""
+        if self._onehot is None:
+            self._onehot = one_hot(self.label_sets, self.n_classes)
+        return self._onehot
 
 
 @dataclass(frozen=True)
@@ -164,11 +172,12 @@ def _checked_rows(rows, n: int) -> np.ndarray:
 
 
 def one_hot(labels, n: int) -> np.ndarray:
+    """float64 one-hot rows on a new last axis: [..., n] for labels [...]."""
     labels = as_labels(labels)
     if _out_of_range(labels, n):
         raise ValueError(f"label index out of range for {n} classes")
-    out = np.zeros((labels.shape[0], n))
-    out[np.arange(labels.shape[0]), labels] = 1.0
+    out = np.zeros((*labels.shape, n))
+    np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
     return out
 
 
@@ -227,19 +236,16 @@ def load_cifar10(paths) -> LabeledDataset:
 
 def attach_annotators(ds: LabeledDataset, specs, seed: int) -> LabeledDataset:
     """Append one noisy label set per spec, each corrupted with its own
-    default_rng([seed, index]) stream. The result shares ``ds``'s features,
-    clean labels, aux and rows; nothing is copied."""
+    default_rng([seed, index]) stream, as new rows of the label matrix. The
+    result shares ``ds``'s features, clean labels, aux and rows."""
     specs = list(specs)
     if not specs:
         raise ValueError("need at least one annotator spec")
     concrete = [build_cm(s, ds.n_classes) for s in specs if s.kind != AVERAGE]
-    sets = []
-    for idx, spec in enumerate(specs):
-        cm = build_cm(spec, ds.n_classes, roster=concrete)
-        rng = np.random.default_rng([seed, idx])
-        sets.append(corrupt(ds.clean_labels, cm, rng, annotator=spec, seed=(seed, idx)))
+    sets = [corrupt(ds.clean_labels, build_cm(spec, ds.n_classes, roster=concrete),
+                    np.random.default_rng([seed, idx])) for idx, spec in enumerate(specs)]
     return LabeledDataset(features=ds._features, clean_labels=ds.clean_labels,
-                          n_classes=ds.n_classes, label_sets=ds.label_sets + sets,
+                          n_classes=ds.n_classes, label_sets=np.vstack([ds.label_sets, *sets]),
                           aux=ds._aux, rows=ds.rows)
 
 
@@ -251,8 +257,7 @@ def take_subset(ds: LabeledDataset, indices) -> LabeledDataset:
         features=ds._features,
         clean_labels=ds.clean_labels[indices],
         n_classes=ds.n_classes,
-        label_sets=[NoisyLabelSet(ls.labels[indices], ls.annotator, ls.seed)
-                    for ls in ds.label_sets],
+        label_sets=ds.label_sets[:, indices],
         aux=ds._aux,
         rows=indices if ds.rows is None else ds.rows[indices],
     )
@@ -294,7 +299,7 @@ def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: 
         rows = source_rows[start:start + batch_size]
         yield Batch(
             x=ds._features[rows],
-            label_sets=hot[:, idx, :] if ds.n_sets else np.zeros((0, idx.size, ds.n_classes)),
+            label_sets=hot[:, idx, :],
             aux=None if ds._aux is None else ds._aux[rows],
             indices=idx,
         )
@@ -302,6 +307,6 @@ def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: 
 
 def consensus_labels(ds: LabeledDataset) -> np.ndarray:
     """Plurality vote across the noisy label sets (ties -> lowest index)."""
-    if not ds.label_sets:
+    if not ds.n_sets:
         raise ValueError("dataset carries no label sets")
     return np.argmax(ds.onehot_label_sets().sum(axis=0), axis=1)

@@ -278,14 +278,16 @@ def emit(records, path, fmt: str = "csv") -> None:
 
 
 def read_records(path, fmt: str | None = None) -> list[ResultRecord]:
+    """Records from a file ``emit`` wrote; blank lines are skipped, and a bad
+    line raises ``ValueError`` naming the file and the line."""
     path = Path(path)
     if fmt is None:
         fmt = "jsonl" if path.suffix == ".jsonl" else "csv"
     records = []
     if fmt == "jsonl":
-        for line in path.read_text().splitlines():
+        for line_num, line in enumerate(path.read_text().splitlines(), 1):
             if line.strip():
-                records.append(ResultRecord.from_dict(json.loads(line)))
+                records.append(_parse_record(path, line_num, lambda: json.loads(line)))
         return records
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -297,10 +299,21 @@ def read_records(path, fmt: str | None = None) -> list[ResultRecord]:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, "
                                  f"expected {len(CSV_COLUMNS)}")
-            records.append(ResultRecord.from_dict(
-                {k: v if k in _CSV_TEXT_COLUMNS else json.loads(v)
-                 for k, v in zip(CSV_COLUMNS, row)}))
+            records.append(_parse_record(path, reader.line_num, lambda: {
+                k: v if k in _CSV_TEXT_COLUMNS else json.loads(v)
+                for k, v in zip(CSV_COLUMNS, row)}))
     return records
+
+
+def _parse_record(path: Path, line_num: int, decode) -> ResultRecord:
+    """The record of the dict ``decode()`` returns; any failure, to decode or
+    to fill a field, raises ``ValueError`` naming the file and the line."""
+    try:
+        return ResultRecord.from_dict(decode())
+    except KeyError as err:
+        raise ValueError(f"{path} line {line_num}: missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path} line {line_num}: {err}") from err
 
 
 def summarize(records) -> list[dict]:

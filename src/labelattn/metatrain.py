@@ -438,47 +438,28 @@ def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.nda
     return acc, bce_value(fwd.probs, one_hot(target_labels, ds.n_classes))
 
 
-def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
-                    val_ds: LabeledDataset | None = None,
-                    attn: AttentionParams | None = None,
-                    full_trace: bool = False,
-                    trace_hook=None) -> TrainResult:
-    """Run the full meta-training loop over the dataset's label sets.
-
-    Validation (when given) scores the model against the plurality vote of
-    the noisy label sets; the returned ``model`` is the best-validation
-    snapshot and ``last_model`` the final iterate.
-    """
-    if train_ds.n_sets < 1:
-        raise ValueError("training dataset carries no label sets")
-    feat_dim = model.feature_dim + model.aux_dim
-    if attn is None:
-        attn = attention_init(train_ds.n_sets, feat_dim, config.attention_mode)
-    adam_state = adam_init(params_get(model), lr=config.beta)
-
-    val_targets = consensus_labels(val_ds) if val_ds is not None else None
+def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
+                  val_ds: LabeledDataset | None, val_targets, step) -> TrainResult:
+    """The epoch loop both trainers share. ``step(model, batch)`` trains on
+    one batch and returns (new model, loss, batch-mean attention weights or
+    None). Each epoch records its mean loss and weights and, when ``val_ds``
+    is given, its accuracy and loss against ``val_targets``; the returned
+    ``model`` is the best-validation snapshot (else the final iterate)."""
     history: list[EpochStats] = []
     iteration_weights: list[list[np.ndarray]] = []
     best_acc, best_epoch, best_model = -np.inf, -1, model
-    iteration = 0
 
     for epoch in range(config.epochs):
         losses, epoch_weights = [], []
         for i, batch in enumerate(minibatches(train_ds, config.batch_size,
                                               config.seed, epoch)):
             try:
-                model, attn, adam_state, trace = train_iteration(
-                    model, attn, batch, config, adam_state, full_trace=full_trace)
+                model, loss, weights = step(model, batch)
             except ValueError as err:
                 raise ValueError(f"epoch {epoch}, batch {i}: {err}") from err
-            losses.append(trace.loss_pre)
-            epoch_weights.append(trace.weight_means)
-            if trace_hook is not None:
-                trace_hook(iteration, trace)
-            # the trace holds the model before the step, a third parameter
-            # vector while the next step runs
-            del trace
-            iteration += 1
+            losses.append(loss)
+            if weights is not None:
+                epoch_weights.append(weights)
         iteration_weights.append(epoch_weights)
 
         stats = EpochStats(train_loss=float(np.mean(losses)) if losses else float("nan"),
@@ -492,8 +473,44 @@ def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaCon
 
     if val_ds is None or best_epoch < 0:
         best_model, best_epoch = model, max(config.epochs - 1, 0)
-    return TrainResult(model=best_model, last_model=model, attn=attn, history=history,
+    return TrainResult(model=best_model, last_model=model, attn=None, history=history,
                        best_epoch=best_epoch, iteration_weights=iteration_weights)
+
+
+def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
+                    val_ds: LabeledDataset | None = None,
+                    attn: AttentionParams | None = None,
+                    full_trace: bool = False,
+                    trace_hook=None) -> TrainResult:
+    """Run the full meta-training loop over the dataset's label sets.
+
+    Validation (when given) scores the model against the plurality vote of
+    the noisy label sets; the returned ``model`` is the best-validation
+    snapshot and ``last_model`` the final iterate.
+    """
+    if train_ds.n_sets < 1:
+        raise ValueError("training dataset carries no label sets")
+    if attn is None:
+        attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim,
+                              config.attention_mode)
+    adam_state = adam_init(params_get(model), lr=config.beta)
+    iteration = 0
+
+    def step(model, batch):
+        nonlocal attn, adam_state, iteration
+        model, attn, adam_state, trace = train_iteration(
+            model, attn, batch, config, adam_state, full_trace=full_trace)
+        if trace_hook is not None:
+            trace_hook(iteration, trace)
+        iteration += 1
+        # the trace, which holds the model before the step (a third parameter
+        # vector), goes with this frame, before the next step runs
+        return model, trace.loss_pre, trace.weight_means
+
+    val_targets = consensus_labels(val_ds) if val_ds is not None else None
+    result = _train_epochs(model, train_ds, config, val_ds, val_targets, step)
+    result.attn = attn
+    return result
 
 
 def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
@@ -507,33 +524,16 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
         raise ValueError(f"label set index {target} out of range")
     adam_state = adam_init(params_get(model), lr=config.beta)
 
+    def step(model, batch):
+        nonlocal adam_state
+        target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
+                      else batch.label_sets[int(target)])
+        model, adam_state, value = final_step(
+            model, target_arr, forward_arrays(model, batch.x, batch.aux), adam_state)
+        return model, value, None
+
+    val_targets = None
     if val_ds is not None:
         val_targets = (consensus_labels(val_ds) if target == "avg"
-                       else val_ds.label_sets[int(target)].labels)
-    history: list[EpochStats] = []
-    best_acc, best_epoch, best_model = -np.inf, -1, model
-
-    for epoch in range(config.epochs):
-        losses = []
-        for i, batch in enumerate(minibatches(train_ds, config.batch_size,
-                                              config.seed, epoch)):
-            target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
-                          else batch.label_sets[int(target)])
-            fwd = forward_arrays(model, batch.x, batch.aux)
-            try:
-                model, adam_state, value = final_step(model, target_arr, fwd, adam_state)
-            except ValueError as err:
-                raise ValueError(f"epoch {epoch}, batch {i}: {err}") from err
-            losses.append(value)
-
-        stats = EpochStats(train_loss=float(np.mean(losses)) if losses else float("nan"))
-        if val_ds is not None:
-            stats.val_accuracy, stats.val_loss = _evaluate_noisy(model, val_ds, val_targets)
-            if stats.val_accuracy > best_acc:
-                best_acc, best_epoch, best_model = stats.val_accuracy, epoch, model
-        history.append(stats)
-
-    if val_ds is None or best_epoch < 0:
-        best_model, best_epoch = model, max(config.epochs - 1, 0)
-    return TrainResult(model=best_model, last_model=model, attn=None, history=history,
-                       best_epoch=best_epoch)
+                       else val_ds.label_sets[int(target)])
+    return _train_epochs(model, train_ds, config, val_ds, val_targets, step)

@@ -84,7 +84,7 @@ def test_criterion_3_annotator_fidelity():
     clean = np.repeat(np.arange(10), 100_000)  # class-balanced, 100k per class
     worst = 0.0
     for i, (name, cm) in enumerate(matrices.items()):
-        noisy = corrupt(clean, cm, np.random.default_rng([100, i])).labels
+        noisy = corrupt(clean, cm, np.random.default_rng([100, i]))
         err = float(np.max(np.abs(empirical_cm(clean, noisy).rows - cm.rows)))
         worst = max(worst, err)
     exact = (noise_level_of(matrices["HS(0.3)"]) == 0.3

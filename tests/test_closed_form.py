@@ -301,7 +301,7 @@ def test_train_baseline_matches_tape_loop(target):
     result = train_baseline(model, train, target, config, val_ds=val)
 
     val_targets = (consensus_labels(val) if target == "avg"
-                   else val.label_sets[target].labels)
+                   else val.label_sets[target])
     state = adam_init(params_get(model), lr=config.beta)
     for epoch, stats in enumerate(result.history):
         losses = []

@@ -1,11 +1,12 @@
 """Datasets: synthetic blobs, CIFAR-10 binary ingestion, splits, batching."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from labelattn.annotators import AnnotatorSpec, NoisyLabelSet
+from labelattn.annotators import AnnotatorSpec
 from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
                             attach_annotators, consensus_labels, load_cifar10, minibatches,
                             one_hot, split, synth_blobs, take_subset)
@@ -182,12 +183,12 @@ class TestAttachAnnotators:
     def test_identity_annotator_matches_clean(self):
         ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.0)],
                                seed=1)
-        assert np.array_equal(ds.label_sets[0].labels, ds.clean_labels)
+        assert np.array_equal(ds.label_sets[0], ds.clean_labels)
 
     def test_disagreement_rate_matches_noise(self):
         ds = blob_dataset(per_class=2500)  # 10k samples
         noisy = attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3)], seed=2)
-        rate = np.mean(noisy.label_sets[0].labels != noisy.clean_labels)
+        rate = np.mean(noisy.label_sets[0] != noisy.clean_labels)
         assert 0.28 <= rate <= 0.32
 
     def test_deterministic_and_stable_under_roster_growth(self):
@@ -195,9 +196,9 @@ class TestAttachAnnotators:
         one = attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3)], seed=3)
         two = attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3),
                                      AnnotatorSpec("adversarial")], seed=3)
-        assert np.array_equal(one.label_sets[0].labels, two.label_sets[0].labels)
+        assert np.array_equal(one.label_sets[0], two.label_sets[0])
         again = attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3)], seed=3)
-        assert np.array_equal(one.label_sets[0].labels, again.label_sets[0].labels)
+        assert np.array_equal(one.label_sets[0], again.label_sets[0])
 
     def test_features_and_clean_labels_untouched(self):
         ds = blob_dataset()
@@ -241,10 +242,10 @@ class TestSplit:
     def test_label_sets_follow_the_split(self):
         ds = attach_annotators(blob_dataset(), [AnnotatorSpec("adversarial")], seed=6)
         train, val, idx = split(ds, 0.2, seed=4)
-        assert np.array_equal(train.label_sets[0].labels,
-                              ds.label_sets[0].labels[idx.train])
-        assert np.array_equal(val.label_sets[0].labels,
-                              ds.label_sets[0].labels[idx.val])
+        assert np.array_equal(train.label_sets[0],
+                              ds.label_sets[0][idx.train])
+        assert np.array_equal(val.label_sets[0],
+                              ds.label_sets[0][idx.val])
 
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError, match="val_fraction"):
@@ -286,7 +287,7 @@ class TestMinibatches:
         batch = next(minibatches(ds, 16, seed=3, epoch=0))
         assert batch.label_sets.shape == (2, 16, 4)
         assert np.all(batch.label_sets.sum(axis=2) == 1.0)
-        expected = one_hot(ds.label_sets[1].labels[batch.indices], 4)
+        expected = one_hot(ds.label_sets[1][batch.indices], 4)
         assert np.array_equal(batch.label_sets[1], expected)
 
 
@@ -295,7 +296,7 @@ def eager(ds, rows):
     return LabeledDataset(
         features=ds.features[rows].copy(), clean_labels=ds.clean_labels[rows].copy(),
         n_classes=ds.n_classes,
-        label_sets=[NoisyLabelSet(ls.labels[rows].copy()) for ls in ds.label_sets],
+        label_sets=ds.label_sets[:, rows],
         aux=None if ds.aux is None else ds.aux[rows].copy())
 
 
@@ -315,8 +316,8 @@ class TestRowView:
         if ref.aux is not None:
             assert view.aux.tobytes() == ref.aux.tobytes()
         assert view.clean_labels.tobytes() == ref.clean_labels.tobytes()
-        for a, b in zip(view.label_sets, ref.label_sets, strict=True):
-            assert a.labels.tobytes() == b.labels.tobytes()
+        assert view.label_sets.shape == ref.label_sets.shape
+        assert view.label_sets.tobytes() == ref.label_sets.tobytes()
         assert consensus_labels(view).tobytes() == consensus_labels(ref).tobytes()
         for epoch in range(2):
             for a, b in zip(minibatches(view, 16, seed=4, epoch=epoch),
@@ -420,13 +421,14 @@ class TestOneHot:
 class TestConsensus:
     def test_plurality_vote(self):
         ds = blob_dataset(per_class=1, n_classes=4)
-        from labelattn.annotators import NoisyLabelSet
         ds = LabeledDataset(features=ds.features, clean_labels=ds.clean_labels,
                             n_classes=4,
-                            label_sets=[NoisyLabelSet(np.array([0, 1, 2, 3])),
-                                        NoisyLabelSet(np.array([0, 1, 3, 2])),
-                                        NoisyLabelSet(np.array([1, 1, 3, 1]))])
+                            label_sets=[[0, 1, 2, 3], [0, 1, 3, 2], [1, 1, 3, 1]])
         assert np.array_equal(consensus_labels(ds), [0, 1, 3, 1])
+
+    def test_no_label_sets_refused(self):
+        with pytest.raises(ValueError, match="no label sets"):
+            consensus_labels(blob_dataset())
 
 
 class TestContainer:
@@ -441,4 +443,79 @@ class TestContainer:
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, -1], n_classes=2)
         with pytest.raises(ValueError, match="noisy label"):
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, 1], n_classes=2,
-                           label_sets=[NoisyLabelSet(np.array([-1, 0]))])
+                           label_sets=[[-1, 0]])
+
+
+class TestLabelMatrix:
+    """The noisy labels are one read-only int64 [M, S] matrix, checked once."""
+
+    def test_matrix_of_the_roster(self):
+        ds = TestMinibatches().make()
+        assert ds.label_sets.dtype == np.int64 and ds.label_sets.shape == (2, 100)
+        assert ds.n_sets == 2
+        assert np.array_equal(ds.label_sets[1], (ds.clean_labels + 1) % 4)  # adversarial
+        empty = blob_dataset(per_class=3)
+        assert empty.label_sets.shape == (0, 12) and empty.n_sets == 0
+        batch = next(minibatches(empty, 5, seed=0, epoch=0))
+        assert batch.label_sets.shape == (0, 5, 4)
+
+    def test_writes_raise_and_the_callers_array_is_untouched(self):
+        sets = np.array([[0, 1, 2], [2, 1, 0]])
+        ds = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3, label_sets=sets)
+        for write in (lambda: ds.label_sets.__setitem__((0, 0), 2),
+                      lambda: ds.label_sets[0].__setitem__(0, 2),
+                      lambda: ds.label_sets.fill(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        for view in (take_subset(ds, [2, 0]), attach_annotators(ds, [AnnotatorSpec(
+                "adversarial")], seed=0), split(ds, 0.34, seed=0)[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                view.label_sets[0, 0] = 1
+        assert sets.flags.writeable and sets.tolist() == [[0, 1, 2], [2, 1, 0]]
+        # the dataset keeps its own copy: a later write by the caller, which
+        # would otherwise stale the one-hot sets and skip the range check,
+        # does not reach it
+        before = consensus_labels(ds).copy()
+        sets[:] = 99
+        assert ds.label_sets.tolist() == [[0, 1, 2], [2, 1, 0]]
+        assert np.array_equal(consensus_labels(ds), before)
+
+    @pytest.mark.parametrize("sets, message", [
+        (np.array([0, 1, 2]), r"\[sets, 3\] matrix, got shape \(3,\)"),
+        (np.zeros((2, 4), dtype=np.int64), r"\[sets, 3\] matrix, got shape \(2, 4\)"),
+        (np.zeros((1, 1, 3), dtype=np.int64), r"\[sets, 3\] matrix"),
+        ([[0, 1, 3]], "noisy label index out of range"),
+        ([[0, -1, 2]], "noisy label index out of range"),
+        ([[0.0, np.nan, 2.0]], "got nan"),
+        ([[0.0, 1.5, 2.0]], "got 1.5"),
+        (np.array([["a", "b", "c"]]), "integer class indices"),
+    ])
+    def test_bad_matrix_refused_at_construction(self, sets, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3, label_sets=sets)
+
+    def test_integral_float_labels_cast(self):
+        ds = LabeledDataset(np.zeros((3, 2)), [0, 1, 2], 3, label_sets=[[0.0, 2.0, 1.0]])
+        assert ds.label_sets.dtype == np.int64 and ds.label_sets.tolist() == [[0, 2, 1]]
+
+    def test_table2_roster_bytes_are_pinned(self):
+        # the bytes training reads (two epochs of one-hot batches, the
+        # plurality votes), pinned so that how the sets are stored cannot
+        # change them
+        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
+                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
+                  AnnotatorSpec("average")]
+        clean = synth_blobs(SyntheticSpec(n_classes=10, dim=4, samples_per_class=12, seed=3))
+        pool = attach_annotators(clean, roster, seed=3)
+        train, val, _ = split(pool, 0.25, seed=1)
+        digest = hashlib.sha256()
+        for epoch in range(2):
+            for batch in minibatches(train, 16, seed=2, epoch=epoch):
+                digest.update(batch.label_sets.tobytes())
+        assert digest.hexdigest() == \
+            "0903304cb38fa895ba562fb41359599cec40c9eb37bc5fcdf40eb994b3a70bdc"
+        votes = [hashlib.sha256(consensus_labels(ds).tobytes()).hexdigest()
+                 for ds in (pool, train, val)]
+        assert votes == ["46d16d98decac39d603578160e6cf9611c42083da9ca97af04b227ed30ce56b4",
+                         "8968920dc2888f6143ce57294b64e5dac5eaa34582111fae67f27858dcc26978",
+                         "7fd584af3c22dd2a1fcc6f0b9a16eb71eaab8f15dfcf2c48329bd167bfb39884"]

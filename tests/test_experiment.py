@@ -313,3 +313,40 @@ class TestMalformedCsv:
         (tmp_path / "results.csv").write_text("")
         with pytest.raises(ValueError, match="unexpected CSV header"):
             read_records(tmp_path / "results.csv")
+
+    @pytest.mark.parametrize("line, message", [
+        ("0123456789abcdef,tag,ours,0,1,abc,0.5,1.0,[],[]", "Expecting value"),
+        ("0123456789abcdef,tag,ours,null,1,0.5,0.5,1.0,[],[]", "int"),
+        ("0123456789abcdef,tag,ours,0,1,0.5,0.5,1.0,7,[]", "int"),
+    ], ids=["not-json", "null-seed", "number-for-list"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, line, message):
+        with pytest.raises(ValueError, match=f"results.csv line 3: .*{message}"):
+            self.read(tmp_path, "{row}", line)
+
+
+class TestMalformedJsonl:
+    def read(self, tmp_path, *lines):
+        """read_records of a results.jsonl holding ``lines``, in which
+        ``{row}`` is the pinned record's line."""
+        path = tmp_path / "results.jsonl"
+        emit([TestEmission.PINNED], path, fmt="jsonl")
+        row = path.read_text().rstrip("\n")
+        path.write_text("\n".join(line.replace("{row}", row) for line in lines))
+        return read_records(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        back = self.read(tmp_path, "", "{row}", "  ", "{row}", "")
+        assert [r.tag for r in back] == [TestEmission.PINNED.tag] * 2
+
+    def test_empty_object_names_file_and_line(self, tmp_path):
+        with pytest.raises(ValueError,
+                           match="results.jsonl line 3: missing field 'config_hash'"):
+            self.read(tmp_path, "{row}", "", "{}")
+
+    def test_truncated_line_names_file_and_line(self, tmp_path):
+        with pytest.raises(ValueError, match="results.jsonl line 2: Unterminated string"):
+            self.read(tmp_path, "{row}", '{"best_epoch": 1, "config_hash": "0123')
+
+    def test_non_object_names_file_and_line(self, tmp_path):
+        with pytest.raises(ValueError, match="results.jsonl line 1: "):
+            self.read(tmp_path, "[1, 2]", "{row}")
