@@ -27,41 +27,86 @@ BCE_EPS = 1e-7
 
 def logistic(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) on a plain array: with e = exp(-|x|), 1/(1+e) where
-    x >= 0 and e/(1+e) below, so exp never overflows."""
+    x >= 0 and e/(1+e) below, so exp never overflows. One division of the
+    selected numerator gives the bits of dividing both and selecting."""
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0.0, 1.0 / d, e / d)
+    return np.divide(np.where(x >= 0.0, 1.0, e), 1.0 + e)
+
+
+class BceTerms:
+    """The target-free terms of the mean binary cross entropy of one
+    prediction array ``pred``, made once and read by every loss value and
+    gradient taken against it: ``clamped``, ``pred`` clamped to [BCE_EPS,
+    1 - BCE_EPS]; ``inside``, where the clamp leaves ``pred`` as it is;
+    ``1 - clamped`` and ``1 - pred``; and the two log terms, log(clamped) and
+    log1p(-clamped), made on first use. Each mean is over ``pred.size``.
+
+    The tape's :func:`bce_loss` and the array training path both read these
+    methods, so the oracle and the trainer share one BCE."""
+
+    __slots__ = ("pred", "clamped", "inside", "one_minus_clamped", "one_minus_pred", "_logs")
+
+    def __init__(self, pred: np.ndarray):
+        self.pred = pred
+        # the bits of np.clip, without its Python wrapper
+        self.clamped = np.maximum(pred, BCE_EPS)
+        np.minimum(self.clamped, 1.0 - BCE_EPS, out=self.clamped)
+        self.inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
+        self.one_minus_clamped = 1.0 - self.clamped
+        self.one_minus_pred = 1.0 - pred
+        self._logs = None
+
+    @property
+    def logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log(clamped), log1p(-clamped)), made on first use."""
+        if self._logs is None:
+            self._logs = (np.log(self.clamped), np.log1p(-self.clamped))
+        return self._logs
+
+    def value(self, target: np.ndarray) -> float:
+        """Mean BCE against ``target`` (``pred``'s shape), summed in flat order."""
+        log_c, log1m_c = self.logs
+        terms = target * log_c
+        terms += (1.0 - target) * log1m_c
+        return float(-(np.add.reduce(terms.ravel()) / terms.size))
+
+    def pred_grad(self, target: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. ``pred``, zero where the clamp is active. ``target``
+        may carry leading axes over ``pred``'s shape."""
+        g = target / self.clamped
+        g -= (1.0 - target) / self.one_minus_clamped
+        np.negative(g, out=g)
+        g /= self.pred.size
+        return np.where(self.inside, g, 0.0)
+
+    def logit_grad(self, target: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the logits when ``pred`` is their sigmoid:
+        :meth:`pred_grad` times p, times 1 - p, as the tape chains ``sigmoid``."""
+        g = self.pred_grad(target)
+        g *= self.pred
+        g *= self.one_minus_pred
+        return g
+
+    def target_grad(self) -> np.ndarray:
+        """Gradient w.r.t. the targets, -(log p - log(1 - p)) / size, p clamped."""
+        log_c, log1m_c = self.logs
+        g = log_c - log1m_c
+        np.negative(g, out=g)
+        g /= self.pred.size
+        return g
 
 
 def bce_value(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean binary cross entropy over all elements of two same-size arrays,
     taken flat, predictions clamped to [BCE_EPS, 1 - BCE_EPS]."""
-    p = np.clip(np.ascontiguousarray(pred).ravel(), BCE_EPS, 1.0 - BCE_EPS)
-    y = np.ascontiguousarray(target).ravel()
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-
-
-def bce_pred_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of the mean binary cross entropy w.r.t. the predictions, zero
-    where the [BCE_EPS, 1 - BCE_EPS] clamp is active. ``target`` may carry
-    leading axes over ``pred``'s shape; the mean is over ``pred.size``."""
-    c = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    inside = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
-    return np.where(inside, -(target / c - (1.0 - target) / (1.0 - c)) / pred.size, 0.0)
-
-
-def bce_target_grad(pred: np.ndarray) -> np.ndarray:
-    """Gradient of the mean binary cross entropy w.r.t. the targets,
-    -(log p - log(1 - p)) / size with p clamped to [BCE_EPS, 1 - BCE_EPS]."""
-    c = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    return -(np.log(c) - np.log1p(-c)) / pred.size
+    return BceTerms(np.ravel(pred)).value(np.ravel(target))
 
 
 def row_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array, shifted by the row maximum."""
     zc = np.ascontiguousarray(z)
-    e = np.exp(zc - zc.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(zc - np.maximum.reduce(zc, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 class TapeNode:
@@ -217,16 +262,16 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     targets; the target-side gradient is -(log p - log(1-p)) / size.
     """
     _check_same_shape(pred, target, "bce_loss")
-    p = np.ascontiguousarray(pred.data).ravel()
+    terms = BceTerms(np.ascontiguousarray(pred.data).ravel())
     y = np.ascontiguousarray(target.data).ravel()
-    value = bce_value(p, y)
+    value = terms.value(y)
     if not np.isfinite(value):
         raise ValueError("bce_loss produced a non-finite value")
 
     def grad_fn(g):
         s = float(g)
-        return (s * bce_pred_grad(p, y).reshape(pred.shape),
-                s * bce_target_grad(p).reshape(target.shape))
+        return (s * terms.pred_grad(y).reshape(pred.shape),
+                s * terms.target_grad().reshape(target.shape))
 
     return make_op(np.array(value), (pred, target), grad_fn)
 

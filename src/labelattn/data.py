@@ -12,16 +12,20 @@ A ``LabeledDataset`` is a row view: it holds the source ``features`` and
 ``split``) composes row indices instead of copying; only the clean labels
 and label sets, one integer per sample, are gathered eagerly. Rows are
 gathered when read: ``minibatches`` takes each batch with one
-``source[rows[idx]]``, and ``.features`` / ``.aux`` return the source itself
-when ``rows`` is None, else one gather (an evaluation reads them once per
-pass). The sources are read-only views, so an in-place write through a
-dataset raises and never reaches the caller's array.
+``source.take(rows[idx], axis=0)`` (the rows of ``source[rows[idx]]``,
+without the per-call cost of fancy indexing), and ``.features`` / ``.aux``
+return the source itself when ``rows`` is None, else one gather (an
+evaluation reads them once per pass). The sources are read-only views, so
+an in-place write through a dataset raises and never reaches the caller's
+array.
 
-The noisy labels are one int64 ``[M, S]`` matrix, ``label_sets``: row m is
-labeler m's label for each sample (M may be 0). The dataset keeps its own
-read-only copy, checked once at construction, so its one-hot form
-``[M, S, N]`` is built once and never goes stale. Attaching annotators
-stacks new rows under it, and a subset takes its columns.
+The clean labels are an int64 ``[S]`` vector, and the noisy labels one int64
+``[M, S]`` matrix, ``label_sets``: row m is labeler m's label for each
+sample (M may be 0). The dataset keeps its own read-only copy of each,
+checked once at construction, so a caller's later write cannot skip the
+range check, and the one-hot form ``[M, S, N]`` is built once and never goes
+stale. Attaching annotators stacks new rows under the matrix, and a subset
+takes its columns.
 
 ``synth_blobs`` builds its matrix in place as well: one ``standard_normal``
 draw of every sample (the class blocks are contiguous in draw order), scaled
@@ -74,8 +78,9 @@ class LabeledDataset:
     labels of the selected samples. The sources are kept as read-only views,
     so a dataset never writes into its caller's arrays and an in-place write
     through ``features``, ``aux``, ``clean_labels`` or ``label_sets`` raises;
-    ``label_sets`` is the dataset's own copy, so a caller's later write to
-    the matrix it passed in does not reach the dataset either.
+    ``clean_labels`` and ``label_sets`` are the dataset's own copies, so a
+    caller's later write to the labels it passed in does not reach the
+    dataset either.
     """
 
     def __init__(self, features, clean_labels, n_classes: int,
@@ -86,7 +91,7 @@ class LabeledDataset:
                              f"{self._features.shape}")
         self._aux = None if aux is None else _read_only(aux, np.float64)
         self.rows = None if rows is None else _checked_rows(rows, self._features.shape[0])
-        self.clean_labels = _read_only(as_labels(clean_labels), np.int64)
+        self.clean_labels = _read_only(as_labels(clean_labels).copy(), np.int64)
         self.n_classes = n_classes
         if self.n_samples != self.clean_labels.shape[0]:
             raise ValueError("features and clean_labels disagree on sample count")
@@ -200,6 +205,23 @@ def synth_blobs(spec: SyntheticSpec, stream: str = "train") -> LabeledDataset:
     return LabeledDataset(features=feats, clean_labels=labels, n_classes=spec.n_classes)
 
 
+def cifar10_record_counts(paths) -> list[int]:
+    """The number of records in each CIFAR-10 batch file, read from the file
+    sizes alone; a size that is not a whole number of records raises."""
+    if not paths:
+        raise ValueError("no CIFAR-10 batch files given")
+    counts = []
+    for path in paths:
+        size = Path(path).stat().st_size
+        if size % CIFAR_RECORD_BYTES != 0:
+            offset = (size // CIFAR_RECORD_BYTES) * CIFAR_RECORD_BYTES
+            raise ValueError(
+                f"{path}: size {size} is not a multiple of {CIFAR_RECORD_BYTES}; "
+                f"record truncated at byte offset {offset}")
+        counts.append(size // CIFAR_RECORD_BYTES)
+    return counts
+
+
 def load_cifar10(paths) -> LabeledDataset:
     """Parse CIFAR-10 binary batch files: consecutive 3073-byte records of one
     label byte followed by 3072 channel-major pixel bytes, scaled to [0, 1].
@@ -207,17 +229,7 @@ def load_cifar10(paths) -> LabeledDataset:
     The pixels are decoded straight into one preallocated feature matrix, so
     the peak memory is that matrix plus the bytes of one file."""
     paths = [Path(p) for p in paths]
-    if not paths:
-        raise ValueError("no CIFAR-10 batch files given")
-    counts = []
-    for path in paths:
-        size = path.stat().st_size
-        if size % CIFAR_RECORD_BYTES != 0:
-            offset = (size // CIFAR_RECORD_BYTES) * CIFAR_RECORD_BYTES
-            raise ValueError(
-                f"{path}: size {size} is not a multiple of {CIFAR_RECORD_BYTES}; "
-                f"record truncated at byte offset {offset}")
-        counts.append(size // CIFAR_RECORD_BYTES)
+    counts = cifar10_record_counts(paths)
     feats = np.empty((sum(counts), CIFAR_RECORD_BYTES - 1))
     labels = np.empty(sum(counts), dtype=np.int64)
     start = 0
@@ -298,9 +310,9 @@ def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: 
         idx = perm[start:start + batch_size]
         rows = source_rows[start:start + batch_size]
         yield Batch(
-            x=ds._features[rows],
-            label_sets=hot[:, idx, :],
-            aux=None if ds._aux is None else ds._aux[rows],
+            x=ds._features.take(rows, axis=0),
+            label_sets=hot.take(idx, axis=1),
+            aux=None if ds._aux is None else ds._aux.take(rows, axis=0),
             indices=idx,
         )
 

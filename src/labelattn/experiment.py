@@ -16,8 +16,8 @@ from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, ORDERED_CONFUSION
                          STRUCTURED_FLIPS, AnnotatorSpec)
 from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS, Cifar10Spec,
                      ExperimentConfig, MethodSpec, config_hash)
-from .data import (LabeledDataset, SyntheticSpec, attach_annotators, load_cifar10,
-                   split, synth_blobs, take_subset)
+from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
+                   load_cifar10, split, synth_blobs, take_subset, validation_size)
 from .metatrain import TrainResult, train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
 from .model import classifier_init, forward_arrays, predict_class
@@ -68,13 +68,18 @@ def method_label(method: MethodSpec) -> str:
     return method.name
 
 
-def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec) -> tuple[LabeledDataset, LabeledDataset]:
+def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec,
+                         val_fraction: float) -> tuple[LabeledDataset, LabeledDataset]:
     """(clean training pool, clean test set) for a dataset spec: the two
-    synthetic streams, or the decoded CIFAR-10 files and their subsets."""
+    synthetic streams, or the decoded CIFAR-10 files and their subsets. A
+    CIFAR-10 pool too small to give ``val_fraction`` any validation rows is
+    refused from the files' sizes, before anything is decoded."""
     if isinstance(ds, SyntheticSpec):
         return synth_blobs(ds, stream="train"), synth_blobs(ds, stream="test")
     if not ds.test_paths:
         raise ValueError("cifar10 dataset needs test_paths for clean evaluation")
+    records = sum(cifar10_record_counts(ds.paths))
+    validation_size(min(ds.subset, records) if ds.subset else records, val_fraction)
     pool = load_cifar10(ds.paths)
     if ds.subset:
         pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
@@ -90,7 +95,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
     Corruption streams derive from the dataset seed, so the noisy pool is a
     fixed artifact of the config; run seeds vary split, init and batching.
     """
-    pool, test = build_clean_datasets(cfg.dataset)
+    pool, test = build_clean_datasets(cfg.dataset, cfg.val_fraction)
     return attach_annotators(pool, cfg.annotators, seed=cfg.dataset.seed), test
 
 
@@ -110,8 +115,10 @@ class RunOutput:
 
 def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
                pool: LabeledDataset | None = None,
-               test: LabeledDataset | None = None) -> RunOutput:
-    """One (config, seed) run: split, train, evaluate on clean test labels."""
+               test: LabeledDataset | None = None,
+               cfg_hash: str | None = None) -> RunOutput:
+    """One (config, seed) run: split, train, evaluate on clean test labels.
+    ``cfg_hash`` is ``config_hash(cfg)``, computed here if not given."""
     start = time.perf_counter()
     if pool is None or test is None:
         pool, test = build_datasets(cfg)
@@ -145,27 +152,30 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
          "val_loss": e.val_loss, "mean_weights": e.mean_weights}
         for e in result.history)
     record = ResultRecord(
-        config_hash=config_hash(cfg), tag=tag, method=method_label(cfg.method),
+        config_hash=cfg_hash or config_hash(cfg), tag=tag, method=method_label(cfg.method),
         seed=int(seed), best_epoch=result.best_epoch, test_accuracy=acc,
         mean_auc=mean_auc(aucs), wall_clock_seconds=time.perf_counter() - start,
         per_class_auc=tuple(aucs), epochs=epochs)
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
-# One entry: dataset spec -> clean (pool, test) of this process's last job, so
-# a sweep's variants share one clean build and attach their rosters to it.
+# One entry: (dataset spec, validation fraction) -> clean (pool, test) of this
+# process's last job, so a sweep's variants share one clean build and attach
+# their rosters to it.
 _clean_memo: dict = {}
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
-    """One (variant, seed, tag) job: its record and its trace rows."""
-    cfg, seed, tag = job
-    if cfg.dataset not in _clean_memo:
+    """One (variant, its config hash, seed, tag) job: its record and its
+    trace rows."""
+    cfg, cfg_hash, seed, tag = job
+    key = (cfg.dataset, cfg.val_fraction)
+    if key not in _clean_memo:
         _clean_memo.clear()
-        _clean_memo[cfg.dataset] = build_clean_datasets(cfg.dataset)
-    clean, test = _clean_memo[cfg.dataset]
+        _clean_memo[key] = build_clean_datasets(cfg.dataset, cfg.val_fraction)
+    clean, test = _clean_memo[key]
     pool = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
-    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
+    out = run_single(cfg, seed, tag=tag, pool=pool, test=test, cfg_hash=cfg_hash)
     return out.record, out.trace_rows
 
 
@@ -173,8 +183,12 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
     """Every seed of every (variant config, tag) pair, in that order, in up to
     ``jobs`` worker processes. Records (and trace rows, handed to
     ``trace_sink``) come back in job order either way. A failing job aborts
-    with context; the records finished before it stay on the exception."""
-    work = [(cfg, seed, tag) for cfg, tag in variants for seed in cfg.seeds]
+    with context; the records finished before it stay on the exception.
+    Each variant's config is hashed once, for all of its seeds."""
+    work = []
+    for cfg, tag in variants:
+        cfg_hash = config_hash(cfg)
+        work += [(cfg, cfg_hash, seed, tag) for seed in cfg.seeds]
     workers = min(jobs, len(work))
     records: list[ResultRecord] = []
     try:
@@ -187,7 +201,7 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
                     trace_sink(record, rows)
                 records.append(record)
     except Exception as err:
-        cfg, seed, tag = work[len(records)]
+        cfg, _, seed, tag = work[len(records)]
         raise ExperimentError(
             f"run failed (method={method_label(cfg.method)}, seed={seed}, "
             f"tag={tag!r}): {err}", records) from err

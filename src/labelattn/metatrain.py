@@ -32,22 +32,27 @@ Every step runs on plain arrays and builds no tape graph. Step 1 is
 :func:`labelattn.model.forward_arrays`; steps 2, 3 and 7 run on the closed
 forms of :mod:`labelattn.model`; steps 4-6 are :func:`label_path`, and step
 8 is :func:`attention_gradients`, the chain product BCE target gradient x
-binarization slope x label-sum transpose x softmax Jacobian. The tape is the oracle only: :func:`meta_step` is one
-probe on it, and :func:`attend`, :func:`sample_label` and :func:`binarize`
-are steps 4-6 as tape ops. ``tests/test_closed_form.py`` holds the array
-paths equal to the tape bit for bit.
+binarization slope x label-sum transpose x softmax Jacobian. Steps 2, 7 and
+8 read one set of BCE terms of the step-1 predictions, ``fwd.bce`` (an
+:class:`labelattn.autodiff.BceTerms`): the predictions are clamped once per
+iteration and their logs taken once. The tape is the oracle only:
+:func:`meta_step` is one probe on it, and :func:`attend`,
+:func:`sample_label` and :func:`binarize` are steps 4-6 as tape ops; its
+``bce_loss`` reads the same :class:`~labelattn.autodiff.BceTerms`.
+``tests/test_closed_form.py`` holds the array paths equal to the tape bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (Tensor, add_bias, bce_loss, bce_pred_grad, bce_target_grad,
-                       bce_value, concat, constant, gradients, logistic, make_op, matmul,
-                       row_softmax, softmax)
+from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, concat, constant,
+                       gradients, logistic, make_op, matmul, row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
 from .model import (ArrayForward, Classifier, forward_arrays, hidden_gradients,
                     param_gradients, params_get, params_set, predict_class, stacked_features)
@@ -175,12 +180,6 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def _logit_grad(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean BCE at the logits of predictions ``p``, chained as
-    the tape chains ``bce_loss`` and ``sigmoid``; ``y`` may be [M, B, N]."""
-    return bce_pred_grad(p, y) * p * (1.0 - p)
-
-
 def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) -> Classifier:
     """One throwaway gradient probe toward label set ``y_m``, on the tape.
 
@@ -206,10 +205,10 @@ def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
     head nor the head's gradient is formed. The [M, ...] gradient stack is
     freed on return.
     """
-    p = fwd.probs
-    if not np.isfinite(p).all():
+    if not np.logical_and.reduce(np.isfinite(fwd.probs), axis=None):
         raise ValueError("non-finite predictions")
-    hidden = hidden_gradients(model, fwd, _logit_grad(p, np.asarray(label_sets, np.float64)))
+    hidden = hidden_gradients(model, fwd,
+                              fwd.bce.logit_grad(np.asarray(label_sets, np.float64)))
     for g, param in zip(hidden, model.params):
         g *= alpha
         np.subtract(param.data, g, out=g)
@@ -286,20 +285,21 @@ def final_step(model: Classifier, y_tilde: np.ndarray, fwd: ArrayForward,
     Returns the new classifier, the advanced Adam state and the driving loss
     value.
 
-    The gradient is the closed-form backward, equal bit for bit to the tape's
-    gradient of ``bce_loss(forward(...).probs, constant(y_tilde))``, written
-    straight into one flat vector in Adam's layout, which ``adam_step`` then
-    overwrites as its scratch. The new classifier holds Adam's fresh
-    parameter tensors."""
-    p, y = fwd.probs, np.asarray(y_tilde, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError(f"target shape {y.shape} does not match predictions {p.shape}")
-    value = bce_value(p, y)
-    if not np.isfinite(value):
+    The loss value and the logit gradient read the forward's BCE terms
+    (``fwd.bce``). The gradient is the closed-form backward, equal bit for
+    bit to the tape's gradient of ``bce_loss(forward(...).probs,
+    constant(y_tilde))``, written through views built once from Adam's layout
+    straight into one flat vector, which ``adam_step`` then overwrites as its
+    scratch. The new classifier holds Adam's fresh parameter tensors."""
+    y = np.asarray(y_tilde, dtype=np.float64)
+    if fwd.probs.shape != y.shape:
+        raise ValueError(f"target shape {y.shape} does not match predictions {fwd.probs.shape}")
+    value = fwd.bce.value(y)
+    if not math.isfinite(value):
         raise ValueError("non-finite final loss")
     grads = np.empty(adam_state.offsets[-1])
-    param_gradients(model, fwd, _logit_grad(p, y), out=grads)
-    new_params, new_state = adam_step(adam_state, params_get(model), grads)
+    param_gradients(model, fwd, fwd.bce.logit_grad(y), out=adam_state.views(grads))
+    new_params, new_state = adam_step(adam_state, model.params, grads)
     return replace(model, params=tuple(new_params)), new_state, value
 
 
@@ -338,34 +338,36 @@ def label_path(attn: AttentionParams, stacked: np.ndarray, label_sets: np.ndarra
 
 
 def attention_gradients(attn: AttentionParams, path: LabelPath,
-                        pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        pred: BceTerms) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the attention weight matrix and bias, in closed form, of
-    the BCE between the constant predictions ``pred`` and ``path.y_tilde``:
+    the BCE between the constant predictions whose BCE terms are ``pred``
+    (``fwd.bce`` of the model's forward) and ``path.y_tilde``:
     BCE target gradient x binarization slope x label-sum transpose x softmax
     Jacobian, then the linear map. The products run in the tape's order, so
     the result equals ``autodiff.gradients`` through ``attend``,
     ``sample_label`` and ``binarize`` bit for bit."""
     out, w = path.y_tilde, path.weights
-    g = bce_target_grad(np.asarray(pred, dtype=np.float64)).reshape(out.shape)
+    g = pred.target_grad().reshape(out.shape)
     g = g * path.k * out * (1.0 - out)
     g = np.einsum("bn,mbn->bm", g, path.label_sets)
-    g = w * (g - np.sum(g * w, axis=-1, keepdims=True))
+    g = w * (g - np.add.reduce(g * w, axis=-1, keepdims=True))
     if attn.mode == ATTENTION_CONCAT:
-        return path.stacked.T @ g, g.sum(axis=0)
+        return path.stacked.T @ g, np.add.reduce(g, axis=0)
     # The tape sums the M block contributions from the last block down.
     d = attn.feat_dim
     gw = None
     for i in reversed(range(attn.n_sets)):
         part = _feature_block(path.stacked, i, d).T @ g[:, i:i + 1]
         gw = part if gw is None else gw + part
-    return gw, np.array([g.sum()])
+    return gw, np.array([np.add.reduce(g, axis=None)])
 
 
-def attention_step(attn: AttentionParams, path: LabelPath, pred: np.ndarray,
+def attention_step(attn: AttentionParams, path: LabelPath, pred: BceTerms,
                    beta: float) -> AttentionParams:
     """Attention-parameter update: one plain gradient step at rate ``beta``
     along :func:`attention_gradients`. ``path`` must be the
-    :func:`label_path` of ``attn``."""
+    :func:`label_path` of ``attn``, and ``pred`` the BCE terms of the
+    model's predictions."""
     gw, gb = attention_gradients(attn, path, pred)
     new_w, new_b = sgd_step([attn.w, attn.b], [gw, gb], beta)
     return replace(attn, w=new_w, b=new_b)
@@ -414,15 +416,15 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     path = label_path(attn, stacked, batch.label_sets, config.k, config.t_threshold)
 
     new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
-    new_attn = attention_step(attn, path, fwd.probs, config.beta)
+    new_attn = attention_step(attn, path, fwd.bce, config.beta)
 
     loss_post = None
     per_sample = None
     if full_trace:
-        loss_post = bce_value(forward_arrays(new_model, batch.x, batch.aux).probs,
-                              path.y_tilde)
+        loss_post = forward_arrays(new_model, batch.x, batch.aux).bce.value(path.y_tilde)
         per_sample = path.weights
-    trace = IterationTrace(weight_means=path.weights.mean(axis=0),
+    trace = IterationTrace(weight_means=np.add.reduce(path.weights, axis=0)
+                           / path.weights.shape[0],
                            loss_pre=loss_pre,
                            model_before=model, model_after=new_model,
                            attn_before=attn, attn_after=new_attn,
@@ -435,7 +437,7 @@ def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.nda
     """(accuracy, bce loss) of the model against the given noisy targets."""
     fwd = forward_arrays(model, ds.features, ds.aux)
     acc = float(np.mean(predict_class(fwd) == target_labels))
-    return acc, bce_value(fwd.probs, one_hot(target_labels, ds.n_classes))
+    return acc, fwd.bce.value(one_hot(target_labels, ds.n_classes))
 
 
 def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
@@ -526,8 +528,9 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
 
     def step(model, batch):
         nonlocal adam_state
-        target_arr = (batch.label_sets.mean(axis=0) if target == "avg"
-                      else batch.label_sets[int(target)])
+        sets = batch.label_sets
+        target_arr = (np.add.reduce(sets, axis=0) / sets.shape[0] if target == "avg"
+                      else sets[int(target)])
         model, adam_state, value = final_step(
             model, target_arr, forward_arrays(model, batch.x, batch.aux), adam_state)
         return model, value, None

@@ -1,11 +1,13 @@
 """Parameter-update rules. Both steps are pure: they never mutate their
 parameters or state and return fresh parameter tensors.
 
-Each step runs as one pass over flat float64 vectors: the parameters and the
-gradients are concatenated once in declaration order, finiteness is checked
-once, and the update is a handful of elementwise calls over the whole
-vector. The returned tensors are views of one fresh vector. Elementwise
-arithmetic gives the same bits on one flat vector as on each tensor apart.
+``sgd_step`` updates each tensor apart. ``adam_step`` runs its moments as
+one pass over flat float64 vectors in declaration order: the gradients are
+one vector (concatenated once from a list), finiteness is checked once, and
+the update is a handful of elementwise calls over the whole vector; the new
+parameters are then written tensor by tensor into views of one fresh
+vector, with no concatenation of the old ones. Elementwise arithmetic gives
+the same bits on one flat vector as on each tensor apart.
 
 Gradients come as a list with one array per parameter, which is read and
 left unmodified. ``adam_step`` also takes them as one flat float64 vector in
@@ -35,38 +37,31 @@ def _views(flat: np.ndarray, shapes, offsets) -> tuple[np.ndarray, ...]:
     return tuple(flat[a:b].reshape(s) for s, a, b in zip(shapes, offsets, offsets[1:]))
 
 
-def _tensors(flat: np.ndarray, shapes, offsets) -> list[Tensor]:
-    return [Tensor(v, requires_grad=True, copy=False) for v in _views(flat, shapes, offsets)]
-
-
-def _flatten(params: Sequence[Tensor], grads) -> tuple[list[np.ndarray], np.ndarray]:
-    """The parameter arrays, and the gradients as one flat vector, after
-    checking each gradient's shape against its parameter's and the finiteness
-    of all of them."""
-    p_arrays, g_arrays = [], []
+def _gradient_arrays(params: Sequence[Tensor], grads) -> list[np.ndarray]:
+    """The gradients as float64 arrays, after checking each one's shape
+    against its parameter's."""
+    arrays = []
     for p, g in zip(params, grads, strict=True):
         arr = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if arr.shape != p.data.shape:
             raise ValueError(f"gradient shape {arr.shape} does not match parameter shape {p.data.shape}")
-        p_arrays.append(p.data)
-        g_arrays.append(arr)
-    flat_g = np.concatenate(g_arrays, axis=None, dtype=np.float64)
-    _check_finite(flat_g)
-    return p_arrays, flat_g
+        arrays.append(arr)
+    return arrays
 
 
-def _check_finite(flat_g: np.ndarray) -> None:
-    if not np.isfinite(flat_g).all():
+def _check_finite(g: np.ndarray) -> None:
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise ValueError("non-finite gradient")
 
 
 def sgd_step(params: Sequence[Tensor], grads, lr: float) -> list[Tensor]:
-    """One plain gradient step; returns new tensors, inputs untouched."""
-    p_arrays, g = _flatten(params, grads)
-    g *= lr
-    p2 = np.concatenate(p_arrays, axis=None, dtype=np.float64)
-    p2 -= g
-    return _tensors(p2, [p.shape for p in p_arrays], _offsets(p_arrays))
+    """One plain gradient step, ``p - g * lr`` for each tensor apart; returns
+    new tensors, inputs untouched."""
+    g_arrays = _gradient_arrays(params, grads)
+    for g in g_arrays:
+        _check_finite(g)
+    return [Tensor(p.data - g * lr, requires_grad=True, copy=False)
+            for p, g in zip(params, g_arrays)]
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,15 @@ class AdamState:
 
     @property
     def m(self) -> tuple[np.ndarray, ...]:
-        return _views(self.m_flat, self.shapes, self.offsets)
+        return self.views(self.m_flat)
 
     @property
     def v(self) -> tuple[np.ndarray, ...]:
-        return _views(self.v_flat, self.shapes, self.offsets)
+        return self.views(self.v_flat)
+
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One view of the flat vector ``flat`` per parameter, in this layout."""
+        return _views(flat, self.shapes, self.offsets)
 
 
 def adam_init(params: Sequence[Tensor], lr: float,
@@ -119,15 +118,15 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     holds fresh moment vectors."""
     if len(params) != len(state.shapes):
         raise ValueError(f"Adam state tracks {len(state.shapes)} parameters, got {len(params)}")
+    p_arrays = [p.data for p in params]
     if isinstance(grads, np.ndarray):
-        p_arrays, g = [p.data for p in params], grads
-        size = state.offsets[-1]
+        g, size = grads, state.offsets[-1]
         if g.shape != (size,) or g.dtype != np.float64 or not g.flags.writeable:
             raise ValueError(f"a flat gradient must be a writeable float64 vector of {size} "
                              f"entries, got shape {g.shape} and dtype {g.dtype}")
-        _check_finite(g)
     else:
-        p_arrays, g = _flatten(params, grads)
+        g = np.concatenate(_gradient_arrays(params, grads), axis=None, dtype=np.float64)
+    _check_finite(g)
     for arr, shape in zip(p_arrays, state.shapes):
         if arr.shape != shape:
             raise ValueError(f"Adam moment shape {shape} does not match parameter shape {arr.shape}")
@@ -149,8 +148,11 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     np.sqrt(p2, out=p2)
     p2 += state.eps
     step /= p2
-    np.concatenate(p_arrays, axis=None, out=p2)
-    p2 -= step
+    new_params = []
+    for arr, shape, a, b in zip(p_arrays, state.shapes, state.offsets, state.offsets[1:]):
+        out = p2[a:b].reshape(shape)
+        np.subtract(arr, step[a:b].reshape(shape), out=out)
+        new_params.append(Tensor(out, requires_grad=True, copy=False))
     next_state = AdamState(lr=state.lr, beta1=b1, beta2=b2, eps=state.eps, t=t,
                            shapes=state.shapes, offsets=state.offsets, m_flat=m2, v_flat=v2)
-    return _tensors(p2, state.shapes, state.offsets), next_state
+    return new_params, next_state

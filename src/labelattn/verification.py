@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
+from .autodiff import BceTerms, Tensor, bce_loss, constant, finite_diff_grad, gradients
 from .metatrain import (ATTENTION_CONCAT, AttentionParams, attend, attention_gradients,
                         binarize, label_path, sample_label, theorem1_gap)
 
@@ -209,7 +209,7 @@ def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, fl
 
         attn = AttentionParams(n_sets=m, feat_dim=d, w=w_t, b=b_t, mode=ATTENTION_CONCAT)
         gw_closed, gb_closed = attention_gradients(attn, label_path(attn, feats, labels, k, t),
-                                                   pred)
+                                                   BceTerms(pred))
 
         worst_chain = max(worst_chain,
                           float(np.max(np.abs(gw - gw_closed))),

@@ -143,6 +143,22 @@ class TestLogistic:
         assert np.max(np.abs(total - 1.0)) <= np.finfo(float).eps
 
 
+def two_division_logistic(x):
+    """The form ``ad.logistic`` replaced: both quotients, then the selection."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0.0, 1.0 / d, e / d)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_logistic_one_division_keeps_the_bits_of_two(dtype):
+    special = [0.0, -0.0, 700.0, -700.0, np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(40)
+    x = np.concatenate([special, rng.normal(scale=30.0, size=993)]).astype(dtype)
+    assert ad.logistic(x).tobytes() == two_division_logistic(x).tobytes()
+    assert ad.logistic(x.reshape(25, 40)).tobytes() == two_division_logistic(x).tobytes()
+
+
 class TestRelu:
     def test_values(self):
         assert np.array_equal(relu(tensor_new([3], [-1, 0, 2])).data, [0, 0, 2])
@@ -253,6 +269,67 @@ class TestBceLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             bce_loss(constant([0.5]), constant([0.5, 0.5]))
+
+
+def clip_bce_value(pred, target):
+    """The mean BCE as written before ``BceTerms``: ``np.clip`` and ``np.mean``."""
+    p = np.clip(np.ascontiguousarray(pred).ravel(), ad.BCE_EPS, 1.0 - ad.BCE_EPS)
+    y = np.ascontiguousarray(target).ravel()
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+
+
+def clip_bce_pred_grad(pred, target):
+    c = np.clip(pred, ad.BCE_EPS, 1.0 - ad.BCE_EPS)
+    inside = (pred > ad.BCE_EPS) & (pred < 1.0 - ad.BCE_EPS)
+    return np.where(inside, -(target / c - (1.0 - target) / (1.0 - c)) / pred.size, 0.0)
+
+
+def clip_bce_target_grad(pred):
+    c = np.clip(pred, ad.BCE_EPS, 1.0 - ad.BCE_EPS)
+    return -(np.log(c) - np.log1p(-c)) / pred.size
+
+
+class TestBceTerms:
+    """One ``BceTerms`` per prediction array gives the bits of the separate
+    clip-and-mean formulas it replaced, at the clamp's edges too."""
+
+    EDGES = [0.0, ad.BCE_EPS, 1.0 - ad.BCE_EPS, 1.0,
+             np.nextafter(ad.BCE_EPS, 0.0), np.nextafter(ad.BCE_EPS, 1.0),
+             np.nextafter(1.0 - ad.BCE_EPS, 0.0), np.nextafter(1.0 - ad.BCE_EPS, 1.0)]
+
+    def predictions(self, rng, shape=(6, 10)):
+        p = rng.uniform(size=shape)
+        p.flat[:len(self.EDGES)] = self.EDGES
+        return p
+
+    @pytest.mark.parametrize("target_shape", [(6, 10), (4, 6, 10)], ids=["one", "stacked"])
+    def test_gradients_keep_the_bits_of_the_formulas(self, target_shape):
+        rng = np.random.default_rng(41)
+        p = self.predictions(rng)
+        y = rng.uniform(size=target_shape)
+        y.flat[:4] = [0.0, 1.0, 0.0, 1.0]
+        terms = ad.BceTerms(p)
+        assert terms.pred_grad(y).tobytes() == clip_bce_pred_grad(p, y).tobytes()
+        assert (terms.logit_grad(y).tobytes()
+                == (clip_bce_pred_grad(p, y) * p * (1.0 - p)).tobytes())
+        assert terms.target_grad().tobytes() == clip_bce_target_grad(p).tobytes()
+
+    def test_value_keeps_the_bits_of_the_formula(self):
+        rng = np.random.default_rng(42)
+        for shape in [(6, 10), (1, 8), (33, 7)]:
+            p, y = self.predictions(rng, shape), rng.uniform(size=shape)
+            terms = ad.BceTerms(p)
+            terms.target_grad()   # the logs, made first by another reader
+            assert (np.float64(terms.value(y)).tobytes()
+                    == np.float64(clip_bce_value(p, y)).tobytes())
+            assert (np.float64(ad.bce_value(p.T, y.T)).tobytes()
+                    == np.float64(clip_bce_value(p.T, y.T)).tobytes())
+
+    def test_terms_are_made_once(self):
+        terms = ad.BceTerms(self.predictions(np.random.default_rng(43)))
+        assert terms.logs is terms.logs
+        assert np.array_equal(terms.inside, (terms.pred > ad.BCE_EPS)
+                              & (terms.pred < 1.0 - ad.BCE_EPS))
 
 
 class TestBackward:

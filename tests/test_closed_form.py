@@ -19,7 +19,7 @@ import pytest
 
 from labelattn import autodiff
 from labelattn.annotators import AnnotatorSpec
-from labelattn.autodiff import BCE_EPS, Tensor, bce_loss, bce_pred_grad, constant, gradients
+from labelattn.autodiff import BCE_EPS, Tensor, bce_loss, constant, gradients
 from labelattn.data import (Batch, SyntheticSpec, attach_annotators, consensus_labels,
                             minibatches, one_hot, synth_blobs)
 from labelattn.experiment import evaluate_clean
@@ -110,16 +110,14 @@ class TestParamGradients:
         target = np.random.default_rng(1).uniform(size=fwd.probs.shape)
         pred = forward(model, x, aux).probs
         expected = gradients(bce_loss(pred, constant(target)), params_get(model))
-        p = fwd.probs
-        got = param_gradients(model, fwd, bce_pred_grad(p, target) * p * (1.0 - p))
+        got = param_gradients(model, fwd, fwd.bce.logit_grad(target))
         for g, e in zip(got, expected):
             assert_same_bits(g, e)
 
     def test_stacked_output_gradients_match_tape_per_set(self, hidden, aux_dim, n_sets,
                                                          batch):
         model, x, aux, sets, fwd = edge_case_setup(hidden, aux_dim, n_sets, batch)
-        p = fwd.probs
-        got = param_gradients(model, fwd, bce_pred_grad(p, sets) * p * (1.0 - p))
+        got = param_gradients(model, fwd, fwd.bce.logit_grad(sets))
         pred = forward(model, x, aux).probs
         for m in range(n_sets):
             expected = gradients(bce_loss(pred, constant(sets[m])), params_get(model))
@@ -226,7 +224,7 @@ def test_attention_step_matches_tape_over_steps(mode, hidden, aux_dim, n_sets, b
     pred = fwd.probs
     for _ in range(3):
         path = label_path(attn, stacked, sets, 50.0, 0.5)
-        got = attention_step(attn, path, pred, 0.7)
+        got = attention_step(attn, path, fwd.bce, 0.7)
         expected, e_weights, e_y_tilde = tape_attention_step(attn, stacked, sets, pred,
                                                              50.0, 0.5, 0.7)
         assert_same_bits(path.weights, e_weights)

@@ -438,6 +438,15 @@ class TestContainer:
         ds = LabeledDataset(np.zeros((2, 3)), np.array([0.0, 2.0]), 3)
         assert ds.clean_labels.dtype == np.int64 and ds.clean_labels.tolist() == [0, 2]
 
+    def test_clean_labels_are_the_datasets_own_copy(self):
+        clean = np.array([0, 1, 2])
+        ds = LabeledDataset(np.zeros((3, 2)), clean, 3)
+        clean[0] = 99
+        assert ds.clean_labels.tolist() == [0, 1, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.clean_labels[0] = 1
+        assert clean.flags.writeable
+
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="clean label"):
             LabeledDataset(features=np.zeros((2, 1)), clean_labels=[0, -1], n_classes=2)

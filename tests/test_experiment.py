@@ -105,6 +105,28 @@ class TestRunExperiment:
         assert len(records) == 1
         assert 0.0 <= records[0].test_accuracy <= 1.0
 
+    @pytest.mark.parametrize("subset", [None, 50], ids=["whole-files", "subset-over-files"])
+    def test_cifar_pool_without_validation_rows_refused_before_decoding(
+            self, tmp_path, monkeypatch, subset):
+        # two tiny batch files, two records each: at val_fraction 0.2 the
+        # four-sample pool leaves no validation rows, which the file sizes show
+        paths = []
+        for name in ("a.bin", "b.bin"):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(b"".join(bytes([i]) + bytes(3072) for i in range(2)))
+        raw = json.loads(json.dumps(TINY))
+        raw["dataset"] = {"cifar10": {"paths": [str(p) for p in paths],
+                                      "test_paths": [str(paths[1])]}}
+        if subset:
+            raw["dataset"]["cifar10"]["subset"] = subset
+        cfg = parse_config_dict(raw)
+        decoded = []
+        monkeypatch.setattr(experiment, "load_cifar10", lambda paths: decoded.append(paths))
+        with pytest.raises(ValueError, match="a pool of 4 samples at val_fraction 0.2 "
+                                             "leaves no validation samples"):
+            build_datasets(cfg)
+        assert decoded == []
+
     def test_cifar_config_requires_test_paths(self, tmp_path):
         raw = json.loads(json.dumps(TINY))
         raw["dataset"] = {"cifar10": {"paths": [str(tmp_path / "t.bin")]}}
@@ -143,6 +165,18 @@ class TestSweeps:
                  for v, tag in experiment.noise_sweep_variants(cfg, [0.2, 0.5])
                  for seed in v.seeds]
         assert [strip_clock(r) for r in records] == [strip_clock(r) for r in alone]
+
+    def test_sweep_hashes_each_variant_once(self, monkeypatch):
+        hashed = []
+        real_hash = experiment.config_hash
+        monkeypatch.setattr(experiment, "config_hash",
+                            lambda cfg: hashed.append(cfg) or real_hash(cfg))
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
+        variants = experiment.noise_sweep_variants(cfg, [0.2])
+        records = sweep_noise(cfg, [0.2])
+        assert len(records) == 10 and hashed == [v for v, _ in variants]
+        assert [r.config_hash for r in records] == [real_hash(v) for v, _ in variants
+                                                    for _ in v.seeds]
 
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):

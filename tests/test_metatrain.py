@@ -9,7 +9,7 @@ import pytest
 
 from labelattn import metatrain
 from labelattn.annotators import AnnotatorSpec
-from labelattn.autodiff import Tensor, constant, gradients
+from labelattn.autodiff import BceTerms, Tensor, constant, gradients
 from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators, minibatches,
                             synth_blobs)
 from labelattn.metatrain import (ATTENTION_CONCAT, ATTENTION_SHARED, AttentionParams,
@@ -300,7 +300,7 @@ class TestAttentionStep:
                                b=Tensor(rng.normal(size=m), requires_grad=True))
         stacked = rng.normal(size=(b, m * d))
         pred = rng.uniform(0.1, 0.9, size=(b, n))
-        out = attention_step(attn, path_of(attn, stacked, sets), pred, beta=0.1)
+        out = attention_step(attn, path_of(attn, stacked, sets), BceTerms(pred), beta=0.1)
         assert np.array_equal(out.w.data, attn.w.data)
         assert np.array_equal(out.b.data, attn.b.data)
 
@@ -315,7 +315,8 @@ class TestAttentionStep:
         stacked = rng.normal(size=(b, m * d))
         attn = attention_init(m, d)
         for _ in range(50):
-            attn = attention_step(attn, path_of(attn, stacked, sets), pred, beta=0.5)
+            attn = attention_step(attn, path_of(attn, stacked, sets), BceTerms(pred),
+                                  beta=0.5)
         weights = path_of(attn, stacked, sets).weights
         assert np.all(weights[:, 0] > weights[:, 1])
 
