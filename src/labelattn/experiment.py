@@ -113,12 +113,23 @@ class RunOutput:
     trace_rows: list[dict]
 
 
+# One entry: the last config object a record was made for, and its
+# config_hash, so the seeds of one variant hash it once. Keyed by identity,
+# not equality: configs holding 1 and 1.0 compare equal but hash apart.
+_hash_memo: list = [None, ""]
+
+
+def _config_hash(cfg: ExperimentConfig) -> str:
+    """``config_hash(cfg)``, computed again only for a new config object."""
+    if _hash_memo[0] is not cfg:
+        _hash_memo[:] = [cfg, config_hash(cfg)]
+    return _hash_memo[1]
+
+
 def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
                pool: LabeledDataset | None = None,
-               test: LabeledDataset | None = None,
-               cfg_hash: str | None = None) -> RunOutput:
-    """One (config, seed) run: split, train, evaluate on clean test labels.
-    ``cfg_hash`` is ``config_hash(cfg)``, computed here if not given."""
+               test: LabeledDataset | None = None) -> RunOutput:
+    """One (config, seed) run: split, train, evaluate on clean test labels."""
     start = time.perf_counter()
     if pool is None or test is None:
         pool, test = build_datasets(cfg)
@@ -152,7 +163,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
          "val_loss": e.val_loss, "mean_weights": e.mean_weights}
         for e in result.history)
     record = ResultRecord(
-        config_hash=cfg_hash or config_hash(cfg), tag=tag, method=method_label(cfg.method),
+        config_hash=_config_hash(cfg), tag=tag, method=method_label(cfg.method),
         seed=int(seed), best_epoch=result.best_epoch, test_accuracy=acc,
         mean_auc=mean_auc(aucs), wall_clock_seconds=time.perf_counter() - start,
         per_class_auc=tuple(aucs), epochs=epochs)
@@ -166,16 +177,15 @@ _clean_memo: dict = {}
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
-    """One (variant, its config hash, seed, tag) job: its record and its
-    trace rows."""
-    cfg, cfg_hash, seed, tag = job
+    """One (variant, seed, tag) job: its record and its trace rows."""
+    cfg, seed, tag = job
     key = (cfg.dataset, cfg.val_fraction)
     if key not in _clean_memo:
         _clean_memo.clear()
         _clean_memo[key] = build_clean_datasets(cfg.dataset, cfg.val_fraction)
     clean, test = _clean_memo[key]
     pool = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
-    out = run_single(cfg, seed, tag=tag, pool=pool, test=test, cfg_hash=cfg_hash)
+    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
     return out.record, out.trace_rows
 
 
@@ -183,12 +193,8 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
     """Every seed of every (variant config, tag) pair, in that order, in up to
     ``jobs`` worker processes. Records (and trace rows, handed to
     ``trace_sink``) come back in job order either way. A failing job aborts
-    with context; the records finished before it stay on the exception.
-    Each variant's config is hashed once, for all of its seeds."""
-    work = []
-    for cfg, tag in variants:
-        cfg_hash = config_hash(cfg)
-        work += [(cfg, cfg_hash, seed, tag) for seed in cfg.seeds]
+    with context; the records finished before it stay on the exception."""
+    work = [(cfg, seed, tag) for cfg, tag in variants for seed in cfg.seeds]
     workers = min(jobs, len(work))
     records: list[ResultRecord] = []
     try:
@@ -201,7 +207,7 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
                     trace_sink(record, rows)
                 records.append(record)
     except Exception as err:
-        cfg, _, seed, tag = work[len(records)]
+        cfg, seed, tag = work[len(records)]
         raise ExperimentError(
             f"run failed (method={method_label(cfg.method)}, seed={seed}, "
             f"tag={tag!r}): {err}", records) from err

@@ -26,6 +26,8 @@ import numpy as np
 from .autodiff import (BceTerms, Tensor, add_bias, concat, constant, logistic, matmul, relu,
                        sigmoid)
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class Classifier:
@@ -161,14 +163,17 @@ def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
     then [B, N]), each gradient is written into its parameter's array and
     those arrays are returned: ``metatrain.final_step`` passes views of one
     flat vector in Adam's layout, so no other model-sized array is made. An
-    array of the wrong shape raises ``ValueError``.
+    ``out`` of the wrong count or dtype, a read-only one or a stacked ``g``
+    raises ``ValueError`` (numpy would cast into a float32 array silently),
+    and so does an array of the wrong shape, which numpy refuses itself.
     """
-    if out is None:
-        out = (None,) * len(model.params)
-    elif len(out) != len(model.params):
-        raise ValueError(f"out holds {len(out)} arrays for {len(model.params)} parameters")
-    return hidden_gradients(model, fwd, g, out[:-2]) + [
-        np.matmul(fwd.features.T, g, out=out[-2]), np.add.reduce(g, axis=-2, out=out[-1])]
+    hidden_out, head_out = None, (None, None)
+    if out is not None:  # the head's arrays here, the hidden ones in hidden_gradients
+        _check_out(len(model.params), g, out, start=len(model.params) - 2)
+        hidden_out, head_out = out[:-2], out[-2:]
+    return hidden_gradients(model, fwd, g, hidden_out) + [
+        np.matmul(fwd.features.T, g, out=head_out[0]),
+        np.add.reduce(g, axis=-2, out=head_out[1])]
 
 
 def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
@@ -181,6 +186,8 @@ def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
     acts = fwd.activations
     if out is None:
         out = (None,) * (len(model.params) - 2)
+    else:
+        _check_out(len(model.params) - 2, g, out)
     grads: list = [None] * (len(model.params) - 2)
     g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
     for i in reversed(range(len(acts) - 1)):
@@ -190,6 +197,24 @@ def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
         if i:
             g = np.matmul(g, model.params[2 * i].data.T)
     return grads
+
+
+def _check_out(n: int, g: np.ndarray, out, start: int = 0) -> None:
+    """Refuse an ``out`` that is not ``n`` writeable float64 arrays for a
+    [B, N] logit gradient, where numpy would cast the gradient down into a
+    float32 array silently. Arrays before ``start`` are left to another
+    check, and a wrong shape to numpy, which refuses it."""
+    if g.ndim != 2 or len(out) != n:
+        got = f"{len(out)} arrays for {n} parameters and gradient {g.shape}"
+    else:
+        bad = [i for i in range(start, n)
+               if out[i].dtype != _FLOAT64 or not out[i].flags.writeable]
+        if not bad:
+            return
+        o = out[bad[0]]
+        got = f"{o.dtype}{'' if o.flags.writeable else ' read-only'} array {bad[0]}"
+    raise ValueError(f"out must hold one writeable float64 array per parameter, for a "
+                     f"[B, N] logit gradient; got {got}")
 
 
 def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x, aux=None) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from labelattn import experiment
-from labelattn.config import parse_config_dict
+from labelattn.config import config_hash, parse_config_dict
 from labelattn.data import LabeledDataset
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
                                   emit, emit_summary, read_records, run_experiment,
@@ -177,6 +177,16 @@ class TestSweeps:
         assert len(records) == 10 and hashed == [v for v, _ in variants]
         assert [r.config_hash for r in records] == [real_hash(v) for v, _ in variants
                                                     for _ in v.seeds]
+
+    def test_equal_configs_keep_their_own_hashes(self):
+        # alpha 1 and 1.0 compare equal but hash apart, so the hash memo must
+        # not take one config's hash for the other's.
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32})
+        ints, floats = (dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, alpha=a))
+                        for a in (1, 1.0))
+        assert ints == floats and config_hash(ints) != config_hash(floats)
+        hashes = [run_single(c, 0).record.config_hash for c in (ints, floats, ints)]
+        assert hashes == [config_hash(c) for c in (ints, floats, ints)]
 
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):

@@ -174,21 +174,34 @@ class TestGradientsIntoOneVector:
         assert hidden_out[:-head].tobytes() == out[:-head].tobytes()
         assert np.isnan(hidden_out[-head:]).all()
 
-    @pytest.mark.parametrize("bad, g_shape", [("short", (9, 3)), ("transposed", (9, 3)),
-                                              ("read-only", (9, 3)), ("ok", (2, 9, 3))],
-                             ids=["short", "transposed", "read-only", "stacked"])
+    @pytest.mark.parametrize("bad, g_shape", [("short", (9, 3)), ("long", (9, 3)),
+                                              ("float32", (9, 3)), ("float32-head", (9, 3)),
+                                              ("read-only", (9, 3)), ("ok", (2, 9, 3)),
+                                              ("transposed", (9, 3))],
+                             ids=["short", "long", "float32", "float32-head", "read-only",
+                                  "stacked", "transposed"])
     def test_out_of_the_wrong_layout_refused(self, bad, g_shape):
         model = tiny_model()
         fwd = forward_arrays(model, np.ones((9, 4)))
         out = [np.zeros_like(p.data) for p in model.params]
         if bad == "short":
             out = out[:-1]
-        elif bad == "transposed":
-            out[0] = out[0].T
+        elif bad == "long":
+            out.append(np.zeros(1))
+        elif bad == "float32":
+            out[0] = out[0].astype(np.float32)
+        elif bad == "float32-head":
+            out[-2] = out[-2].astype(np.float32)
         elif bad == "read-only":
             out[-1].flags.writeable = False
-        with pytest.raises(ValueError):
+        elif bad == "transposed":
+            out[0] = out[0].T
+        # numpy refuses a wrong shape itself, with its own message, once the
+        # layers after it are written
+        with pytest.raises(ValueError, match=None if bad == "transposed"
+                           else "one writeable float64 array per parameter"):
             param_gradients(model, fwd, np.ones(g_shape), out=out)
+        assert bad == "transposed" or not any(o.any() for o in out)
 
 
 class TestPredict:
