@@ -1,15 +1,25 @@
 """Experiment configuration: JSON file parsing with strict key checking,
-defaults, and a canonical content hash."""
+defaults, and a canonical content hash.
+
+Each config section is read from its spec dataclass (``SyntheticSpec``,
+``Cifar10Spec``, ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which
+each run sets, and ``MethodSpec``): its keys are the class's fields, the
+fields without a default are required, and each value is checked by its
+field's annotation. ``model.aux_dim`` is for library callers whose datasets
+carry ``aux`` arrays; the CLI refuses a nonzero value, as the datasets it
+builds have none."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
-from .annotators import AnnotatorSpec, AVERAGE, KINDS, check_fits
+from .annotators import AnnotatorSpec, AVERAGE, check_fits
 from .data import CIFAR10_CLASSES, SyntheticSpec, validation_size
 from .metatrain import MetaConfig
 
@@ -38,6 +48,10 @@ class Cifar10Spec:
 class MethodSpec:
     name: str
     set_index: int = 0
+
+    def __post_init__(self):
+        if self.name not in METHODS:
+            raise ValueError(f"unknown method {self.name!r}; choose from {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +110,53 @@ def _number(value, where: str):
     return value
 
 
-def _checked_fields(payload: dict, where: str, integers=(), numbers=(), seeds=()) -> dict:
-    """Copy of ``payload`` with the given keys checked as integers, numbers or
-    seeds; a null is left to the dataclass's own checks."""
-    out = dict(payload)
-    for keys, check in ((integers, _integer), (numbers, _number), (seeds, _seed)):
-        for key in keys:
-            if out.get(key) is not None:
-                out[key] = check(out[key], f"{where}.{key}")
-    return out
+def _paths(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{where} must be a list of file paths, got {value!r}")
+    return tuple(value)
 
 
-def _build(cls, payload: dict, where: str):
+def _flip_pairs(value, where: str) -> tuple[tuple[int, int], ...]:
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2
+                                              for p in value):
+        raise ConfigError(f"{where} must be a list of [a, b] pairs, got {value!r}")
+    return tuple(tuple(_integer(c, f"{where}[{j}]") for c in pair)
+                 for j, pair in enumerate(value))
+
+
+# The check and conversion of a config value by its spec field's annotation;
+# None leaves the value to the spec's own ``__post_init__``. A field named
+# ``seed`` goes through ``_seed`` instead.
+_CONVERTERS = {
+    int: _integer, int | None: _integer, float: _number, str: None,
+    tuple[str, ...]: _paths, tuple[tuple[int, int], ...] | None: _flip_pairs,
+}
+
+
+def _section(cls, payload, where: str, skip: tuple[str, ...] = ()):
+    """``cls`` built from one config section. Its keys are ``cls``'s fields
+    (less ``skip``), those without a default are required, and each value is
+    checked and converted by its field's annotation; a null stays null where
+    the annotation allows ``None``. A field whose annotation has no converter
+    raises ``TypeError``, so that no new field is taken unchecked."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    for f in fields:
+        if hints[f.name] not in _CONVERTERS:
+            raise TypeError(f"no config converter for {cls.__name__}.{f.name}: "
+                            f"{hints[f.name]}")
+    _expect_keys(payload, {f.name for f in fields},
+                 {f.name for f in fields
+                  if f.default is MISSING and f.default_factory is MISSING}, where)
+    values = {}
+    for name, value in payload.items():
+        convert = _seed if name == "seed" else _CONVERTERS[hints[name]]
+        keep_null = value is None and type(None) in typing.get_args(hints[name])
+        if convert is not None and not keep_null:
+            value = convert(value, f"{where}.{name}")
+        values[name] = value
     try:
-        return cls(**payload)
+        return cls(**values)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid value at {where}: {err}") from err
 
@@ -126,48 +173,17 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("dataset must hold exactly one of 'synthetic' or 'cifar10'")
     kind, payload = next(iter(ds_raw.items()))
     if kind == "synthetic":
-        _expect_keys(payload, {"n_classes", "dim", "samples_per_class", "cluster_std",
-                               "center_scale", "seed"}, set(), "dataset.synthetic")
-        payload = _checked_fields(payload, "dataset.synthetic",
-                                  integers=("n_classes", "dim", "samples_per_class"),
-                                  numbers=("cluster_std", "center_scale"), seeds=("seed",))
-        dataset = _build(SyntheticSpec, payload, "dataset.synthetic")
+        dataset = _section(SyntheticSpec, payload, "dataset.synthetic")
     elif kind == "cifar10":
-        _expect_keys(payload, {"paths", "test_paths", "subset", "test_subset", "seed"},
-                     {"paths"}, "dataset.cifar10")
-        payload = _checked_fields(payload, "dataset.cifar10",
-                                  integers=("subset", "test_subset"), seeds=("seed",))
-        payload.setdefault("test_paths", [])
-        for key in ("paths", "test_paths"):
-            if not (isinstance(payload[key], list)
-                    and all(isinstance(v, str) for v in payload[key])):
-                raise ConfigError(f"dataset.cifar10.{key} must be a list of file paths, "
-                                  f"got {payload[key]!r}")
-            payload[key] = tuple(payload[key])
-        dataset = _build(Cifar10Spec, payload, "dataset.cifar10")
+        dataset = _section(Cifar10Spec, payload, "dataset.cifar10")
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
 
     ann_raw = raw["annotators"]
     if not isinstance(ann_raw, list) or not ann_raw:
         raise ConfigError("annotators must be a nonempty list")
-    annotators = []
-    for i, entry in enumerate(ann_raw):
-        where = f"annotators[{i}]"
-        _expect_keys(entry, {"kind", "noise_level", "flip_pairs"}, {"kind"}, where)
-        if entry["kind"] not in KINDS:
-            raise ConfigError(f"unknown annotator kind {entry['kind']!r} at {where}")
-        payload = _checked_fields(entry, where, numbers=("noise_level",))
-        if payload.get("flip_pairs") is not None:
-            pairs = payload["flip_pairs"]
-            if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2
-                                                      for p in pairs):
-                raise ConfigError(f"{where}.flip_pairs must be a list of [a, b] pairs, "
-                                  f"got {pairs!r}")
-            payload["flip_pairs"] = tuple(
-                tuple(_integer(c, f"{where}.flip_pairs[{j}]") for c in pair)
-                for j, pair in enumerate(pairs))
-        annotators.append(_build(AnnotatorSpec, payload, where))
+    annotators = tuple(_section(AnnotatorSpec, entry, f"annotators[{i}]")
+                       for i, entry in enumerate(ann_raw))
     if all(a.kind == AVERAGE for a in annotators):
         raise ConfigError("annotators cannot all be 'average'")
     # Checked without building the n x n matrices, so parsing allocates
@@ -190,19 +206,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if aux_dim < 0:
         raise ConfigError("model.aux_dim must be >= 0")
 
-    meta_raw = raw.get("meta", {})
-    _expect_keys(meta_raw, {"alpha", "beta", "k", "t_threshold", "batch_size", "epochs",
-                            "attention_mode"}, set(), "meta")
-    meta = _build(MetaConfig, _checked_fields(meta_raw, "meta", integers=("batch_size", "epochs"),
-                                              numbers=("alpha", "beta", "k", "t_threshold")),
-                  "meta")
-
-    method_raw = raw.get("method", {"name": METHOD_OURS})
-    _expect_keys(method_raw, {"name", "set_index"}, {"name"}, "method")
-    if method_raw["name"] not in METHODS:
-        raise ConfigError(f"unknown method {method_raw['name']!r}; choose from {METHODS}")
-    method = MethodSpec(name=method_raw["name"],
-                        set_index=_integer(method_raw.get("set_index", 0), "method.set_index"))
+    meta = _section(MetaConfig, raw.get("meta", {}), "meta", skip=("seed",))
+    method = _section(MethodSpec, raw.get("method", {"name": METHOD_OURS}), "method")
     if method.name == METHOD_BASELINE and not 0 <= method.set_index < len(annotators):
         raise ConfigError(f"method.set_index {method.set_index} out of range for "
                           f"{len(annotators)} annotators")
@@ -226,7 +231,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         dataset=dataset,
-        annotators=tuple(annotators),
+        annotators=annotators,
         hidden_dims=hidden_dims,
         aux_dim=aux_dim,
         meta=meta,

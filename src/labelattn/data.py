@@ -254,8 +254,11 @@ def attach_annotators(ds: LabeledDataset, specs, seed: int) -> LabeledDataset:
     if not specs:
         raise ValueError("need at least one annotator spec")
     concrete = [build_cm(s, ds.n_classes) for s in specs if s.kind != AVERAGE]
-    sets = [corrupt(ds.clean_labels, build_cm(spec, ds.n_classes, roster=concrete),
-                    np.random.default_rng([seed, idx])) for idx, spec in enumerate(specs)]
+    built = iter(concrete)
+    cms = [build_cm(s, ds.n_classes, roster=concrete) if s.kind == AVERAGE else next(built)
+           for s in specs]
+    sets = [corrupt(ds.clean_labels, cm, np.random.default_rng([seed, idx]))
+            for idx, cm in enumerate(cms)]
     return LabeledDataset(features=ds._features, clean_labels=ds.clean_labels,
                           n_classes=ds.n_classes, label_sets=np.vstack([ds.label_sets, *sets]),
                           aux=ds._aux, rows=ds.rows)

@@ -158,6 +158,14 @@ class TestErrors:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "annotators[0] does not fit 2 classes" in capsys.readouterr().err
 
+    def test_aux_dim_exits_two(self, tmp_path, capsys):
+        # neither dataset kind the CLI builds carries auxiliary features
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           model={"hidden_dims": [8, 6], "aux_dim": 2})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: model.aux_dim" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_validation_split_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"),
                            dataset={"synthetic": {"n_classes": 2, "dim": 4,

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from labelattn.annotators import AnnotatorSpec
+from labelattn import data
+from labelattn.annotators import AnnotatorSpec, build_cm
 from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
                             attach_annotators, consensus_labels, load_cifar10, minibatches,
                             one_hot, split, synth_blobs, take_subset)
@@ -528,3 +529,23 @@ class TestLabelMatrix:
         assert votes == ["46d16d98decac39d603578160e6cf9611c42083da9ca97af04b227ed30ce56b4",
                          "8968920dc2888f6143ce57294b64e5dac5eaa34582111fae67f27858dcc26978",
                          "7fd584af3c22dd2a1fcc6f0b9a16eb71eaab8f15dfcf2c48329bd167bfb39884"]
+
+    def test_each_confusion_matrix_built_once(self, monkeypatch):
+        built = []
+
+        def counting_build_cm(spec, n, roster=None):
+            built.append(spec.kind)
+            return build_cm(spec, n, roster=roster)
+
+        monkeypatch.setattr(data, "build_cm", counting_build_cm)
+        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
+                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
+                  AnnotatorSpec("average")]
+        clean = synth_blobs(SyntheticSpec(n_classes=10, dim=4, samples_per_class=12, seed=3))
+        attach_annotators(clean, roster, seed=3)
+        assert sorted(built) == sorted(spec.kind for spec in roster)
+
+    def test_average_without_a_companion_refused(self):
+        clean = synth_blobs(SyntheticSpec(n_classes=3, dim=2, samples_per_class=4))
+        with pytest.raises(ValueError, match="non-average companion"):
+            attach_annotators(clean, [AnnotatorSpec("average")], seed=0)
