@@ -217,16 +217,23 @@ def build_cm(spec: AnnotatorSpec, n: int,
 
 def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:
     """One noisy int64 label per sample, drawn from the true-class row of the
-    matrix."""
+    matrix.
+
+    One uniform is drawn per sample, and its label is the count of the row's
+    cumulative sums at or below it. The count runs class-major: ``cum.T``
+    gathered by the clean labels is ``[N, S]``, and the sum over its N rows
+    is N vectorised passes of length S that already yield int64, where a
+    sample-major ``[S, N]`` sum runs S inner loops of length N and needs a
+    cast. Both compare the same floats and count them exactly in integers,
+    so they give the same labels bit for bit."""
     clean = as_labels(clean)
     if clean.size and (clean.min() < 0 or clean.max() >= cm.n_classes):
         raise ValueError(f"label index out of range for {cm.n_classes} classes")
     cum = np.cumsum(cm.rows, axis=1)
     uniforms = rng.random(clean.size)
-    # the count of cumulative sums at or below the draw is the class index; a
-    # draw at or above a row's last sum (rounding below 1) takes the last class
-    idx = np.sum(cum[clean] <= uniforms[:, None], axis=1)
-    return np.minimum(idx, cm.n_classes - 1).astype(np.int64)
+    idx = np.add.reduce(cum.T.take(clean, axis=1) <= uniforms, axis=0)
+    # a draw at or above a row's last sum (rounding below 1) takes the last class
+    return np.minimum(idx, cm.n_classes - 1)
 
 
 def empirical_cm(clean, noisy) -> ConfusionMatrix:

@@ -225,6 +225,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
             validation_size(pool_size, val_fraction)
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from err
+    output = raw.get("output", "results")
+    if not isinstance(output, str):
+        raise ConfigError(f"output must be a directory path string, got {output!r}")
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")
@@ -238,7 +241,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         method=method,
         seeds=seeds,
         val_fraction=val_fraction,
-        output=str(raw.get("output", "results")),
+        output=output,
         trace=trace,
     )
 

@@ -170,10 +170,13 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
-# One entry: (dataset spec, validation fraction) -> clean (pool, test) of this
-# process's last job, so a sweep's variants share one clean build and attach
-# their rosters to it.
+# One entry each, for this process's last job: (dataset spec, validation
+# fraction) -> clean (pool, test), and that key plus the annotator roster ->
+# noisy pool. A sweep's variants share one clean build, and the methods and
+# seeds of one level or roster share one attach; the noisy pool shares the
+# clean pool's features, so keeping it costs only its label matrix.
 _clean_memo: dict = {}
+_noisy_memo: dict = {}
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
@@ -184,8 +187,11 @@ def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
         _clean_memo.clear()
         _clean_memo[key] = build_clean_datasets(cfg.dataset, cfg.val_fraction)
     clean, test = _clean_memo[key]
-    pool = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
-    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
+    noisy_key = (*key, cfg.annotators)
+    if noisy_key not in _noisy_memo:
+        _noisy_memo.clear()
+        _noisy_memo[noisy_key] = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
+    out = run_single(cfg, seed, tag=tag, pool=_noisy_memo[noisy_key], test=test)
     return out.record, out.trace_rows
 
 
@@ -213,6 +219,7 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
             f"tag={tag!r}): {err}", records) from err
     finally:
         _clean_memo.clear()
+        _noisy_memo.clear()
     return records
 
 

@@ -1,4 +1,4 @@
-"""Evaluation metrics: exact-match accuracy and rank-based ROC AUC."""
+"""Evaluation metrics: exact-match accuracy and Mann-Whitney ROC AUC."""
 
 from __future__ import annotations
 
@@ -13,17 +13,14 @@ def accuracy(predictions, truth) -> float:
     return float(np.mean(predictions == truth))
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties receiving the average rank of their group."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
-    avg = starts + (counts + 1) / 2.0
-    return avg[inverse]
-
-
 def auc_roc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score of a positive > score of a negative), ties
-    counted half. Raises on single-class input."""
+    counted half. Raises on single-class input.
+
+    U is counted against the sorted negatives: each positive scores the
+    negatives below it plus those below or tied with it, and the integer
+    total is halved. U is an exact half-integer, so the float equals the
+    tie-averaged rank-sum form's. NaN scores sort last and tie each other."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
@@ -33,8 +30,11 @@ def auc_roc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("undefined AUC: both classes must be present")
-    ranks = _average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    neg = np.sort(scores[~pos])
+    positives = scores[pos]
+    u = (np.searchsorted(neg, positives, "left")
+         + np.searchsorted(neg, positives, "right")).sum() / 2
+    return float(u / (n_pos * n_neg))
 
 
 def per_class_auc(probs, labels, n_classes: int) -> list[float | None]:

@@ -1,13 +1,16 @@
 """Confusion-matrix builders, corruption sampling and their oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from labelattn.annotators import (AVERAGE, DEFAULT_FLIP_PAIRS, KINDS, AnnotatorSpec,
-                                  ConfusionMatrix, as_labels, build_cm,
+from labelattn.annotators import (AVERAGE, DEFAULT_FLIP_PAIRS, KINDS, MIN_CLASSES,
+                                  AnnotatorSpec, ConfusionMatrix, as_labels, build_cm,
                                   check_fits, cm_adversarial, cm_average, cm_hammer_spammer,
                                   cm_ordered_confusion, cm_structured_flips, corrupt,
                                   empirical_cm, noise_level_of)
+from labelattn.data import SyntheticSpec, attach_annotators, synth_blobs
 
 
 def assert_row_stochastic(cm, tol=1e-12):
@@ -199,6 +202,52 @@ class TestCorrupt:
         assert np.all(np.cumsum(cm.rows, axis=1)[:, -1] == np.nextafter(1.0, 0.0))
         noisy = corrupt(np.arange(10), cm, EdgeDraws())
         assert np.array_equal(noisy, np.full(10, 9))
+
+
+def corrupt_row_sums(clean, cm, rng):
+    """The sample-major form of ``corrupt``, kept as its oracle: one [S, N]
+    gather of cumulative rows, counted along each sample's row."""
+    cum = np.cumsum(cm.rows, axis=1)
+    uniforms = rng.random(clean.size)
+    idx = np.sum(cum[clean] <= uniforms[:, None], axis=1)
+    return np.minimum(idx, cm.n_classes - 1).astype(np.int64)
+
+
+class TestCorruptAgainstRowSums:
+    def test_random_rosters_with_zero_entries(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 13))
+            rows = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+            rows[np.arange(n), rng.integers(0, n, n)] += 0.05  # no all-zero row
+            cm = ConfusionMatrix(n, rows / rows.sum(axis=1, keepdims=True))
+            clean = rng.integers(0, n, size=int(rng.integers(0, 3001)))
+            got = corrupt(clean, cm, np.random.default_rng(trial))
+            want = corrupt_row_sums(clean, cm, np.random.default_rng(trial))
+            assert got.dtype == np.int64 and got.shape == clean.shape
+            assert np.array_equal(got, want), trial
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 12])
+    def test_every_kind_build_cm_makes(self, n):
+        parts = [build_cm(AnnotatorSpec(kind, 0.35), n) for kind in KINDS
+                 if kind != AVERAGE and n >= MIN_CLASSES[kind]]
+        cms = [*parts, build_cm(AnnotatorSpec(AVERAGE), n, roster=parts)]
+        clean = np.random.default_rng(n).integers(0, n, size=2000)
+        for seed, cm in enumerate(cms):
+            assert np.array_equal(corrupt(clean, cm, np.random.default_rng(seed)),
+                                  corrupt_row_sums(clean, cm, np.random.default_rng(seed)))
+
+    def test_table2_label_sets_are_pinned(self):
+        # the acceptance suite's pool (dataset seed 7), so that a change in
+        # draw order or counting shows without running the benchmark
+        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
+                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
+                  AnnotatorSpec("average")]
+        clean = synth_blobs(SyntheticSpec(n_classes=10, dim=32, samples_per_class=500, seed=7))
+        sets = attach_annotators(clean, roster, seed=7).label_sets
+        assert sets.shape == (5, 5000) and sets.dtype == np.int64
+        assert hashlib.sha256(sets.tobytes()).hexdigest() == \
+            "390f7aee878d8b2411e73338e5efe245df26d0056d9008112698094d876b876f"
 
 
 class TestEmpiricalCm:

@@ -166,6 +166,15 @@ class TestErrors:
         assert "config error: model.aux_dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("output", [None, ["a", 1], 3])
+    def test_non_string_output_exits_two(self, tmp_path, capsys, monkeypatch, output):
+        # str() of these would name a directory "None", "['a', 1]" or "3"
+        cfg = write_config(tmp_path, output=output)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: output must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
     def test_empty_validation_split_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"),
                            dataset={"synthetic": {"n_classes": 2, "dim": 4,

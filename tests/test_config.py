@@ -111,6 +111,9 @@ class TestParsing:
         ({"seeds": [0, -1]}, "seeds\\[1\\]"),
         ({"dataset": {"synthetic": {"seed": -3}}}, "dataset.synthetic.seed"),
         ({"dataset": {"cifar10": {"paths": ["a.bin"], "seed": -1}}}, "dataset.cifar10.seed"),
+        ({"output": None}, "^output must be"),
+        ({"output": ["a", 1]}, "^output must be"),
+        ({"output": 3}, "^output must be"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):

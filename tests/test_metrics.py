@@ -1,4 +1,4 @@
-"""Accuracy and rank-based AUC against brute-force oracles."""
+"""Accuracy and Mann-Whitney AUC against brute-force and rank-sum oracles."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,16 @@ def brute_force_auc(scores, labels):
     neg = scores[labels == 0]
     wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
     return wins / (len(pos) * len(neg))
+
+
+def rank_sum_auc(scores, labels):
+    """The tie-averaged rank-sum form of the AUC, which ``auc_roc`` must equal
+    bit for bit: np.unique ranks every score, NaNs as one last tie group."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - counts + (counts + 1) / 2.0)[inverse]
+    pos = labels != 0
+    n_pos = int(pos.sum())
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (labels.size - n_pos)))
 
 
 class TestAccuracy:
@@ -64,6 +74,24 @@ class TestAucRoc:
             fast = auc_roc(scores, labels)
             slow = brute_force_auc(scores, labels)
             assert abs(fast - slow) <= 1e-12
+
+    @pytest.mark.parametrize("seed, ties", enumerate(["none", "quantized", "saturated", "nan"]))
+    def test_equals_rank_sum_form_bitwise(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        for trial in range(300):
+            n = int(rng.integers(2, 3000 if trial % 20 == 0 else 200))
+            scores = rng.uniform(0, 1, size=n)
+            if ties == "quantized":
+                scores = np.round(scores, 1)
+            elif ties == "saturated":
+                scores[rng.random(n) < 0.5] = 1 - 1e-7
+            elif ties == "nan":
+                scores[rng.random(n) < 0.2] = np.nan
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            fast, oracle = auc_roc(scores, labels), rank_sum_auc(scores, labels)
+            assert np.float64(fast).tobytes() == np.float64(oracle).tobytes(), trial
 
 
 class TestPerClass:
