@@ -38,10 +38,17 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Cifar10Spec:
     paths: tuple[str, ...]
-    test_paths: tuple[str, ...] = ()
+    test_paths: tuple[str, ...]
     subset: int | None = None
     test_subset: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.paths or not self.test_paths:
+            raise ValueError("paths and test_paths must each name at least one batch file")
+        for name, value in (("subset", self.subset), ("test_subset", self.test_subset)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)

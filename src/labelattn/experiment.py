@@ -35,7 +35,7 @@ class ResultRecord:
     mean_auc: float
     wall_clock_seconds: float
     per_class_auc: tuple
-    epochs: tuple   # per-epoch dicts: train_loss, val_accuracy, val_loss, mean_weights
+    epochs: tuple   # per-epoch dicts: the fields of metatrain.EpochStats, in order
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -76,15 +76,13 @@ def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec,
     refused from the files' sizes, before anything is decoded."""
     if isinstance(ds, SyntheticSpec):
         return synth_blobs(ds, stream="train"), synth_blobs(ds, stream="test")
-    if not ds.test_paths:
-        raise ValueError("cifar10 dataset needs test_paths for clean evaluation")
     records = sum(cifar10_record_counts(ds.paths))
-    validation_size(min(ds.subset, records) if ds.subset else records, val_fraction)
+    validation_size(records if ds.subset is None else min(ds.subset, records), val_fraction)
     pool = load_cifar10(ds.paths)
-    if ds.subset:
+    if ds.subset is not None:
         pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
     test = load_cifar10(ds.test_paths)
-    if ds.test_subset:
+    if ds.test_subset is not None:
         test = take_subset(test, np.arange(min(ds.test_subset, test.n_samples)))
     return pool, test
 
@@ -148,8 +146,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
                 trace_rows.append({"iter": it,
                                    "weights_mean": [float(v) for v in tr.weight_means],
                                    "loss_pre": tr.loss_pre, "loss_post": tr.loss_post})
-        result = train_attention(model, train_ds, meta, val_ds=val_ds,
-                                 full_trace=cfg.trace, trace_hook=hook)
+        result = train_attention(model, train_ds, meta, val_ds=val_ds, trace_hook=hook)
     elif cfg.method.name == METHOD_BASELINE:
         result = train_baseline(model, train_ds, cfg.method.set_index, meta, val_ds=val_ds)
     elif cfg.method.name == METHOD_BASELINE_AVG:
@@ -158,10 +155,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
         raise ValueError(f"unknown method {cfg.method.name!r}")
 
     acc, aucs = evaluate_clean(result.model, test)
-    epochs = tuple(
-        {"train_loss": e.train_loss, "val_accuracy": e.val_accuracy,
-         "val_loss": e.val_loss, "mean_weights": e.mean_weights}
-        for e in result.history)
+    epochs = tuple(asdict(e) for e in result.history)
     record = ResultRecord(
         config_hash=_config_hash(cfg), tag=tag, method=method_label(cfg.method),
         seed=int(seed), best_epoch=result.best_epoch, test_accuracy=acc,

@@ -41,6 +41,9 @@ iteration and their logs taken once. The tape is the oracle only:
 ``bce_loss`` reads the same :class:`~labelattn.autodiff.BceTerms`.
 ``tests/test_closed_form.py`` holds the array paths equal to the tape bit
 for bit.
+
+Each :class:`IterationTrace` holds its iteration's arrays by reference and
+computes its values when read: only a read of ``loss_post`` runs a forward.
 """
 
 from __future__ import annotations
@@ -131,17 +134,28 @@ class LabelPath:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """What one iteration produced. The update norms are computed when read,
-    from the model and attention before and after the update."""
+    """What one iteration produced, held by reference and never written later,
+    so each value computed when read has the bits it had inside the iteration."""
 
-    weight_means: np.ndarray              # [M] batch-mean attention weights
     loss_pre: float                       # loss value driving both updates
+    weights: np.ndarray                   # [B, M] per-sample attention weights
+    batch: Batch
+    y_tilde: np.ndarray                   # [B, N] binarized target of the update
     model_before: Classifier
     model_after: Classifier
     attn_before: AttentionParams
     attn_after: AttentionParams
-    weights: np.ndarray | None = None     # [B, M] per-sample weights (full trace)
-    loss_post: float | None = None        # same-batch loss after the update (full trace)
+
+    @property
+    def weight_means(self) -> np.ndarray:
+        """[M] batch-mean attention weights."""
+        return np.add.reduce(self.weights, axis=0) / self.weights.shape[0]
+
+    @property
+    def loss_post(self) -> float:
+        """Same-batch loss of ``model_after`` against ``y_tilde``: one forward pass."""
+        fwd = forward_arrays(self.model_after, self.batch.x, self.batch.aux)
+        return fwd.bce.value(self.y_tilde)
 
     @property
     def model_update_norm(self) -> float:
@@ -405,8 +419,7 @@ def theorem1_gap(pred, label_sets, weights) -> float:
 
 
 def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
-                    config: MetaConfig, adam_state: AdamState,
-                    full_trace: bool = False):
+                    config: MetaConfig, adam_state: AdamState):
     """One full pass of the meta-training procedure on one minibatch."""
     if batch.label_sets.shape[0] != attn.n_sets:
         raise ValueError(f"batch carries {batch.label_sets.shape[0]} label sets, "
@@ -417,19 +430,9 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
 
     new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
     new_attn = attention_step(attn, path, fwd.bce, config.beta)
-
-    loss_post = None
-    per_sample = None
-    if full_trace:
-        loss_post = forward_arrays(new_model, batch.x, batch.aux).bce.value(path.y_tilde)
-        per_sample = path.weights
-    trace = IterationTrace(weight_means=np.add.reduce(path.weights, axis=0)
-                           / path.weights.shape[0],
-                           loss_pre=loss_pre,
-                           model_before=model, model_after=new_model,
-                           attn_before=attn, attn_after=new_attn,
-                           weights=per_sample,
-                           loss_post=loss_post)
+    trace = IterationTrace(loss_pre=loss_pre, weights=path.weights, batch=batch,
+                           y_tilde=path.y_tilde, model_before=model, model_after=new_model,
+                           attn_before=attn, attn_after=new_attn)
     return new_model, new_attn, new_state, trace
 
 
@@ -481,32 +484,29 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
 
 def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
                     val_ds: LabeledDataset | None = None,
-                    attn: AttentionParams | None = None,
-                    full_trace: bool = False,
                     trace_hook=None) -> TrainResult:
     """Run the full meta-training loop over the dataset's label sets.
 
     Validation (when given) scores the model against the plurality vote of
     the noisy label sets; the returned ``model`` is the best-validation
-    snapshot and ``last_model`` the final iterate.
+    snapshot and ``last_model`` the final iterate. ``trace_hook(iteration,
+    trace)``, when given, sees each iteration's :class:`IterationTrace`.
     """
     if train_ds.n_sets < 1:
         raise ValueError("training dataset carries no label sets")
-    if attn is None:
-        attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim,
-                              config.attention_mode)
+    attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim,
+                          config.attention_mode)
     adam_state = adam_init(params_get(model), lr=config.beta)
     iteration = 0
 
     def step(model, batch):
         nonlocal attn, adam_state, iteration
-        model, attn, adam_state, trace = train_iteration(
-            model, attn, batch, config, adam_state, full_trace=full_trace)
+        model, attn, adam_state, trace = train_iteration(model, attn, batch, config, adam_state)
         if trace_hook is not None:
             trace_hook(iteration, trace)
         iteration += 1
         # the trace, which holds the model before the step (a third parameter
-        # vector), goes with this frame, before the next step runs
+        # vector) and the batch, goes with this frame, before the next step runs
         return model, trace.loss_pre, trace.weight_means
 
     val_targets = consensus_labels(val_ds) if val_ds is not None else None

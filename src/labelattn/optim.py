@@ -1,5 +1,7 @@
 """Parameter-update rules. Both steps are pure: they never mutate their
-parameters or state and return fresh parameter tensors.
+parameters or state and return fresh parameter tensors. Adam's decay
+rates and offset are the constants ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``;
+only the learning rate is set per state.
 
 ``sgd_step`` updates each tensor apart. ``adam_step`` runs its moments as
 one pass over flat float64 vectors in declaration order: the gradients are
@@ -18,13 +20,15 @@ gradients is made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
+
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # the values of Kingma & Ba (2015)
 
 
 def _offsets(arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
@@ -74,14 +78,11 @@ class AdamState:
     layout: parameter i is ``flat[offsets[i]:offsets[i + 1]]``."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    shapes: tuple[tuple[int, ...], ...] = ()
-    offsets: tuple[int, ...] = (0,)
-    m_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v_flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    t: int
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    m_flat: np.ndarray
+    v_flat: np.ndarray
 
     @property
     def m(self) -> tuple[np.ndarray, ...]:
@@ -96,14 +97,11 @@ class AdamState:
         return _views(flat, self.shapes, self.offsets)
 
 
-def adam_init(params: Sequence[Tensor], lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: Sequence[Tensor], lr: float) -> AdamState:
     arrays = [p.data for p in params]
     offsets = _offsets(arrays)
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-                     shapes=tuple(a.shape for a in arrays),
-                     offsets=offsets, m_flat=np.zeros(offsets[-1]),
-                     v_flat=np.zeros(offsets[-1]))
+    return AdamState(lr=lr, t=0, shapes=tuple(a.shape for a in arrays), offsets=offsets,
+                     m_flat=np.zeros(offsets[-1]), v_flat=np.zeros(offsets[-1]))
 
 
 def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[Tensor], AdamState]:
@@ -134,7 +132,7 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     # (a gradient list adds its concatenation g). Each, and g, doubles as
     # scratch before it takes its final value, so the v term is formed
     # first, in m2's buffer.
-    b1, b2, t = state.beta1, state.beta2, state.t + 1
+    b1, b2, t = ADAM_B1, ADAM_B2, state.t + 1
     m2 = np.multiply(1.0 - b2, g)
     m2 *= g
     v2 = np.multiply(b2, state.v_flat)
@@ -146,13 +144,13 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     step *= state.lr
     p2 = np.divide(v2, 1.0 - b2**t)               # v_hat, then the denominator
     np.sqrt(p2, out=p2)
-    p2 += state.eps
+    p2 += ADAM_EPS
     step /= p2
     new_params = []
     for arr, shape, a, b in zip(p_arrays, state.shapes, state.offsets, state.offsets[1:]):
         out = p2[a:b].reshape(shape)
         np.subtract(arr, step[a:b].reshape(shape), out=out)
         new_params.append(Tensor(out, requires_grad=True, copy=False))
-    next_state = AdamState(lr=state.lr, beta1=b1, beta2=b2, eps=state.eps, t=t,
-                           shapes=state.shapes, offsets=state.offsets, m_flat=m2, v_flat=v2)
+    next_state = AdamState(lr=state.lr, t=t, shapes=state.shapes, offsets=state.offsets,
+                           m_flat=m2, v_flat=v2)
     return new_params, next_state

@@ -198,6 +198,20 @@ class TestErrors:
                 "0.2 leaves no validation samples") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", [{"paths": []}, {"test_paths": []}, {"subset": 0},
+                                     {"test_subset": 0}, {"test_subset": -3}],
+                             ids=["no-paths", "no-test-paths", "subset-0", "test-subset-0",
+                                  "test-subset-negative"])
+    def test_bad_cifar_section_exits_two(self, tmp_path, capsys, bad):
+        # refused when the config is parsed: no batch file is opened
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           dataset={"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"],
+                                                **bad}})
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid value at dataset.cifar10: ")
+        assert not (tmp_path / "out").exists()
+
     def test_failure_keeps_finished_records(self, tmp_path, pool_sizes):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(TWO_CLASSES))

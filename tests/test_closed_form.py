@@ -264,8 +264,7 @@ def test_train_iteration_matches_tape(mode, hidden, aux_dim, n_sets, batch):
     state = adam_init(params_get(model), lr=config.beta)
     b = Batch(x=x, label_sets=sets, aux=aux, indices=np.arange(batch))
     for _ in range(3):
-        got_model, got_attn, got_state, trace = train_iteration(model, attn, b, config, state,
-                                                                full_trace=True)
+        got_model, got_attn, got_state, trace = train_iteration(model, attn, b, config, state)
         e_model, e_attn, e_state, e_loss, e_weights, e_post = tape_iteration(
             model, attn, b, config, state)
         assert_same_update((got_model, got_state, trace.loss_pre), (e_model, e_state, e_loss))
@@ -335,8 +334,12 @@ class TestTrainingBuildsNoTape:
         train, val = noisy_task()
         model = classifier_init((5, 6, 4), train.n_classes, rng=np.random.default_rng(7))
         config = MetaConfig(batch_size=8, epochs=2, attention_mode=mode)
-        result = train_attention(model, train, config, val_ds=val, full_trace=True)
+        # the hook's read of loss_post runs the post-update forward pass
+        losses = []
+        result = train_attention(model, train, config, val_ds=val,
+                                 trace_hook=lambda i, tr: losses.append(tr.loss_post))
         assert result.history[-1].val_loss is not None
+        assert losses and all(np.isfinite(losses))
         train_attention(model, train, replace(config, epochs=1))
 
     @pytest.mark.parametrize("target", ["avg", 0])

@@ -94,7 +94,8 @@ class TestParsing:
         ({"meta": {"batch_size": True}}, "meta.batch_size"),
         ({"method": {"name": "baseline", "set_index": "0"}}, "method.set_index"),
         ({"meta": [1]}, "meta"),
-        ({"dataset": {"cifar10": {"paths": 5}}}, "dataset.cifar10.paths"),
+        ({"dataset": {"cifar10": {"paths": 5, "test_paths": ["t.bin"]}}},
+         "dataset.cifar10.paths"),
         ({"meta": {"alpha": True}}, "meta.alpha"),
         ({"meta": {"beta": True}}, "meta.beta"),
         ({"meta": {"k": True}}, "meta.k"),
@@ -110,7 +111,8 @@ class TestParsing:
          "dataset.synthetic.cluster_std"),
         ({"seeds": [0, -1]}, "seeds\\[1\\]"),
         ({"dataset": {"synthetic": {"seed": -3}}}, "dataset.synthetic.seed"),
-        ({"dataset": {"cifar10": {"paths": ["a.bin"], "seed": -1}}}, "dataset.cifar10.seed"),
+        ({"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": -1}}},
+         "dataset.cifar10.seed"),
         ({"output": None}, "^output must be"),
         ({"output": ["a", 1]}, "^output must be"),
         ({"output": 3}, "^output must be"),
@@ -124,7 +126,7 @@ class TestParsing:
         ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"}),
         ({"synthetic": {"n_classes": 4}},
          {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 4]]}),
-        ({"cifar10": {"paths": ["a.bin"]}},
+        ({"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"]}},
          {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[10, 0]]}),
     ])
     def test_roster_must_fit_the_class_count(self, dataset, annotator):
@@ -156,16 +158,32 @@ class TestParsing:
         cfg = parse_config_dict(raw)
         assert cfg.dataset.paths == ("a.bin",) and cfg.dataset.subset == 100
 
-    @pytest.mark.parametrize("subset, val_fraction", [(2, 0.2), (4, 0.2), (1, 0.9), (0, 0.5)])
+    @pytest.mark.parametrize("subset, val_fraction", [(2, 0.2), (4, 0.2), (1, 0.9)])
     def test_cifar_subset_without_validation_rows_refused(self, subset, val_fraction):
         raw = minimal(val_fraction=val_fraction)
-        raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "subset": subset}}
+        raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"],
+                                      "subset": subset}}
         with pytest.raises(ConfigError, match="dataset.cifar10.subset: a pool of "
                                               f"{subset} samples .* leaves no validation"):
             parse_config_dict(raw)
         raw["dataset"]["cifar10"]["subset"] = 5
         raw["val_fraction"] = 0.2
         assert parse_config_dict(raw).dataset.subset == 5
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"paths": []}, "paths and test_paths must each name at least one batch file"),
+        ({"test_paths": []}, "paths and test_paths must each name at least one batch file"),
+        ({"subset": 0}, "subset must be at least 1, got 0"),
+        ({"test_subset": 0}, "test_subset must be at least 1, got 0"),
+        ({"test_subset": -3}, "test_subset must be at least 1, got -3"),
+        ({"subset": -1}, "subset must be at least 1, got -1"),
+    ], ids=["no-paths", "no-test-paths", "subset-0", "test-subset-0", "test-subset-negative",
+            "subset-negative"])
+    def test_cifar_section_checks_itself(self, bad, message):
+        raw = minimal()
+        raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], **bad}}
+        with pytest.raises(ConfigError, match=f"^invalid value at dataset.cifar10: {message}$"):
+            parse_config_dict(raw)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -292,8 +310,9 @@ _PLAUSIBLE = st.fixed_dictionaries({
         n_classes=_SMALL, dim=_SMALL, samples_per_class=_SMALL, cluster_std=_FRACTION,
         center_scale=_FRACTION, seed=_SMALL)})
         | st.fixed_dictionaries({"cifar10": st.fixed_dictionaries(
-            {"paths": st.lists(st.text(max_size=4), max_size=2)},
-            optional={"subset": _SMALL, "seed": _SMALL})})),
+            {"paths": st.lists(st.text(max_size=4), max_size=2),
+             "test_paths": st.lists(st.text(max_size=4), max_size=2)},
+            optional={"subset": _SMALL, "test_subset": _SMALL, "seed": _SMALL})})),
     "annotators": st.lists(st.fixed_dictionaries(
         {"kind": st.sampled_from(KINDS)},
         optional={"noise_level": _FRACTION,

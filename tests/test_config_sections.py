@@ -88,7 +88,8 @@ class TestSections:
 
     @pytest.mark.parametrize("dataset, where", [
         ({"synthetic": {"seed": None}}, "dataset.synthetic.seed"),
-        ({"cifar10": {"paths": ["a.bin"], "seed": None}}, "dataset.cifar10.seed"),
+        ({"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": None}},
+         "dataset.cifar10.seed"),
         ({"cifar10": {"paths": ["a.bin"], "test_paths": None}}, "dataset.cifar10.test_paths"),
     ])
     def test_null_refused_where_the_annotation_has_no_none(self, dataset, where):
@@ -97,7 +98,7 @@ class TestSections:
 
     def test_null_kept_where_the_annotation_allows_none(self):
         cfg = parse_config_dict({**MINIMAL, "dataset": {"cifar10": {
-            "paths": ["a.bin"], "subset": None, "test_subset": None}},
+            "paths": ["a.bin"], "test_paths": ["t.bin"], "subset": None, "test_subset": None}},
             "annotators": [{"kind": "structured_flips", "noise_level": 0.3,
                             "flip_pairs": None}]})
         assert cfg.dataset.subset is None and cfg.dataset.test_subset is None

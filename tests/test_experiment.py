@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from labelattn import experiment
-from labelattn.config import config_hash, parse_config_dict
+from labelattn.config import ConfigError, config_hash, parse_config_dict
 from labelattn.data import LabeledDataset
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
                                   emit, emit_summary, read_records, run_experiment,
@@ -130,9 +130,8 @@ class TestRunExperiment:
     def test_cifar_config_requires_test_paths(self, tmp_path):
         raw = json.loads(json.dumps(TINY))
         raw["dataset"] = {"cifar10": {"paths": [str(tmp_path / "t.bin")]}}
-        cfg = parse_config_dict(raw)
-        with pytest.raises(Exception, match="test_paths"):
-            build_datasets(cfg)
+        with pytest.raises(ConfigError, match="missing required key 'test_paths'"):
+            parse_config_dict(raw)
 
 
 class TestSweeps:

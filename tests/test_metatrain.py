@@ -698,3 +698,60 @@ class TestMemory:
         model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(9))
         train_attention(model, ds, MetaConfig(epochs=2, batch_size=16, seed=3))
         assert len(alive) == 2 * 6 - 2 and not any(alive)
+
+
+class TestTraceReadOnDemand:
+    """Trace values are computed when read: an unread value costs nothing, and
+    a value read after the run has the bits it had inside the hook."""
+
+    def make_run(self):
+        spec = SyntheticSpec(n_classes=3, dim=4, samples_per_class=20, seed=2)
+        ds = attach_annotators(synth_blobs(spec), [AnnotatorSpec("hammer_spammer", 0.3),
+                                                   AnnotatorSpec("adversarial")], seed=2)
+        val = attach_annotators(synth_blobs(spec, stream="test"),
+                                [AnnotatorSpec("hammer_spammer", 0.3),
+                                 AnnotatorSpec("adversarial")], seed=3)
+        model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(4))
+        return model, ds, val, MetaConfig(epochs=2, batch_size=16, seed=5)
+
+    @pytest.mark.parametrize("reads, extra_per_iteration", [
+        ((), 0), (("weight_means",), 0), (("loss_post",), 1),
+        (("weight_means", "loss_post", "model_update_norm", "attn_update_norm"), 1),
+    ], ids=["no-hook", "weight-means", "loss-post", "everything"])
+    def test_forward_passes_per_iteration(self, monkeypatch, reads, extra_per_iteration):
+        model, ds, val, cfg = self.make_run()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(metatrain, "forward_arrays", counted)
+        hook = None
+        if reads:
+            def hook(i, trace):
+                for name in reads:
+                    getattr(trace, name)
+        train_attention(model, ds, cfg, val_ds=val, trace_hook=hook)
+        iterations = cfg.epochs * -(-ds.n_samples // cfg.batch_size)
+        assert iterations == 8
+        assert len(calls) == iterations * (1 + extra_per_iteration) + cfg.epochs
+
+    def test_values_read_after_the_run_are_exact(self):
+        model, ds, val, cfg = self.make_run()
+        names = ("loss_pre", "weight_means", "loss_post", "model_update_norm",
+                 "attn_update_norm")
+        traces, seen = [], []
+
+        def hook(i, trace):
+            traces.append(trace)
+            seen.append([np.asarray(getattr(trace, n), dtype=np.float64).tobytes()
+                         for n in names])
+
+        train_attention(model, ds, cfg, val_ds=val, trace_hook=hook)
+        assert len(traces) == 8
+        late = [[np.asarray(getattr(t, n), dtype=np.float64).tobytes() for n in names]
+                for t in traces]
+        assert late == seen
+        # consecutive iterations do differ, so the comparison has teeth
+        assert len({row[2] for row in seen}) == len(seen)
