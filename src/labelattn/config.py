@@ -220,6 +220,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                           f"{len(annotators)} annotators")
 
     seeds = _integer_list(raw["seeds"], "seeds", check=_seed)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must not repeat, got {list(seeds)}")
     val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")

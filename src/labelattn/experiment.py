@@ -111,19 +111,6 @@ class RunOutput:
     trace_rows: list[dict]
 
 
-# One entry: the last config object a record was made for, and its
-# config_hash, so the seeds of one variant hash it once. Keyed by identity,
-# not equality: configs holding 1 and 1.0 compare equal but hash apart.
-_hash_memo: list = [None, ""]
-
-
-def _config_hash(cfg: ExperimentConfig) -> str:
-    """``config_hash(cfg)``, computed again only for a new config object."""
-    if _hash_memo[0] is not cfg:
-        _hash_memo[:] = [cfg, config_hash(cfg)]
-    return _hash_memo[1]
-
-
 def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
                pool: LabeledDataset | None = None,
                test: LabeledDataset | None = None) -> RunOutput:
@@ -157,7 +144,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     acc, aucs = evaluate_clean(result.model, test)
     epochs = tuple(asdict(e) for e in result.history)
     record = ResultRecord(
-        config_hash=_config_hash(cfg), tag=tag, method=method_label(cfg.method),
+        config_hash=config_hash(cfg), tag=tag, method=method_label(cfg.method),
         seed=int(seed), best_epoch=result.best_epoch, test_accuracy=acc,
         mean_auc=mean_auc(aucs), wall_clock_seconds=time.perf_counter() - start,
         per_class_auc=tuple(aucs), epochs=epochs)
@@ -234,15 +221,19 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
         raise ValueError("the noise sweep needs at least one level")
     if any(not 0.0 < lv < 1.0 for lv in levels):
         raise ValueError("noise levels must lie strictly inside (0, 1)")
+    # the summary groups records by tag, so two levels with one tag would merge
+    tags = [f"noise={lv:g}" for lv in levels]
+    if len(set(tags)) != len(tags):
+        raise ValueError(f"noise levels must not repeat in their first 6 significant "
+                         f"digits, got {levels}")
     variants = []
-    for lv in levels:
+    for lv, tag in zip(levels, tags):
         roster = (AnnotatorSpec(HAMMER_SPAMMER, lv), AnnotatorSpec(STRUCTURED_FLIPS, lv),
                   AnnotatorSpec(ORDERED_CONFUSION, lv), AnnotatorSpec(AVERAGE))
         methods = [MethodSpec(METHOD_OURS)] + [MethodSpec(METHOD_BASELINE, set_index=i)
                                                for i in range(len(roster))]
         for method in methods:
-            variants.append((replace(cfg, annotators=roster, method=method),
-                             f"noise={lv:g}"))
+            variants.append((replace(cfg, annotators=roster, method=method), tag))
     return variants
 
 

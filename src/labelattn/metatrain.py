@@ -14,7 +14,9 @@ sets:
    weights gives their feature vectors, constant and stacked per sample
    [B, M*D] (the probe head is never run, since only features are fed back);
 4. a softmax attention over the stacked feedback producing per-sample,
-   per-set weights on the simplex;
+   per-set weights on the simplex: one learned linear map from the [B, M*D]
+   feedback to M logits per sample (:class:`AttentionParams`, the only
+   ``attention_mode``, ``"concat"``);
 5. per-sample label sampling: the weighted sum of the one-hot label sets;
 6. differentiable binarization, the smooth step sigmoid(k * (soft - t)),
    pushing the soft consensus toward {0, 1} while keeping gradients;
@@ -54,15 +56,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, concat, constant,
-                       gradients, logistic, make_op, matmul, row_softmax, softmax)
+from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, constant, gradients,
+                       logistic, make_op, matmul, row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
 from .model import (ArrayForward, Classifier, forward_arrays, hidden_gradients,
                     param_gradients, params_get, params_set, predict_class, stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
-ATTENTION_SHARED = "shared"   # one D->1 scorer applied to each feature block
+
+
+def _check_mode(mode: str) -> None:
+    if mode != ATTENTION_CONCAT:
+        raise ValueError(f"unknown attention_mode {mode!r}; only {ATTENTION_CONCAT!r} "
+                         f"is supported")
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class MetaConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    attention_mode: str = ATTENTION_CONCAT
+    attention_mode: str = ATTENTION_CONCAT  # the one mode; kept in every config's hash
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -85,39 +92,32 @@ class MetaConfig:
             raise ValueError(f"t_threshold must be in (0, 1), got {self.t_threshold}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.attention_mode not in (ATTENTION_CONCAT, ATTENTION_SHARED):
-            raise ValueError(f"unknown attention_mode {self.attention_mode!r}")
+        _check_mode(self.attention_mode)
 
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Learnable map from stacked feedback features to per-set weights."""
+    """Learnable linear map from the stacked [B, M*D] feedback features to
+    the M per-set logits: weight matrix ``w`` [M*D, M] and bias ``b`` [M]."""
 
-    n_sets: int
-    feat_dim: int
     w: Tensor
     b: Tensor
-    mode: str = ATTENTION_CONCAT
 
-
-def _attention_shapes(n_sets: int, feat_dim: int, mode: str) -> tuple[tuple, tuple]:
-    """Shapes of the attention weight matrix and bias."""
-    if n_sets < 1 or feat_dim < 1:
-        raise ValueError("n_sets and feat_dim must be positive")
-    if mode == ATTENTION_CONCAT:
-        return (n_sets * feat_dim, n_sets), (n_sets,)
-    if mode == ATTENTION_SHARED:
-        return (feat_dim, 1), (1,)
-    raise ValueError(f"unknown attention mode {mode!r}")
+    @property
+    def n_sets(self) -> int:
+        """M, the length of the bias."""
+        return self.b.shape[0]
 
 
 def attention_init(n_sets: int, feat_dim: int, mode: str = ATTENTION_CONCAT) -> AttentionParams:
-    """Zero-initialized attention: every sample starts at uniform weights."""
-    w_shape, b_shape = _attention_shapes(n_sets, feat_dim, mode)
-    return AttentionParams(n_sets=n_sets, feat_dim=feat_dim,
-                           w=Tensor(np.zeros(w_shape), requires_grad=True, copy=False),
-                           b=Tensor(np.zeros(b_shape), requires_grad=True, copy=False),
-                           mode=mode)
+    """Zero-initialized attention: every sample starts at uniform weights.
+    ``mode`` accepts only ``"concat"``."""
+    _check_mode(mode)
+    if n_sets < 1 or feat_dim < 1:
+        raise ValueError("n_sets and feat_dim must be positive")
+    return AttentionParams(
+        w=Tensor(np.zeros((n_sets * feat_dim, n_sets)), requires_grad=True, copy=False),
+        b=Tensor(np.zeros(n_sets), requires_grad=True, copy=False))
 
 
 @dataclass(frozen=True)
@@ -243,21 +243,17 @@ def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
     return Tensor(stacked_features(meta_models[0], hidden, x, aux), copy=False)
 
 
+def _check_width(attn: AttentionParams, stacked: np.ndarray) -> None:
+    if stacked.ndim != 2 or stacked.shape[1] != attn.w.shape[0]:
+        raise ValueError(f"stacked features {stacked.shape} do not match "
+                         f"M*D = {attn.w.shape[0]}")
+
+
 def attend(attn: AttentionParams, stacked: Tensor) -> Tensor:
     """Per-sample weights over the M label sets: softmax of a learned linear
     map of the stacked feedback features."""
-    m, d = attn.n_sets, attn.feat_dim
-    if stacked.data.ndim != 2 or stacked.shape[1] != m * d:
-        raise ValueError(f"stacked features {stacked.shape} do not match M*D = {m}*{d}")
-    if attn.mode == ATTENTION_CONCAT:
-        logits = add_bias(matmul(stacked, attn.w), attn.b)
-    else:
-        blocks = [matmul(constant(stacked.data[:, i * d:(i + 1) * d]), attn.w) for i in range(m)]
-        joined = concat(blocks, axis=1)
-        bias = attn.b
-        logits = make_op(joined.data + bias.data[0], (joined, bias),
-                         lambda g: (g, np.array([g.sum()])))
-    return softmax(logits)
+    _check_width(attn, stacked.data)
+    return softmax(add_bias(matmul(stacked, attn.w), attn.b))
 
 
 def sample_label(weights: Tensor, label_sets: np.ndarray) -> Tensor:
@@ -317,33 +313,21 @@ def final_step(model: Classifier, y_tilde: np.ndarray, fwd: ArrayForward,
     return replace(model, params=tuple(new_params)), new_state, value
 
 
-def _feature_block(stacked: np.ndarray, i: int, d: int) -> np.ndarray:
-    """Sample block i of the stacked feedback, as the shared-mode ``attend``
-    copies it."""
-    return np.ascontiguousarray(stacked[:, i * d:(i + 1) * d])
-
-
 def label_path(attn: AttentionParams, stacked: np.ndarray, label_sets: np.ndarray,
                k: float, t: float) -> LabelPath:
     """Steps 4-6 on plain arrays: the attention weights of ``attend``, the
     label sum of ``sample_label`` over the [M, B, N] ``label_sets`` and the
     ``binarize`` step, each equal bit for bit to the tape op's value."""
-    m, d = attn.n_sets, attn.feat_dim
-    if stacked.ndim != 2 or stacked.shape[1] != m * d:
-        raise ValueError(f"stacked features {stacked.shape} do not match M*D = {m}*{d}")
+    _check_width(attn, stacked)
+    m = attn.n_sets
     labels = np.ascontiguousarray(label_sets, dtype=np.float64)
     if labels.ndim != 3 or labels.shape[:2] != (m, stacked.shape[0]):
         raise ValueError(f"label sets {labels.shape} do not match {m} sets of "
                          f"{stacked.shape[0]} samples")
     if k <= 0:
         raise ValueError("k must be positive")
-    w, b = attn.w.data, attn.b.data
-    if attn.mode == ATTENTION_CONCAT:
-        logits = stacked @ w
-        logits += b
-    else:
-        logits = np.concatenate([_feature_block(stacked, i, d) @ w for i in range(m)], axis=1)
-        logits += b[0]
+    logits = stacked @ attn.w.data
+    logits += attn.b.data
     weights = row_softmax(logits)
     soft = np.einsum("bm,mbn->bn", weights, labels)
     y_tilde = logistic(float(k) * (soft - float(t)))
@@ -351,8 +335,7 @@ def label_path(attn: AttentionParams, stacked: np.ndarray, label_sets: np.ndarra
                      y_tilde=y_tilde)
 
 
-def attention_gradients(attn: AttentionParams, path: LabelPath,
-                        pred: BceTerms) -> tuple[np.ndarray, np.ndarray]:
+def attention_gradients(path: LabelPath, pred: BceTerms) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the attention weight matrix and bias, in closed form, of
     the BCE between the constant predictions whose BCE terms are ``pred``
     (``fwd.bce`` of the model's forward) and ``path.y_tilde``:
@@ -365,15 +348,7 @@ def attention_gradients(attn: AttentionParams, path: LabelPath,
     g = g * path.k * out * (1.0 - out)
     g = np.einsum("bn,mbn->bm", g, path.label_sets)
     g = w * (g - np.add.reduce(g * w, axis=-1, keepdims=True))
-    if attn.mode == ATTENTION_CONCAT:
-        return path.stacked.T @ g, np.add.reduce(g, axis=0)
-    # The tape sums the M block contributions from the last block down.
-    d = attn.feat_dim
-    gw = None
-    for i in reversed(range(attn.n_sets)):
-        part = _feature_block(path.stacked, i, d).T @ g[:, i:i + 1]
-        gw = part if gw is None else gw + part
-    return gw, np.array([np.add.reduce(g, axis=None)])
+    return path.stacked.T @ g, np.add.reduce(g, axis=0)
 
 
 def attention_step(attn: AttentionParams, path: LabelPath, pred: BceTerms,
@@ -382,7 +357,7 @@ def attention_step(attn: AttentionParams, path: LabelPath, pred: BceTerms,
     along :func:`attention_gradients`. ``path`` must be the
     :func:`label_path` of ``attn``, and ``pred`` the BCE terms of the
     model's predictions."""
-    gw, gb = attention_gradients(attn, path, pred)
+    gw, gb = attention_gradients(path, pred)
     new_w, new_b = sgd_step([attn.w, attn.b], [gw, gb], beta)
     return replace(attn, w=new_w, b=new_b)
 
@@ -494,8 +469,7 @@ def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaCon
     """
     if train_ds.n_sets < 1:
         raise ValueError("training dataset carries no label sets")
-    attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim,
-                          config.attention_mode)
+    attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim)
     adam_state = adam_init(params_get(model), lr=config.beta)
     iteration = 0
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BceTerms, Tensor, bce_loss, constant, finite_diff_grad, gradients
-from .metatrain import (ATTENTION_CONCAT, AttentionParams, attend, attention_gradients,
-                        binarize, label_path, sample_label, theorem1_gap)
+from .metatrain import (AttentionParams, attend, attention_gradients, binarize, label_path,
+                        sample_label, theorem1_gap)
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
@@ -197,9 +197,7 @@ def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, fl
         b0 = rng.normal(scale=0.3, size=m)
 
         def loss_from(w_tensor, b_tensor):
-            attn = AttentionParams(n_sets=m, feat_dim=d, w=w_tensor, b=b_tensor,
-                                   mode=ATTENTION_CONCAT)
-            weights = attend(attn, constant(feats))
+            weights = attend(AttentionParams(w=w_tensor, b=b_tensor), constant(feats))
             y_tilde = binarize(sample_label(weights, labels), k, t)
             return bce_loss(constant(pred), y_tilde)
 
@@ -207,8 +205,8 @@ def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, fl
         b_t = Tensor(b0, requires_grad=True)
         gw, gb = gradients(loss_from(w_t, b_t), [w_t, b_t])
 
-        attn = AttentionParams(n_sets=m, feat_dim=d, w=w_t, b=b_t, mode=ATTENTION_CONCAT)
-        gw_closed, gb_closed = attention_gradients(attn, label_path(attn, feats, labels, k, t),
+        attn = AttentionParams(w=w_t, b=b_t)
+        gw_closed, gb_closed = attention_gradients(label_path(attn, feats, labels, k, t),
                                                    BceTerms(pred))
 
         worst_chain = max(worst_chain,

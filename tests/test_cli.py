@@ -228,8 +228,19 @@ class TestErrors:
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))
-        for levels in ("0.0,0.5", ","):
+        for levels in ("0.0,0.5", ",", "0.3,0.3"):
             assert main(["sweep-noise", "--config", str(cfg), "--levels", levels]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"meta": {"attention_mode": "shared"}},
+         "config error: invalid value at meta: unknown attention_mode 'shared'"),
+        ({"seeds": [0, 0]}, "config error: seeds must not repeat"),
+    ], ids=["shared-mode", "repeated-seeds"])
+    def test_refused_config_exits_two(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **overrides)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
     def test_unusable_out_exits_two_before_training(self, tmp_path, monkeypatch, capsys):

@@ -23,10 +23,9 @@ from labelattn.autodiff import BCE_EPS, Tensor, bce_loss, constant, gradients
 from labelattn.data import (Batch, SyntheticSpec, attach_annotators, consensus_labels,
                             minibatches, one_hot, synth_blobs)
 from labelattn.experiment import evaluate_clean
-from labelattn.metatrain import (ATTENTION_CONCAT, ATTENTION_SHARED, AttentionParams,
-                                 MetaConfig, attend, attention_step, binarize,
-                                 collect_feedback, final_step, label_path, meta_step,
-                                 probe_features, sample_label, train_attention,
+from labelattn.metatrain import (AttentionParams, MetaConfig, attend, attention_step,
+                                 binarize, collect_feedback, final_step, label_path,
+                                 meta_step, probe_features, sample_label, train_attention,
                                  train_baseline, train_iteration)
 from labelattn.model import (classifier_init, forward, forward_arrays, param_gradients,
                              params_get, params_set, predict_class)
@@ -193,13 +192,10 @@ class TestFinalStep:
                            tape_final_step(model, target, forward(model, x, aux).probs, state))
 
 
-def random_attention(mode, n_sets, d, rng):
-    w_shape = (n_sets * d, n_sets) if mode == ATTENTION_CONCAT else (d, 1)
-    return AttentionParams(n_sets, d, w=Tensor(rng.normal(scale=0.3, size=w_shape),
-                                               requires_grad=True),
-                           b=Tensor(rng.normal(scale=0.3, size=w_shape[1]),
+def random_attention(n_sets, d, rng):
+    return AttentionParams(w=Tensor(rng.normal(scale=0.3, size=(n_sets * d, n_sets)),
                                     requires_grad=True),
-                           mode=mode)
+                           b=Tensor(rng.normal(scale=0.3, size=n_sets), requires_grad=True))
 
 
 def tape_attention_step(attn, stacked, label_sets, pred, k, t, beta):
@@ -213,13 +209,12 @@ def tape_attention_step(attn, stacked, label_sets, pred, k, t, beta):
     return replace(attn, w=new_w, b=new_b), weights.data, y_tilde.data
 
 
-@pytest.mark.parametrize("mode", [ATTENTION_CONCAT, ATTENTION_SHARED])
 @pytest.mark.parametrize("hidden, aux_dim, n_sets, batch", CASES, ids=CASE_IDS)
-def test_attention_step_matches_tape_over_steps(mode, hidden, aux_dim, n_sets, batch):
+def test_attention_step_matches_tape_over_steps(hidden, aux_dim, n_sets, batch):
     model, x, aux, sets, fwd = edge_case_setup(hidden, aux_dim, n_sets, batch)
     rng = np.random.default_rng(4)
     stacked = probe_features(model, fwd, sets, 0.3, x, aux)
-    attn = random_attention(mode, n_sets, model.feature_dim + aux_dim, rng)
+    attn = random_attention(n_sets, model.feature_dim + aux_dim, rng)
     # the edge-case predictions: clamped at both ends in classes 0 and 1
     pred = fwd.probs
     for _ in range(3):
@@ -254,13 +249,12 @@ def tape_iteration(model, attn, batch, config, state):
     return new_model, new_attn, new_state, loss, weights, loss_post
 
 
-@pytest.mark.parametrize("mode", [ATTENTION_CONCAT, ATTENTION_SHARED])
 @pytest.mark.parametrize("hidden, aux_dim, n_sets, batch", CASES, ids=CASE_IDS)
-def test_train_iteration_matches_tape(mode, hidden, aux_dim, n_sets, batch):
+def test_train_iteration_matches_tape(hidden, aux_dim, n_sets, batch):
     model, x, aux, sets, _ = edge_case_setup(hidden, aux_dim, n_sets, batch)
     rng = np.random.default_rng(3)
-    attn = random_attention(mode, n_sets, model.feature_dim + aux_dim, rng)
-    config = MetaConfig(alpha=0.3, beta=1e-2, batch_size=batch, attention_mode=mode)
+    attn = random_attention(n_sets, model.feature_dim + aux_dim, rng)
+    config = MetaConfig(alpha=0.3, beta=1e-2, batch_size=batch)
     state = adam_init(params_get(model), lr=config.beta)
     b = Batch(x=x, label_sets=sets, aux=aux, indices=np.arange(batch))
     for _ in range(3):
@@ -329,11 +323,10 @@ class TestTrainingBuildsNoTape:
         with pytest.raises(AssertionError, match="tape node"):
             forward(classifier_init((2, 3), 2), np.ones((1, 2)))
 
-    @pytest.mark.parametrize("mode", [ATTENTION_CONCAT, ATTENTION_SHARED])
-    def test_train_attention(self, no_tape, mode):
+    def test_train_attention(self, no_tape):
         train, val = noisy_task()
         model = classifier_init((5, 6, 4), train.n_classes, rng=np.random.default_rng(7))
-        config = MetaConfig(batch_size=8, epochs=2, attention_mode=mode)
+        config = MetaConfig(batch_size=8, epochs=2)
         # the hook's read of loss_post runs the post-update forward pass
         losses = []
         result = train_attention(model, train, config, val_ds=val,

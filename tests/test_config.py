@@ -116,6 +116,7 @@ class TestParsing:
         ({"output": None}, "^output must be"),
         ({"output": ["a", 1]}, "^output must be"),
         ({"output": 3}, "^output must be"),
+        ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):
@@ -222,7 +223,6 @@ class TestHash:
             minimal(annotators=[{"kind": "structured_flips", "noise_level": 0.3,
                                  "flip_pairs": [[0, 1]]}]),
             minimal(model={"aux_dim": 2}),
-            minimal(meta={"attention_mode": "shared"}),
             minimal(method={"name": "baseline", "set_index": 0}),
             minimal(dataset={"synthetic": {"n_classes": 4, "dim": 6,
                                            "samples_per_class": 10, "seed": 1}}),
@@ -240,7 +240,7 @@ class TestHash:
     # A change to one of these values changes the config_hash of every record
     # already written for that config.
     @pytest.mark.parametrize("raw, expected", [
-        ({  # the README example, with flip_pairs, aux_dim, shared mode and a baseline
+        ({  # every section set, with flip_pairs, aux_dim and a baseline
             "dataset": {"synthetic": {"n_classes": 10, "dim": 32, "samples_per_class": 500,
                                       "cluster_std": 1.0, "center_scale": 3.0, "seed": 7}},
             "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
@@ -250,10 +250,10 @@ class TestHash:
                            {"kind": "adversarial"}, {"kind": "average"}],
             "model": {"hidden_dims": [128, 64], "aux_dim": 4},
             "meta": {"alpha": 0.2, "beta": 1e-4, "k": 50, "t_threshold": 0.5,
-                     "batch_size": 32, "epochs": 30, "attention_mode": "shared"},
+                     "batch_size": 32, "epochs": 30, "attention_mode": "concat"},
             "method": {"name": "baseline", "set_index": 2},
             "seeds": [0, 1, 2], "val_fraction": 0.2, "output": "results", "trace": False,
-        }, "a04e245fd64107b7"),
+        }, "8085af86f302ce55"),
         ({
             "dataset": {"cifar10": {"paths": ["data_batch_1.bin"],
                                     "test_paths": ["test_batch.bin"],

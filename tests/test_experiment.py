@@ -165,21 +165,17 @@ class TestSweeps:
                  for seed in v.seeds]
         assert [strip_clock(r) for r in records] == [strip_clock(r) for r in alone]
 
-    def test_sweep_hashes_each_variant_once(self, monkeypatch):
-        hashed = []
-        real_hash = experiment.config_hash
-        monkeypatch.setattr(experiment, "config_hash",
-                            lambda cfg: hashed.append(cfg) or real_hash(cfg))
+    def test_sweep_records_carry_their_variant_hash(self):
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
         variants = experiment.noise_sweep_variants(cfg, [0.2])
         records = sweep_noise(cfg, [0.2])
-        assert len(records) == 10 and hashed == [v for v, _ in variants]
-        assert [r.config_hash for r in records] == [real_hash(v) for v, _ in variants
+        assert len(records) == 10
+        assert [r.config_hash for r in records] == [config_hash(v) for v, _ in variants
                                                     for _ in v.seeds]
 
     def test_equal_configs_keep_their_own_hashes(self):
-        # alpha 1 and 1.0 compare equal but hash apart, so the hash memo must
-        # not take one config's hash for the other's.
+        # alpha 1 and 1.0 compare equal but hash apart: each record carries
+        # its own config's hash.
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32})
         ints, floats = (dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, alpha=a))
                         for a in (1, 1.0))
@@ -190,6 +186,10 @@ class TestSweeps:
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
             sweep_noise(tiny_config(), [0.0])
+        with pytest.raises(ValueError, match="must not repeat"):
+            sweep_noise(tiny_config(), [0.3, 0.5, 0.3])
+        with pytest.raises(ValueError, match="must not repeat"):  # both tagged noise=0.3
+            sweep_noise(tiny_config(), [0.3, 0.3000001])
 
     def test_baseline_accuracy_non_increasing_in_noise(self):
         raw = json.loads(json.dumps(TINY))

@@ -1,6 +1,7 @@
 """Meta-training operations: per-op contracts, the loss-reweighting identity,
 and a fully hand-computed single-iteration fixture."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -12,11 +13,10 @@ from labelattn.annotators import AnnotatorSpec
 from labelattn.autodiff import BceTerms, Tensor, constant, gradients
 from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators, minibatches,
                             synth_blobs)
-from labelattn.metatrain import (ATTENTION_CONCAT, ATTENTION_SHARED, AttentionParams,
-                                 MetaConfig, attend, attention_init, attention_step, binarize,
-                                 collect_feedback, final_step, label_path, meta_step,
-                                 reweighted_loss, sample_label, theorem1_gap,
-                                 train_attention, train_baseline, train_iteration)
+from labelattn.metatrain import (AttentionParams, MetaConfig, attend, attention_init,
+                                 attention_step, binarize, collect_feedback, final_step,
+                                 label_path, meta_step, reweighted_loss, sample_label,
+                                 theorem1_gap, train_attention, train_baseline, train_iteration)
 from labelattn.model import classifier_init, forward, forward_arrays, params_get, params_set
 from labelattn.optim import adam_init
 
@@ -126,8 +126,7 @@ class TestCollectFeedback:
         d = model.feature_dim
         col = np.random.default_rng(8).normal(size=2 * d)
         w = np.stack([col, col], axis=1)  # identical columns -> equal logits
-        attn = AttentionParams(n_sets=2, feat_dim=d,
-                               w=Tensor(w, requires_grad=True),
+        attn = AttentionParams(w=Tensor(w, requires_grad=True),
                                b=Tensor(np.zeros(2), requires_grad=True))
         weights = attend(attn, stacked)
         assert np.allclose(weights.data, 0.5, atol=1e-15)
@@ -150,27 +149,21 @@ class TestAttend:
         w = Tensor(rng.normal(size=(m * d, m)), requires_grad=True)
         b0 = rng.normal(size=m)
         stacked = constant(rng.normal(size=(6, m * d)))
-        base = attend(AttentionParams(m, d, w, Tensor(b0)), stacked)
-        shifted = attend(AttentionParams(m, d, w, Tensor(b0 + 3.7)), stacked)
+        base = attend(AttentionParams(w, Tensor(b0)), stacked)
+        shifted = attend(AttentionParams(w, Tensor(b0 + 3.7)), stacked)
         assert np.allclose(base.data, shifted.data, atol=1e-12)
-
-    def test_shared_mode_scores_each_block(self):
-        rng = np.random.default_rng(12)
-        d, m = 3, 2
-        attn = AttentionParams(m, d, w=Tensor(rng.normal(size=(d, 1)), requires_grad=True),
-                               b=Tensor(np.zeros(1), requires_grad=True),
-                               mode=ATTENTION_SHARED)
-        stacked_arr = rng.normal(size=(4, m * d))
-        got = attend(attn, constant(stacked_arr))
-        logits = np.stack([stacked_arr[:, :d] @ attn.w.data[:, 0],
-                           stacked_arr[:, d:] @ attn.w.data[:, 0]], axis=1)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        assert np.allclose(got.data, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
     def test_width_mismatch(self):
         attn = attention_init(2, 3)
         with pytest.raises(ValueError, match="M\\*D"):
             attend(attn, constant(np.zeros((4, 5))))
+
+    def test_parameters_are_the_two_arrays(self):
+        attn = attention_init(4, 3, "concat")
+        assert [f.name for f in dataclasses.fields(AttentionParams)] == ["w", "b"]
+        assert (attn.w.shape, attn.b.shape, attn.n_sets) == ((12, 4), (4,), 4)
+        with pytest.raises(ValueError, match="attention_mode 'shared'"):
+            attention_init(2, 3, "shared")
 
 
 class TestSampleLabel:
@@ -296,7 +289,7 @@ class TestAttentionStep:
         m, d, b, n = 3, 4, 5, 6
         y = rng.integers(0, 2, size=(1, b, n)).astype(float)
         sets = np.concatenate([y] * m, axis=0)
-        attn = AttentionParams(m, d, w=Tensor(rng.normal(size=(m * d, m)), requires_grad=True),
+        attn = AttentionParams(w=Tensor(rng.normal(size=(m * d, m)), requires_grad=True),
                                b=Tensor(rng.normal(size=m), requires_grad=True))
         stacked = rng.normal(size=(b, m * d))
         pred = rng.uniform(0.1, 0.9, size=(b, n))
@@ -393,8 +386,7 @@ def make_toy_attention():
                   [-0.07, 0.04],
                   [0.03, -0.01]])
     b = np.array([0.02, -0.01])
-    return AttentionParams(2, 2, w=Tensor(w, requires_grad=True),
-                           b=Tensor(b, requires_grad=True))
+    return AttentionParams(w=Tensor(w, requires_grad=True), b=Tensor(b, requires_grad=True))
 
 
 class TestPencilAndPaperIteration:
@@ -505,15 +497,12 @@ class TestPencilAndPaperIteration:
         assert (attn.w.data.tobytes(), attn.b.data.tobytes()) == attn_bytes
 
 
-@pytest.mark.parametrize("mode", [ATTENTION_CONCAT, ATTENTION_SHARED])
-def test_update_norms_equal_the_eager_formula(mode):
+def test_update_norms_equal_the_eager_formula():
     rng = np.random.default_rng(11)
     model = classifier_init((3, 5, 4), n_classes=2, aux_dim=1, rng=rng)
     n_sets, batch_size = 3, 6
-    w_shape, b_shape = ((n_sets * 5, n_sets), (n_sets,)) if mode == ATTENTION_CONCAT \
-        else ((5, 1), (1,))
-    attn = AttentionParams(n_sets, 5, w=Tensor(rng.normal(scale=0.3, size=w_shape)),
-                           b=Tensor(rng.normal(scale=0.3, size=b_shape)), mode=mode)
+    attn = AttentionParams(w=Tensor(rng.normal(scale=0.3, size=(n_sets * 5, n_sets))),
+                           b=Tensor(rng.normal(scale=0.3, size=n_sets)))
     sets = np.eye(2)[rng.integers(0, 2, size=(n_sets, batch_size))]
     batch = Batch(x=rng.normal(size=(batch_size, 3)), label_sets=sets,
                   aux=rng.normal(size=(batch_size, 1)), indices=np.arange(batch_size))
@@ -624,23 +613,6 @@ class TestTrainingLoops:
             train_baseline(model, ds, 5, MetaConfig(epochs=1))
 
 
-class TestSharedAttentionMode:
-    def test_training_runs_with_shared_scorer(self):
-        spec = SyntheticSpec(n_classes=3, dim=4, samples_per_class=20,
-                             center_scale=4.0, seed=9)
-        ds = attach_annotators(synth_blobs(spec),
-                               [AnnotatorSpec("hammer_spammer", 0.2),
-                                AnnotatorSpec("adversarial")], seed=9)
-        model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(9))
-        cfg = MetaConfig(epochs=2, batch_size=16, seed=9, attention_mode=ATTENTION_SHARED)
-        result = train_attention(model, ds, cfg)
-        assert result.attn.mode == ATTENTION_SHARED
-        assert result.attn.w.shape == (4, 1)
-        for ep in result.iteration_weights:
-            for wm in ep:
-                assert np.sum(wm) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestMetaConfig:
     def test_defaults_match_documented_values(self):
         cfg = MetaConfig()
@@ -652,8 +624,9 @@ class TestMetaConfig:
             MetaConfig(t_threshold=1.5)
         with pytest.raises(ValueError, match="alpha"):
             MetaConfig(alpha=-1)
-        with pytest.raises(ValueError, match="attention_mode"):
-            MetaConfig(attention_mode="mlp")
+        for mode in ("mlp", "shared"):
+            with pytest.raises(ValueError, match="attention_mode"):
+                MetaConfig(attention_mode=mode)
 
 
 class TestMemory:
