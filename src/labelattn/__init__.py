@@ -4,7 +4,7 @@ attending over the label sets with meta-training feedback."""
 from .annotators import (AnnotatorSpec, ConfusionMatrix, cm_adversarial, cm_average,
                          cm_hammer_spammer, cm_ordered_confusion, cm_structured_flips,
                          corrupt, empirical_cm, noise_level_of)
-from .autodiff import (BceTerms, Tensor, bce_loss, concat, constant, detach, finite_diff_grad,
+from .autodiff import (BceTerms, Tensor, bce_loss, constant, detach, finite_diff_grad,
                        gradients, matmul, relu, sigmoid, softmax, tensor_new)
 from .config import ExperimentConfig, config_hash, parse_config
 from .data import (Batch, LabeledDataset, SyntheticSpec, attach_annotators,

@@ -75,6 +75,9 @@ class AnnotatorSpec:
             raise ValueError(f"unknown annotator kind {self.kind!r}")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level must be in [0, 1], got {self.noise_level}")
+        if self.flip_pairs is not None and self.kind != STRUCTURED_FLIPS:
+            raise ValueError(f"flip_pairs apply only to {STRUCTURED_FLIPS!r}, "
+                             f"not to {self.kind!r}")
 
 
 def as_labels(labels) -> np.ndarray:
@@ -130,11 +133,15 @@ def cm_structured_flips(n: int, noise_level: float,
 
 
 def _check_flip_pairs(pairs: tuple[tuple[int, int], ...], n: int) -> None:
+    sources = set()
     for src, dst in pairs:
         if src == dst:
             raise ValueError(f"flip pair ({src}, {dst}) maps a class to itself")
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"flip pair ({src}, {dst}) outside of {n} classes")
+        if src in sources:
+            raise ValueError(f"flip pair ({src}, {dst}) repeats source class {src}")
+        sources.add(src)
 
 
 def cm_ordered_confusion(n: int, noise_level: float) -> ConfusionMatrix:
@@ -188,8 +195,8 @@ def noise_level_of(cm: ConfusionMatrix) -> float:
 def check_fits(spec: AnnotatorSpec, n: int) -> None:
     """Raise a ValueError where ``build_cm(spec, n)`` would for a non-average
     spec, without building its n x n matrix: too few classes for the kind, or
-    a flip pair that maps a class to itself or leaves the n classes. An
-    average fits whenever its companions do."""
+    a flip pair that maps a class to itself, leaves the n classes or repeats
+    a source class. An average fits whenever its companions do."""
     least = MIN_CLASSES.get(spec.kind, 0)
     if n < least:
         raise ValueError(f"{spec.kind} needs n >= {least}")

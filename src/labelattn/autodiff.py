@@ -231,25 +231,6 @@ def softmax(z: Tensor) -> Tensor:
     return make_op(w, (z,), grad_fn)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ValueError("concat of an empty list")
-    ndim = parts[0].data.ndim
-    for p in parts[1:]:
-        if p.data.ndim != ndim:
-            raise ValueError("concat parts differ in rank")
-        for ax in range(ndim):
-            if ax != (axis % ndim) and p.shape[ax] != parts[0].shape[ax]:
-                raise ValueError(f"concat shape mismatch on axis {ax}: {p.shape} vs {parts[0].shape}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return make_op(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), grad_fn)
-
-
 def sum_all(x: Tensor) -> Tensor:
     return make_op(np.array(x.data.sum()), (x,), lambda g: (np.full(x.shape, float(g)),))
 

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants,
                          emit, emit_summary, noise_sweep_variants, run_variants)
 
@@ -82,9 +82,6 @@ def main(argv=None) -> int:
 
     try:  # a ConfigError is a ValueError, as are bad sweep levels
         cfg = parse_config(args.config)
-        if cfg.aux_dim:  # the synthetic and CIFAR-10 datasets carry no aux arrays
-            raise ConfigError(f"model.aux_dim must be 0 for the datasets labelattn builds, "
-                              f"got {cfg.aux_dim}")
         if args.command == "run":
             variants, summary = [(cfg, "")], None
         elif args.command == "sweep-noise":

@@ -5,9 +5,8 @@ Each config section is read from its spec dataclass (``SyntheticSpec``,
 ``Cifar10Spec``, ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which
 each run sets, and ``MethodSpec``): its keys are the class's fields, the
 fields without a default are required, and each value is checked by its
-field's annotation. ``model.aux_dim`` is for library callers whose datasets
-carry ``aux`` arrays; the CLI refuses a nonzero value, as the datasets it
-builds have none."""
+field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
+no auxiliary features; the key stays so that every config's hash holds."""
 
 from __future__ import annotations
 
@@ -66,7 +65,7 @@ class ExperimentConfig:
     dataset: SyntheticSpec | Cifar10Spec
     annotators: tuple[AnnotatorSpec, ...]
     hidden_dims: tuple[int, ...]
-    aux_dim: int
+    aux_dim: int                         # only 0; perfbench reads it
     meta: MetaConfig
     method: MethodSpec
     seeds: tuple[int, ...]
@@ -210,8 +209,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     aux_dim = _integer(model_raw.get("aux_dim", 0), "model.aux_dim")
     if any(d < 1 for d in hidden_dims):
         raise ConfigError("model.hidden_dims must be a nonempty list of positive ints")
-    if aux_dim < 0:
-        raise ConfigError("model.aux_dim must be >= 0")
+    if aux_dim != 0:
+        raise ConfigError(f"model.aux_dim must be 0, as a classifier takes no auxiliary "
+                          f"features; got {aux_dim}")
 
     meta = _section(MetaConfig, raw.get("meta", {}), "meta", skip=("seed",))
     method = _section(MethodSpec, raw.get("method", {"name": METHOD_OURS}), "method")

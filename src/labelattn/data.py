@@ -6,18 +6,17 @@ derived as default_rng([seed, tag]) with fixed tags so that adding an
 annotator or changing the epoch never perturbs unrelated draws.
 
 The feature matrix is the largest object in a run, so it is stored once.
-A ``LabeledDataset`` is a row view: it holds the source ``features`` and
-``aux`` arrays and an optional int64 ``rows`` index into them.
-``attach_annotators`` shares its input's arrays, and ``take_subset`` (and so
+A ``LabeledDataset`` is a row view: it holds the source ``features`` array,
+a sample's only input, and an optional int64 ``rows`` index into it.
+``attach_annotators`` shares its input's array, and ``take_subset`` (and so
 ``split``) composes row indices instead of copying; only the clean labels
 and label sets, one integer per sample, are gathered eagerly. Rows are
 gathered when read: ``minibatches`` takes each batch with one
 ``source.take(rows[idx], axis=0)`` (the rows of ``source[rows[idx]]``,
-without the per-call cost of fancy indexing), and ``.features`` / ``.aux``
-return the source itself when ``rows`` is None, else one gather (an
-evaluation reads them once per pass). The sources are read-only views, so
-an in-place write through a dataset raises and never reaches the caller's
-array.
+without the per-call cost of fancy indexing), and ``.features`` returns the
+source itself when ``rows`` is None, else one gather (an evaluation reads it
+once per pass). The source is a read-only view, so an in-place write through
+a dataset raises and never reaches the caller's array.
 
 The clean labels are an int64 ``[S]`` vector, and the noisy labels one int64
 ``[M, S]`` matrix, ``label_sets``: row m is labeler m's label for each
@@ -70,26 +69,27 @@ class SyntheticSpec:
 
 
 class LabeledDataset:
-    """Labelled samples as a row view over shared source arrays.
+    """Labelled samples as a row view over a shared source array.
 
-    ``features`` [S_src, D] and ``aux`` [S_src, A] are the source arrays;
-    ``rows`` (int64, None for all rows) picks this dataset's samples out of
-    them, in order. ``clean_labels`` [S] and ``label_sets`` [M, S] hold the
-    labels of the selected samples. The sources are kept as read-only views,
-    so a dataset never writes into its caller's arrays and an in-place write
-    through ``features``, ``aux``, ``clean_labels`` or ``label_sets`` raises;
+    ``features`` [S_src, D] is the source array; ``rows`` (int64, None for
+    all rows) picks this dataset's samples out of it, in order.
+    ``clean_labels`` [S] and ``label_sets`` [M, S] hold the labels of the
+    selected samples. The source is kept as a read-only view, so a dataset
+    never writes into its caller's array and an in-place write through
+    ``features``, ``clean_labels`` or ``label_sets`` raises;
     ``clean_labels`` and ``label_sets`` are the dataset's own copies, so a
     caller's later write to the labels it passed in does not reach the
     dataset either.
     """
 
+    aux = None  # a class constant that perfbench reads
+
     def __init__(self, features, clean_labels, n_classes: int,
-                 label_sets=None, aux=None, rows=None):
+                 label_sets=None, rows=None):
         self._features = _read_only(features, np.float64)
         if self._features.ndim != 2:
             raise ValueError(f"features must be [samples, dims], got shape "
                              f"{self._features.shape}")
-        self._aux = None if aux is None else _read_only(aux, np.float64)
         self.rows = None if rows is None else _checked_rows(rows, self._features.shape[0])
         self.clean_labels = _read_only(as_labels(clean_labels).copy(), np.int64)
         self.n_classes = n_classes
@@ -106,19 +106,11 @@ class LabeledDataset:
             raise ValueError("noisy label index out of range")
         self.label_sets = _read_only(sets.copy(), np.int64)
         self._onehot: np.ndarray | None = None
-        if self._aux is not None and self._aux.shape[0] != self._features.shape[0]:
-            raise ValueError("aux feature count differs from the dataset")
 
     @property
     def features(self) -> np.ndarray:
         """[S, D] float64: the read-only source itself, or one gather of its rows."""
         return self._features if self.rows is None else self._features[self.rows]
-
-    @property
-    def aux(self) -> np.ndarray | None:
-        if self._aux is None or self.rows is None:
-            return self._aux
-        return self._aux[self.rows]
 
     @property
     def n_samples(self) -> int:
@@ -143,8 +135,8 @@ class LabeledDataset:
 class Batch:
     x: np.ndarray                        # [B, D]
     label_sets: np.ndarray               # [M, B, N] one-hot float64
-    aux: np.ndarray | None
     indices: np.ndarray                  # positions inside the source dataset
+    aux = None                           # a class constant that perfbench reads
 
 
 @dataclass(frozen=True)
@@ -249,7 +241,7 @@ def load_cifar10(paths) -> LabeledDataset:
 def attach_annotators(ds: LabeledDataset, specs, seed: int) -> LabeledDataset:
     """Append one noisy label set per spec, each corrupted with its own
     default_rng([seed, index]) stream, as new rows of the label matrix. The
-    result shares ``ds``'s features, clean labels, aux and rows."""
+    result shares ``ds``'s features, clean labels and rows."""
     specs = list(specs)
     if not specs:
         raise ValueError("need at least one annotator spec")
@@ -261,19 +253,18 @@ def attach_annotators(ds: LabeledDataset, specs, seed: int) -> LabeledDataset:
             for idx, cm in enumerate(cms)]
     return LabeledDataset(features=ds._features, clean_labels=ds.clean_labels,
                           n_classes=ds.n_classes, label_sets=np.vstack([ds.label_sets, *sets]),
-                          aux=ds._aux, rows=ds.rows)
+                          rows=ds.rows)
 
 
 def take_subset(ds: LabeledDataset, indices) -> LabeledDataset:
     """The samples at ``indices`` (positions in ``ds``), as a view over the same
-    source arrays: only the row index, clean labels and label sets are gathered."""
+    source array: only the row index, clean labels and label sets are gathered."""
     indices = _checked_rows(indices, ds.n_samples)
     return LabeledDataset(
         features=ds._features,
         clean_labels=ds.clean_labels[indices],
         n_classes=ds.n_classes,
         label_sets=ds.label_sets[:, indices],
-        aux=ds._aux,
         rows=indices if ds.rows is None else ds.rows[indices],
     )
 
@@ -293,7 +284,7 @@ def validation_size(n_samples: int, val_fraction: float) -> int:
 
 def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
     """Uniform random disjoint split; floor rounding for the validation size.
-    Both halves keep all noisy label sets and share ``ds``'s source arrays."""
+    Both halves keep all noisy label sets and share ``ds``'s source array."""
     n_val = validation_size(ds.n_samples, val_fraction)
     perm = np.random.default_rng([seed, _SPLIT_TAG]).permutation(ds.n_samples)
     idx = SplitIndices(train=np.sort(perm[n_val:]), val=np.sort(perm[:n_val]),
@@ -303,7 +294,7 @@ def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
 
 def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: int = 0):
     """Epoch-seeded shuffled batches; the final partial batch is kept. Each
-    batch's features and aux are one gather from the source arrays."""
+    batch's features are one gather from the source array."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = np.random.default_rng([seed, _BATCH_TAG, epoch]).permutation(ds.n_samples)
@@ -315,7 +306,6 @@ def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: 
         yield Batch(
             x=ds._features.take(rows, axis=0),
             label_sets=hot.take(idx, axis=1),
-            aux=None if ds._aux is None else ds._aux.take(rows, axis=0),
             indices=idx,
         )
 

@@ -8,6 +8,7 @@ import json
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
-    fwd = forward_arrays(model, test.features, test.aux)
+    fwd = forward_arrays(model, test.features)
     acc = float(np.mean(predict_class(fwd) == test.clean_labels))
     aucs = per_class_auc(fwd.probs, test.clean_labels, test.n_classes)
     return acc, aucs
@@ -121,7 +122,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     train_ds, val_ds, _ = split(pool, cfg.val_fraction, seed=seed)
 
     layer_dims = (pool.n_features, *cfg.hidden_dims)
-    model = classifier_init(layer_dims, pool.n_classes, cfg.aux_dim,
+    model = classifier_init(layer_dims, pool.n_classes,
                             rng=np.random.default_rng([seed, _INIT_TAG]))
     meta = replace(cfg.meta, seed=seed)
 
@@ -151,28 +152,27 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
     return RunOutput(record=record, result=result, trace_rows=trace_rows)
 
 
-# One entry each, for this process's last job: (dataset spec, validation
-# fraction) -> clean (pool, test), and that key plus the annotator roster ->
-# noisy pool. A sweep's variants share one clean build, and the methods and
-# seeds of one level or roster share one attach; the noisy pool shares the
-# clean pool's features, so keeping it costs only its label matrix.
-_clean_memo: dict = {}
-_noisy_memo: dict = {}
+# One entry each, for this process's last job: the clean (pool, test) of a
+# (dataset spec, validation fraction), and the noisy pool of that pair plus
+# the annotator roster. A sweep's variants share one clean build, and the
+# methods and seeds of one level or roster share one attach; the noisy pool
+# shares the clean pool's features, so keeping it costs only its label matrix.
+@lru_cache(maxsize=1)
+def _clean(dataset, val_fraction: float) -> tuple[LabeledDataset, LabeledDataset]:
+    return build_clean_datasets(dataset, val_fraction)
+
+
+@lru_cache(maxsize=1)
+def _noisy(dataset, val_fraction: float, annotators) -> LabeledDataset:
+    return attach_annotators(_clean(dataset, val_fraction)[0], annotators, seed=dataset.seed)
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
     """One (variant, seed, tag) job: its record and its trace rows."""
     cfg, seed, tag = job
-    key = (cfg.dataset, cfg.val_fraction)
-    if key not in _clean_memo:
-        _clean_memo.clear()
-        _clean_memo[key] = build_clean_datasets(cfg.dataset, cfg.val_fraction)
-    clean, test = _clean_memo[key]
-    noisy_key = (*key, cfg.annotators)
-    if noisy_key not in _noisy_memo:
-        _noisy_memo.clear()
-        _noisy_memo[noisy_key] = attach_annotators(clean, cfg.annotators, seed=cfg.dataset.seed)
-    out = run_single(cfg, seed, tag=tag, pool=_noisy_memo[noisy_key], test=test)
+    _, test = _clean(cfg.dataset, cfg.val_fraction)
+    pool = _noisy(cfg.dataset, cfg.val_fraction, cfg.annotators)
+    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
     return out.record, out.trace_rows
 
 
@@ -199,8 +199,8 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
             f"run failed (method={method_label(cfg.method)}, seed={seed}, "
             f"tag={tag!r}): {err}", records) from err
     finally:
-        _clean_memo.clear()
-        _noisy_memo.clear()
+        _clean.cache_clear()
+        _noisy.cache_clear()
     return records
 
 

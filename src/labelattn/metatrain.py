@@ -154,7 +154,7 @@ class IterationTrace:
     @property
     def loss_post(self) -> float:
         """Same-batch loss of ``model_after`` against ``y_tilde``: one forward pass."""
-        fwd = forward_arrays(self.model_after, self.batch.x, self.batch.aux)
+        fwd = forward_arrays(self.model_after, self.batch.x)
         return fwd.bce.value(self.y_tilde)
 
     @property
@@ -209,12 +209,12 @@ def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) ->
 
 
 def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
-                   alpha: float, x, aux=None) -> np.ndarray:
+                   alpha: float, x) -> np.ndarray:
     """The M probes toward ``label_sets`` [M, B, N] and their feedback in one
     stacked pass: a [B, M*D] array equal bit for bit to ``collect_feedback``
     of the ``meta_step`` probes.
 
-    ``fwd`` is ``model``'s array forward of the batch ``x`` (and ``aux``).
+    ``fwd`` is ``model``'s array forward of the batch ``x``.
     Only the hidden parameters of a probe reach its features, so neither its
     head nor the head's gradient is formed. The [M, ...] gradient stack is
     freed on return.
@@ -226,7 +226,7 @@ def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
     for g, param in zip(hidden, model.params):
         g *= alpha
         np.subtract(param.data, g, out=g)
-    return stacked_features(model, hidden, x, aux)
+    return stacked_features(model, hidden, x)
 
 
 def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
@@ -235,12 +235,15 @@ def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
     Returns a constant [B, M*D] tensor; no later gradient pass can reach the
     probe parameters through it. The models' hidden parameters are stacked
     and run through the same stacked forward as :func:`probe_features`.
+    ``aux`` accepts only None; perfbench passes it.
     """
+    if aux is not None:
+        raise ValueError("a classifier takes no auxiliary features; aux must be None")
     if not meta_models:
         raise ValueError("no probe models to collect feedback from")
     n_hidden = len(meta_models[0].params) - 2
     hidden = [np.stack([m.params[j].data for m in meta_models]) for j in range(n_hidden)]
-    return Tensor(stacked_features(meta_models[0], hidden, x, aux), copy=False)
+    return Tensor(stacked_features(meta_models[0], hidden, x), copy=False)
 
 
 def _check_width(attn: AttentionParams, stacked: np.ndarray) -> None:
@@ -399,8 +402,8 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     if batch.label_sets.shape[0] != attn.n_sets:
         raise ValueError(f"batch carries {batch.label_sets.shape[0]} label sets, "
                          f"attention expects {attn.n_sets}")
-    fwd = forward_arrays(model, batch.x, batch.aux)
-    stacked = probe_features(model, fwd, batch.label_sets, config.alpha, batch.x, batch.aux)
+    fwd = forward_arrays(model, batch.x)
+    stacked = probe_features(model, fwd, batch.label_sets, config.alpha, batch.x)
     path = label_path(attn, stacked, batch.label_sets, config.k, config.t_threshold)
 
     new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
@@ -413,7 +416,7 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
 
 def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.ndarray):
     """(accuracy, bce loss) of the model against the given noisy targets."""
-    fwd = forward_arrays(model, ds.features, ds.aux)
+    fwd = forward_arrays(model, ds.features)
     acc = float(np.mean(predict_class(fwd) == target_labels))
     return acc, fwd.bce.value(one_hot(target_labels, ds.n_classes))
 
@@ -469,7 +472,7 @@ def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaCon
     """
     if train_ds.n_sets < 1:
         raise ValueError("training dataset carries no label sets")
-    attn = attention_init(train_ds.n_sets, model.feature_dim + model.aux_dim)
+    attn = attention_init(train_ds.n_sets, model.feature_dim)
     adam_state = adam_init(params_get(model), lr=config.beta)
     iteration = 0
 
@@ -506,7 +509,7 @@ def train_baseline(model: Classifier, train_ds: LabeledDataset, target,
         target_arr = (np.add.reduce(sets, axis=0) / sets.shape[0] if target == "avg"
                       else sets[int(target)])
         model, adam_state, value = final_step(
-            model, target_arr, forward_arrays(model, batch.x, batch.aux), adam_state)
+            model, target_arr, forward_arrays(model, batch.x), adam_state)
         return model, value, None
 
     val_targets = None

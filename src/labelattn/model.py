@@ -1,5 +1,5 @@
-"""Desk-scale multi-label classifier: a dense ReLU stack producing a feature
-vector, an optional auxiliary-feature concatenation, and a per-class sigmoid
+"""Desk-scale multi-label classifier on one input ``x``: a dense ReLU stack
+whose last hidden activation is the feature vector, and a per-class sigmoid
 head. Classifiers are immutable; parameter updates produce new instances.
 
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (BceTerms, Tensor, add_bias, concat, constant, logistic, matmul, relu,
-                       sigmoid)
+from .autodiff import BceTerms, Tensor, add_bias, constant, logistic, matmul, relu, sigmoid
 
 _FLOAT64 = np.dtype(np.float64)
 
@@ -33,8 +32,8 @@ _FLOAT64 = np.dtype(np.float64)
 class Classifier:
     layer_dims: tuple[int, ...]          # input_dim, hidden..., feature_dim
     n_classes: int
-    aux_dim: int
     params: tuple[Tensor, ...]           # W1, b1, ..., Wk, bk, head_W, head_b
+    aux_dim = 0                          # a class constant that perfbench reads
 
     @property
     def feature_dim(self) -> int:
@@ -45,7 +44,7 @@ class Classifier:
 class ForwardResult:
     """The tape forward of a batch."""
 
-    features: Tensor                     # penultimate activations, post-aux concat
+    features: Tensor                     # the last hidden activation
     logits: Tensor
     probs: Tensor
     activations: tuple[np.ndarray, ...] = ()   # the input, then each hidden ReLU output
@@ -55,9 +54,13 @@ class ForwardResult:
 class ArrayForward:
     """The array forward of a batch: what training and evaluation read."""
 
-    features: np.ndarray                 # penultimate activations, post-aux concat
     probs: np.ndarray
     activations: tuple[np.ndarray, ...]  # the input, then each hidden ReLU output
+
+    @property
+    def features(self) -> np.ndarray:
+        """The last hidden activation, which the head reads."""
+        return self.activations[-1]
 
     @cached_property
     def bce(self) -> BceTerms:
@@ -66,11 +69,11 @@ class ArrayForward:
         return BceTerms(self.probs)
 
 
-def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,
+def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,  # only 0; perfbench passes it
                     rng: np.random.Generator | None = None) -> Classifier:
     """He-scaled normal weights (std = sqrt(2/fan_in)), zero biases."""
     layer_dims = tuple(int(d) for d in layer_dims)
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims) or n_classes < 1 or aux_dim < 0:
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims) or n_classes < 1 or aux_dim != 0:
         raise ValueError(f"invalid dimensions: layer_dims={layer_dims}, "
                          f"n_classes={n_classes}, aux_dim={aux_dim}")
     if rng is None:
@@ -80,41 +83,32 @@ def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
         params.append(Tensor(w, requires_grad=True, copy=False))
         params.append(Tensor(np.zeros(fan_out), requires_grad=True, copy=False))
-    head_in = layer_dims[-1] + aux_dim
-    head_w = rng.normal(0.0, np.sqrt(2.0 / head_in), size=(head_in, n_classes))
+    head_w = rng.normal(0.0, np.sqrt(2.0 / layer_dims[-1]), size=(layer_dims[-1], n_classes))
     params.append(Tensor(head_w, requires_grad=True, copy=False))
     params.append(Tensor(np.zeros(n_classes), requires_grad=True, copy=False))
-    return Classifier(layer_dims=layer_dims, n_classes=n_classes, aux_dim=aux_dim,
-                      params=tuple(params))
+    return Classifier(layer_dims=layer_dims, n_classes=n_classes, params=tuple(params))
 
 
-def _check_batch(model: Classifier, x: np.ndarray, aux: np.ndarray | None) -> None:
+def _check_batch(model: Classifier, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise ValueError(f"input width {x.shape} does not match layer_dims[0]={model.layer_dims[0]}")
-    if aux is not None and model.aux_dim == 0:
-        raise ValueError("auxiliary features supplied to a model with aux_dim=0")
-    if aux is None and model.aux_dim > 0:
-        raise ValueError(f"model expects auxiliary features of width {model.aux_dim}")
-    if aux is not None and (aux.ndim != 2 or aux.shape[1] != model.aux_dim
-                            or aux.shape[0] != x.shape[0]):
-        raise ValueError(f"aux shape {aux.shape} does not match (batch, {model.aux_dim})")
 
 
-def forward(model: Classifier, x, aux=None) -> ForwardResult:
+def forward(model: Classifier, x, aux=None) -> ForwardResult:  # aux: only None; perfbench passes it
     """Differentiable forward pass over a batch [B, input_dim] on the tape:
     the oracle of :func:`forward_arrays`, which training runs."""
+    if aux is not None:
+        raise ValueError("a classifier takes no auxiliary features; aux must be None")
     h = x if isinstance(x, Tensor) else constant(x)
-    a = aux if aux is None or isinstance(aux, Tensor) else constant(aux)
-    _check_batch(model, h.data, None if a is None else a.data)
+    _check_batch(model, h.data)
 
     activations = [h.data]
     for i in range(len(model.layer_dims) - 1):
         h = relu(add_bias(matmul(h, model.params[2 * i]), model.params[2 * i + 1]))
         activations.append(h.data)
 
-    feats = h if a is None else concat([h, a], axis=1)
-    logits = add_bias(matmul(feats, model.params[-2]), model.params[-1])
-    return ForwardResult(features=feats, logits=logits, probs=sigmoid(logits),
+    logits = add_bias(matmul(h, model.params[-2]), model.params[-1])
+    return ForwardResult(features=h, logits=logits, probs=sigmoid(logits),
                          activations=tuple(activations))
 
 
@@ -127,13 +121,11 @@ def relu_in_place(pre: np.ndarray) -> np.ndarray:
     return pre
 
 
-def forward_arrays(model: Classifier, x, aux=None) -> ArrayForward:
+def forward_arrays(model: Classifier, x) -> ArrayForward:
     """Forward pass over a batch [B, input_dim] on plain arrays, with no tape
     and no copy of the input; equal bit for bit to :func:`forward`."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if aux is not None:
-        aux = np.asarray(aux, dtype=np.float64)
-    _check_batch(model, x, aux)
+    _check_batch(model, x)
     h = x
     activations = [h]
     for i in range(len(model.layer_dims) - 1):
@@ -141,11 +133,9 @@ def forward_arrays(model: Classifier, x, aux=None) -> ArrayForward:
         pre += model.params[2 * i + 1].data
         h = relu_in_place(pre)
         activations.append(h)
-    feats = h if aux is None else np.concatenate([h, aux], axis=1)
-    logits = feats @ model.params[-2].data
+    logits = h @ model.params[-2].data
     logits += model.params[-1].data
-    return ArrayForward(features=feats, probs=logistic(logits),
-                        activations=tuple(activations))
+    return ArrayForward(probs=logistic(logits), activations=tuple(activations))
 
 
 def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
@@ -189,7 +179,7 @@ def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
     else:
         _check_out(len(model.params) - 2, g, out)
     grads: list = [None] * (len(model.params) - 2)
-    g = np.matmul(g, model.params[-2].data.T)[..., :model.feature_dim]
+    g = np.matmul(g, model.params[-2].data.T)
     for i in reversed(range(len(acts) - 1)):
         g = g * (acts[i + 1] > 0.0)
         grads[2 * i] = np.matmul(acts[i].T, g, out=out[2 * i])
@@ -217,26 +207,19 @@ def _check_out(n: int, g: np.ndarray, out, start: int = 0) -> None:
                      f"[B, N] logit gradient; got {got}")
 
 
-def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x, aux=None) -> np.ndarray:
+def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x) -> np.ndarray:
     """Features of M classifiers shaped like ``model`` whose hidden parameters
     are ``hidden`` = [W1, b1, ..., Wk, bk], each stacked [M, ...]. Returns
-    [B, M*D]: row b holds sample b's M feature vectors (aux appended to each),
-    each equal bit for bit to what ``forward`` gives for that classifier."""
+    [B, M*D]: row b holds sample b's M feature vectors, each equal bit for
+    bit to what ``forward`` gives for that classifier."""
     x = np.ascontiguousarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    if aux is not None:
-        aux = np.asarray(aux.data if isinstance(aux, Tensor) else aux, dtype=np.float64)
-    _check_batch(model, x, aux)
+    _check_batch(model, x)
     h = x
     for w, b in zip(hidden[0::2], hidden[1::2]):
         pre = np.matmul(h, w)
         pre += b[:, None, :]
         h = relu_in_place(pre)
-    m, batch, width = h.shape
-    out = np.empty((batch, m, width + model.aux_dim))
-    out[:, :, :width] = h.transpose(1, 0, 2)
-    if aux is not None:
-        out[:, :, width:] = aux[:, None, :]
-    return out.reshape(batch, -1)
+    return h.transpose(1, 0, 2).reshape(x.shape[0], -1)
 
 
 def params_get(model: Classifier) -> list[Tensor]:
@@ -254,8 +237,7 @@ def params_set(model: Classifier, params) -> Classifier:
         if arr.shape != old.data.shape:
             raise ValueError(f"parameter shape {arr.shape} does not match {old.data.shape}")
         fresh.append(Tensor(arr.copy(), requires_grad=True, copy=False))
-    return Classifier(layer_dims=model.layer_dims, n_classes=model.n_classes,
-                      aux_dim=model.aux_dim, params=tuple(fresh))
+    return Classifier(model.layer_dims, model.n_classes, tuple(fresh))
 
 
 def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray | int:

@@ -118,12 +118,6 @@ def gradient_oracle_sweep(trials: int = 20, seed: int = 0) -> list[OpCheck]:
         return _fd_check(weighted_sum_of(lambda x: ad.softmax(x), wgt),
                          Tensor(r.uniform(-2, 2, size=(3, 5)), requires_grad=True))
 
-    def concat_case(r):
-        other = constant(r.uniform(-2, 2, size=(2, 3)))
-        wgt = constant(r.uniform(-2, 2, size=(5, 3)))
-        return _fd_check(weighted_sum_of(lambda x: ad.concat([x, other], axis=0), wgt),
-                         Tensor(r.uniform(-2, 2, size=(3, 3)), requires_grad=True))
-
     def bce_pred_case(r):
         y = constant(r.integers(0, 2, size=6).astype(float))
         return _fd_check(lambda p: bce_loss(p, y),
@@ -164,7 +158,6 @@ def gradient_oracle_sweep(trials: int = 20, seed: int = 0) -> list[OpCheck]:
     check("sigmoid", sigmoid_case)
     check("relu", relu_case)
     check("softmax", softmax_case)
-    check("concat", concat_case)
     check("bce_loss/pred", bce_pred_case)
     check("bce_loss/target", bce_target_case)
     check("binarize", binarize_case)

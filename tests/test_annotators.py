@@ -72,6 +72,11 @@ class TestStructuredFlips:
         with pytest.raises(ValueError, match="itself"):
             cm_structured_flips(10, 0.4, pairs=((3, 3),))
 
+    def test_rejects_repeated_source(self):
+        # one row has one flip target: a second pair from class 0 was dropped
+        with pytest.raises(ValueError, match="repeats source class 0"):
+            cm_structured_flips(4, 0.4, pairs=((0, 1), (0, 2)))
+
 
 class TestOrderedConfusion:
     def test_table_values(self):
@@ -322,6 +327,11 @@ class TestSpecAndSerialization:
             AnnotatorSpec(kind="oracle")
         with pytest.raises(ValueError, match="noise_level"):
             AnnotatorSpec(kind="hammer_spammer", noise_level=1.5)
+        # flip pairs would be ignored by every other kind, yet change the hash
+        for kind in KINDS:
+            if kind != "structured_flips":
+                with pytest.raises(ValueError, match="flip_pairs apply only"):
+                    AnnotatorSpec(kind=kind, noise_level=0.2, flip_pairs=((0, 1),))
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -338,6 +348,7 @@ class TestCheckFits:
         AnnotatorSpec("structured_flips", 0.3, flip_pairs=((4, 0),)),
         AnnotatorSpec("structured_flips", 0.3, flip_pairs=((1, 1),)),
         AnnotatorSpec("structured_flips", 0.3, flip_pairs=((-1, 0),)),
+        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 1), (0, 2))),
     ], ids=lambda spec: f"{spec.kind}-{spec.flip_pairs}")
     def test_raises_exactly_where_build_cm_raises(self, spec, n):
         try:

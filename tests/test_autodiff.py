@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import labelattn.autodiff as ad
-from labelattn.autodiff import (Tensor, bce_loss, concat, constant, detach, finite_diff_grad,
+from labelattn.autodiff import (Tensor, bce_loss, constant, detach, finite_diff_grad,
                                 gradients, matmul, relu, sigmoid, softmax, sum_all,
                                 tensor_new)
 
@@ -199,32 +199,6 @@ class TestSoftmax:
         (g,) = gradients(sum_all(ad.mul(softmax(z), wgt)), [z])
         fd = finite_diff_grad(lambda t: sum_all(ad.mul(softmax(t), wgt)), z)
         fd_close(g, fd.data)
-
-
-class TestConcat:
-    def test_vectors(self):
-        out = concat([tensor_new([2], [1, 2]), tensor_new([1], [3])], axis=0)
-        assert np.array_equal(out.data, [1, 2, 3])
-
-    def test_single_part_identity(self):
-        x = tensor_new([2, 2], [1, 2, 3, 4])
-        assert np.array_equal(concat([x], axis=1).data, x.data)
-
-    def test_gradient_routing(self):
-        rng = np.random.default_rng(7)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        wgt = constant(rng.normal(size=(2, 5)))
-        loss = sum_all(ad.mul(concat([a, b], axis=1), wgt))
-        ga, gb = gradients(loss, [a, b])
-        fd_a = finite_diff_grad(lambda t: sum_all(ad.mul(concat([t, b], axis=1), wgt)), a)
-        fd_b = finite_diff_grad(lambda t: sum_all(ad.mul(concat([a, t], axis=1), wgt)), b)
-        fd_close(ga, fd_a.data)
-        fd_close(gb, fd_b.data)
-
-    def test_inconsistent_shapes(self):
-        with pytest.raises(ValueError, match="concat"):
-            concat([tensor_new([2, 2], range(4)), tensor_new([2, 3], range(6))], axis=0)
 
 
 class TestBceLoss:

@@ -159,11 +159,25 @@ class TestErrors:
         assert "annotators[0] does not fit 2 classes" in capsys.readouterr().err
 
     def test_aux_dim_exits_two(self, tmp_path, capsys):
-        # neither dataset kind the CLI builds carries auxiliary features
+        # a classifier takes no auxiliary features: the parser refuses the value
         cfg = write_config(tmp_path, output=str(tmp_path / "out"),
                            model={"hidden_dims": [8, 6], "aux_dim": 2})
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error: model.aux_dim" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("annotator, message", [
+        ({"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1], [0, 2]]},
+         "repeats source class 0"),
+        ({"kind": "hammer_spammer", "noise_level": 0.2, "flip_pairs": [[0, 1]]},
+         "flip_pairs apply only to 'structured_flips'"),
+    ], ids=["repeated-source", "not-structured-flips"])
+    def test_flip_pairs_that_would_be_ignored_exit_two(self, tmp_path, capsys, annotator,
+                                                       message):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"), annotators=[annotator])
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("output", [None, ["a", 1], 3])

@@ -86,6 +86,11 @@ class TestParsing:
         ({"seeds": [0.5]}, "seeds"),
         ({"model": {"hidden_dims": "ab"}}, "model.hidden_dims"),
         ({"model": {"aux_dim": True}}, "model.aux_dim"),
+        ({"model": {"aux_dim": 2}}, "^model.aux_dim must be 0"),
+        ({"model": {"aux_dim": -1}}, "^model.aux_dim must be 0"),
+        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2,
+                          "flip_pairs": [[0, 1]]}]},
+         "annotators\\[0\\]: flip_pairs apply only to 'structured_flips'"),
         ({"val_fraction": "a"}, "val_fraction"),
         ({"annotators": [{"kind": "structured_flips", "noise_level": 0.3,
                           "flip_pairs": [[1]]}]}, "annotators\\[0\\].flip_pairs"),
@@ -129,6 +134,8 @@ class TestParsing:
          {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 4]]}),
         ({"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"]}},
          {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[10, 0]]}),
+        ({"synthetic": {"n_classes": 4}},
+         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1], [0, 2]]}),
     ])
     def test_roster_must_fit_the_class_count(self, dataset, annotator):
         raw = minimal(dataset=dataset, annotators=[annotator, {"kind": "average"}])
@@ -222,7 +229,6 @@ class TestHash:
             minimal(annotators=[{"kind": "hammer_spammer", "noise_level": 0.4}]),
             minimal(annotators=[{"kind": "structured_flips", "noise_level": 0.3,
                                  "flip_pairs": [[0, 1]]}]),
-            minimal(model={"aux_dim": 2}),
             minimal(method={"name": "baseline", "set_index": 0}),
             minimal(dataset={"synthetic": {"n_classes": 4, "dim": 6,
                                            "samples_per_class": 10, "seed": 1}}),
@@ -240,7 +246,7 @@ class TestHash:
     # A change to one of these values changes the config_hash of every record
     # already written for that config.
     @pytest.mark.parametrize("raw, expected", [
-        ({  # every section set, with flip_pairs, aux_dim and a baseline
+        ({  # every section set, with flip_pairs and a baseline
             "dataset": {"synthetic": {"n_classes": 10, "dim": 32, "samples_per_class": 500,
                                       "cluster_std": 1.0, "center_scale": 3.0, "seed": 7}},
             "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
@@ -248,12 +254,12 @@ class TestHash:
                             "flip_pairs": [[0, 2], [3, 5]]},
                            {"kind": "ordered_confusion", "noise_level": 0.5},
                            {"kind": "adversarial"}, {"kind": "average"}],
-            "model": {"hidden_dims": [128, 64], "aux_dim": 4},
+            "model": {"hidden_dims": [128, 64], "aux_dim": 0},
             "meta": {"alpha": 0.2, "beta": 1e-4, "k": 50, "t_threshold": 0.5,
                      "batch_size": 32, "epochs": 30, "attention_mode": "concat"},
             "method": {"name": "baseline", "set_index": 2},
             "seeds": [0, 1, 2], "val_fraction": 0.2, "output": "results", "trace": False,
-        }, "8085af86f302ce55"),
+        }, "a6d59a76326c4e90"),
         ({
             "dataset": {"cifar10": {"paths": ["data_batch_1.bin"],
                                     "test_paths": ["test_batch.bin"],
@@ -321,7 +327,8 @@ _PLAUSIBLE = st.fixed_dictionaries({
         min_size=1, max_size=4),
     "seeds": st.lists(_SMALL, min_size=1, max_size=3),
 }, optional={
-    "model": _optional(hidden_dims=st.lists(_SMALL, min_size=1, max_size=3), aux_dim=_SMALL),
+    "model": _optional(hidden_dims=st.lists(_SMALL, min_size=1, max_size=3),
+                       aux_dim=st.sampled_from([0, 1])),
     "meta": _optional(alpha=_FRACTION, beta=_FRACTION, k=_SMALL, t_threshold=_FRACTION,
                       batch_size=_SMALL, epochs=_SMALL,
                       attention_mode=st.sampled_from(["concat", "shared"])),

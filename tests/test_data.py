@@ -175,11 +175,6 @@ def blob_dataset(seed=0, per_class=40, n_classes=4):
                                      samples_per_class=per_class, seed=seed))
 
 
-def with_aux(ds, aux):
-    return LabeledDataset(features=ds.features, clean_labels=ds.clean_labels,
-                          n_classes=ds.n_classes, label_sets=ds.label_sets, aux=aux)
-
-
 class TestAttachAnnotators:
     def test_identity_annotator_matches_clean(self):
         ds = attach_annotators(blob_dataset(), [AnnotatorSpec("hammer_spammer", 0.0)],
@@ -297,15 +292,12 @@ def eager(ds, rows):
     return LabeledDataset(
         features=ds.features[rows].copy(), clean_labels=ds.clean_labels[rows].copy(),
         n_classes=ds.n_classes,
-        label_sets=ds.label_sets[:, rows],
-        aux=None if ds.aux is None else ds.aux[rows].copy())
+        label_sets=ds.label_sets[:, rows])
 
 
 class TestRowView:
-    def noisy(self, aux_dim=0):
+    def noisy(self):
         ds = blob_dataset(per_class=25)  # 100 samples
-        if aux_dim:
-            ds = with_aux(ds, np.random.default_rng(12).normal(size=(ds.n_samples, aux_dim)))
         return attach_annotators(ds, [AnnotatorSpec("hammer_spammer", 0.3),
                                       AnnotatorSpec("adversarial"),
                                       AnnotatorSpec("average")], seed=13)
@@ -313,9 +305,6 @@ class TestRowView:
     def assert_same(self, view, ref):
         assert view.n_samples == ref.n_samples
         assert view.features.tobytes() == ref.features.tobytes()
-        assert (view.aux is None) == (ref.aux is None)
-        if ref.aux is not None:
-            assert view.aux.tobytes() == ref.aux.tobytes()
         assert view.clean_labels.tobytes() == ref.clean_labels.tobytes()
         assert view.label_sets.shape == ref.label_sets.shape
         assert view.label_sets.tobytes() == ref.label_sets.tobytes()
@@ -326,21 +315,16 @@ class TestRowView:
                 assert a.x.tobytes() == b.x.tobytes()
                 assert a.label_sets.tobytes() == b.label_sets.tobytes()
                 assert a.indices.tobytes() == b.indices.tobytes()
-                assert (a.aux is None) == (b.aux is None)
-                if b.aux is not None:
-                    assert a.aux.tobytes() == b.aux.tobytes()
 
-    @pytest.mark.parametrize("aux_dim", [0, 3])
-    def test_split_halves_match_eager_copies(self, aux_dim):
-        ds = self.noisy(aux_dim)
+    def test_split_halves_match_eager_copies(self):
+        ds = self.noisy()
         train, val, idx = split(ds, 0.2, seed=5)
         self.assert_same(train, eager(ds, idx.train))
         self.assert_same(val, eager(ds, idx.val))
         self.assert_same(ds, eager(ds, np.arange(ds.n_samples)))
 
-    @pytest.mark.parametrize("aux_dim", [0, 3])
-    def test_subset_of_a_subset_composes_rows(self, aux_dim):
-        ds = self.noisy(aux_dim)
+    def test_subset_of_a_subset_composes_rows(self):
+        ds = self.noisy()
         first = np.random.default_rng(6).permutation(ds.n_samples)[:70]
         second = np.array([69, 0, 5, 5, 33, 12, 40, 1, 2, 68, 3, 50, 51, 52, 17, 18, 19])
         twice = take_subset(take_subset(ds, first), second)
@@ -365,17 +349,15 @@ class TestRowView:
 
     def test_writes_through_a_dataset_raise(self):
         feats = np.zeros((6, 2))
-        aux = np.ones((6, 1))
-        ds = LabeledDataset(features=feats, clean_labels=[0, 1, 0, 1, 0, 1], n_classes=2,
-                            aux=aux)
+        ds = LabeledDataset(features=feats, clean_labels=[0, 1, 0, 1, 0, 1], n_classes=2)
         noisy = attach_annotators(ds, [AnnotatorSpec("adversarial")], seed=0)
         for view in (ds, noisy):
-            for array in (view.features, view.aux, view.clean_labels):
+            for array in (view.features, view.clean_labels):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 7
-        # the caller's own arrays keep their flags and their values
-        assert feats.flags.writeable and aux.flags.writeable
-        assert not feats.any() and np.all(aux == 1.0)
+        # the caller's own array keeps its flags and its values
+        assert feats.flags.writeable
+        assert not feats.any()
         feats[0, 0] = 3.0
         assert ds.features[0, 0] == 3.0
 

@@ -8,10 +8,12 @@ import pytest
 
 from labelattn import experiment
 from labelattn.config import ConfigError, config_hash, parse_config_dict
-from labelattn.data import LabeledDataset
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
                                   emit, emit_summary, read_records, run_experiment,
                                   run_single, summarize, sweep_annotators, sweep_noise)
+from labelattn.data import Batch, LabeledDataset, minibatches
+from labelattn.metatrain import attention_init, collect_feedback, meta_step
+from labelattn.model import Classifier, classifier_init, forward
 
 TINY = {
     "dataset": {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 30,
@@ -71,14 +73,11 @@ class TestRunExperiment:
         assert set(row) == {"iter", "weights_mean", "loss_pre", "loss_post"}
         assert row["loss_post"] is not None
 
-    def test_aux_configured_model(self):
-        cfg = tiny_config(model={"hidden_dims": [8, 6], "aux_dim": 2})
-        pool, test = build_datasets(cfg)
-        pool, test = (LabeledDataset(features=d.features, clean_labels=d.clean_labels,
-                                     n_classes=d.n_classes, label_sets=d.label_sets,
-                                     aux=np.zeros((d.n_samples, 2))) for d in (pool, test))
-        out = run_single(cfg, seed=0, pool=pool, test=test)
-        assert 0.0 <= out.record.test_accuracy <= 1.0
+    def test_aux_configured_model_refused(self):
+        # a classifier takes no auxiliary features, so the parser refuses
+        # the config before any library caller can run it
+        with pytest.raises(ConfigError, match="model.aux_dim must be 0"):
+            tiny_config(model={"hidden_dims": [8, 6], "aux_dim": 2})
 
     def test_cifar_config_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -132,6 +131,31 @@ class TestRunExperiment:
         raw["dataset"] = {"cifar10": {"paths": [str(tmp_path / "t.bin")]}}
         with pytest.raises(ConfigError, match="missing required key 'test_paths'"):
             parse_config_dict(raw)
+
+
+def test_aux_names_the_benchmark_reads():
+    # perfbench/phases.py and perfbench/endtoend.py, which this suite does not
+    # collect, still read these names; each stays and accepts only "no aux"
+    cfg = tiny_config()
+    assert cfg.aux_dim == 0
+    assert Classifier.aux_dim == 0 and Batch.aux is None and LabeledDataset.aux is None
+    pool, _ = build_datasets(cfg)
+    batch = next(minibatches(pool, 8))
+    assert pool.aux is None and batch.aux is None
+    model = classifier_init((pool.n_features, *cfg.hidden_dims), pool.n_classes, cfg.aux_dim,
+                            rng=np.random.default_rng(0))
+    fwd = forward(model, batch.x, batch.aux)
+    probes = [meta_step(model, batch.label_sets[m], 0.1, fwd.probs) for m in range(pool.n_sets)]
+    stacked = collect_feedback(probes, batch.x, batch.aux)
+    attn = attention_init(pool.n_sets, model.feature_dim + model.aux_dim, cfg.meta.attention_mode)
+    assert stacked.shape == (8, attn.w.shape[0])
+
+    with pytest.raises(ValueError, match="aux_dim=1"):
+        classifier_init((pool.n_features, 8), pool.n_classes, 1)
+    with pytest.raises(ValueError, match="aux"):
+        forward(model, batch.x, np.zeros((8, 1)))
+    with pytest.raises(ValueError, match="aux"):
+        collect_feedback(probes, batch.x, np.zeros((8, 1)))
 
 
 class TestSweeps:

@@ -367,7 +367,7 @@ def make_toy_batch():
     y1 = np.array([[1.0, 0.0], [0.0, 1.0]])
     y2 = np.array([[0.0, 1.0], [0.0, 1.0]])
     sets = np.stack([y1, y2])
-    return Batch(x=x, label_sets=sets, aux=None, indices=np.array([0, 1]))
+    return Batch(x=x, label_sets=sets, indices=np.array([0, 1]))
 
 
 def make_toy_model():
@@ -499,13 +499,13 @@ class TestPencilAndPaperIteration:
 
 def test_update_norms_equal_the_eager_formula():
     rng = np.random.default_rng(11)
-    model = classifier_init((3, 5, 4), n_classes=2, aux_dim=1, rng=rng)
+    model = classifier_init((3, 5, 4), n_classes=2, rng=rng)
     n_sets, batch_size = 3, 6
-    attn = AttentionParams(w=Tensor(rng.normal(scale=0.3, size=(n_sets * 5, n_sets))),
+    attn = AttentionParams(w=Tensor(rng.normal(scale=0.3, size=(n_sets * 4, n_sets))),
                            b=Tensor(rng.normal(scale=0.3, size=n_sets)))
     sets = np.eye(2)[rng.integers(0, 2, size=(n_sets, batch_size))]
     batch = Batch(x=rng.normal(size=(batch_size, 3)), label_sets=sets,
-                  aux=rng.normal(size=(batch_size, 1)), indices=np.arange(batch_size))
+                  indices=np.arange(batch_size))
     config = MetaConfig(alpha=0.2, beta=0.05, batch_size=batch_size, epochs=1)
     state = adam_init(params_get(model), lr=config.beta)
     new_model, new_attn, _, trace = train_iteration(model, attn, batch, config, state)
@@ -588,19 +588,25 @@ class TestTrainingLoops:
 
     @pytest.mark.parametrize("trainer", ["attention", "baseline"])
     def test_nan_prediction_names_epoch_and_batch(self, trainer):
-        # an aux value goes straight into the head, so a NaN there is a NaN
-        # prediction for its sample, in whichever batch holds it
+        # a +inf feature row stays +inf through hidden layers of positive
+        # weights (a NaN would not: the ReLU maps it to 0), and the head's
+        # mixed signs sum +inf and -inf into a NaN prediction for its sample,
+        # in whichever batch holds it
         ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3),
                                 AnnotatorSpec("adversarial")])
-        aux = np.zeros((ds.n_samples, 2))
-        aux[17, 1] = np.nan
-        ds = LabeledDataset(features=ds.features, clean_labels=ds.clean_labels,
-                            n_classes=ds.n_classes, label_sets=ds.label_sets, aux=aux)
+        feats = ds.features.copy()
+        feats[17] = np.inf
+        ds = LabeledDataset(features=feats, clean_labels=ds.clean_labels,
+                            n_classes=ds.n_classes, label_sets=ds.label_sets)
         cfg = MetaConfig(epochs=1, batch_size=16, seed=9)
         batch = next(i for i, b in enumerate(minibatches(ds, 16, 9, 0)) if 17 in b.indices)
         assert batch > 0
-        model = classifier_init((4, 8, 4), 3, aux_dim=2, rng=np.random.default_rng(8))
-        with pytest.raises(ValueError, match=f"^epoch 0, batch {batch}: non-finite"):
+        model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(8))
+        params = [p.data for p in model.params]
+        params[:-2:2] = [np.abs(w) for w in params[:-2:2]]
+        model = params_set(model, params)
+        with (pytest.raises(ValueError, match=f"^epoch 0, batch {batch}: non-finite"),
+              np.errstate(invalid="ignore")):
             if trainer == "attention":
                 train_attention(model, ds, cfg)
             else:

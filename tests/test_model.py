@@ -10,9 +10,8 @@ from labelattn.model import (classifier_init, forward, forward_arrays, hidden_gr
 from labelattn.optim import adam_init
 
 
-def tiny_model(seed=0, aux_dim=0):
-    return classifier_init((4, 8, 5), n_classes=3, aux_dim=aux_dim,
-                           rng=np.random.default_rng(seed))
+def tiny_model(seed=0):
+    return classifier_init((4, 8, 5), n_classes=3, rng=np.random.default_rng(seed))
 
 
 class TestInit:
@@ -33,12 +32,8 @@ class TestInit:
             assert np.array_equal(b.data, np.zeros_like(b.data))
 
     def test_head_width_without_aux(self):
-        model = tiny_model(aux_dim=0)
+        model = tiny_model()
         assert model.params[-2].shape == (5, 3)
-
-    def test_head_width_with_aux(self):
-        model = tiny_model(aux_dim=2)
-        assert model.params[-2].shape == (7, 3)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
@@ -67,42 +62,12 @@ class TestForward:
         x = np.random.default_rng(3).normal(size=(5, 4))
         assert np.array_equal(forward(model, x).probs.data, forward(model, x).probs.data)
 
-    def test_zeroed_aux_columns_reproduce_no_aux_output(self):
-        base = tiny_model(seed=4, aux_dim=0)
-        with_aux = classifier_init((4, 8, 5), n_classes=3, aux_dim=2,
-                                   rng=np.random.default_rng(4))
-        # copy the shared parameters, zero the head rows that read the aux channel
-        patched = [p.data.copy() for p in with_aux.params]
-        for i in range(len(base.params) - 2):
-            patched[i] = base.params[i].data.copy()
-        head = np.zeros_like(patched[-2])
-        head[:5, :] = base.params[-2].data
-        patched[-2] = head
-        patched[-1] = base.params[-1].data.copy()
-        with_aux = params_set(with_aux, patched)
-
-        x = np.random.default_rng(5).normal(size=(6, 4))
-        aux = np.zeros((6, 2))
-        assert np.array_equal(forward(with_aux, x, aux).probs.data,
-                              forward(base, x).probs.data)
-
-    def test_features_include_aux_concat(self):
-        model = tiny_model(aux_dim=2)
-        x = np.random.default_rng(6).normal(size=(3, 4))
-        aux = np.arange(6.0).reshape(3, 2)
-        out = forward(model, x, aux)
-        assert out.features.shape == (3, 7)
-        assert np.array_equal(out.features.data[:, 5:], aux)
-
     def test_width_errors(self):
         model = tiny_model()
         with pytest.raises(ValueError, match="width"):
             forward(model, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="aux"):
             forward(model, np.zeros((2, 4)), aux=np.zeros((2, 1)))
-        with_aux = tiny_model(aux_dim=2)
-        with pytest.raises(ValueError, match="aux"):
-            forward(with_aux, np.zeros((2, 4)))
 
     def test_end_to_end_gradient(self):
         model = tiny_model()
@@ -154,12 +119,11 @@ class TestParams:
 
 
 class TestGradientsIntoOneVector:
-    @pytest.mark.parametrize("dims, aux_dim", [((4, 8, 5), 0), ((4, 6, 7, 5, 3), 2)])
-    def test_out_gives_the_same_bits_in_parameter_order(self, dims, aux_dim):
+    @pytest.mark.parametrize("dims", [(4, 8, 5), (4, 6, 7, 5, 3)])
+    def test_out_gives_the_same_bits_in_parameter_order(self, dims):
         rng = np.random.default_rng(3)
-        model = classifier_init(dims, n_classes=3, aux_dim=aux_dim, rng=rng)
-        fwd = forward_arrays(model, rng.normal(size=(9, 4)),
-                             rng.normal(size=(9, aux_dim)) if aux_dim else None)
+        model = classifier_init(dims, n_classes=3, rng=rng)
+        fwd = forward_arrays(model, rng.normal(size=(9, 4)))
         g = rng.normal(size=(9, 3))
         expected = param_gradients(model, fwd, g)
         state = adam_init(model.params, lr=0.1)
