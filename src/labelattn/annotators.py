@@ -1,16 +1,18 @@
 """Simulated annotators as row-stochastic confusion matrices.
 
 Five kinds are supported: hammer-spammer (correct with probability 1-noise,
-otherwise uniform over the other classes), structured flips (paired class
-confusions), ordered confusion (mass on the cyclic neighbour classes),
-adversarial (the fixed-point-free +1 cyclic shift, always wrong), and the
-entrywise average of a roster.
+otherwise uniform over the other classes), structured flips (the fixed
+class-confusion pairs of ``confusion_pairs``), ordered confusion (mass on
+the cyclic neighbour classes), adversarial (the fixed-point-free +1 cyclic
+shift, always wrong), and the entrywise average of a roster. The first three
+take a noise level; adversarial and average take none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,24 +23,31 @@ ORDERED_CONFUSION = "ordered_confusion"
 ADVERSARIAL = "adversarial"
 AVERAGE = "average"
 
-KINDS = (HAMMER_SPAMMER, STRUCTURED_FLIPS, ORDERED_CONFUSION, ADVERSARIAL, AVERAGE)
+
+class Kind(NamedTuple):
+    min_classes: int   # the fewest classes the kind is defined on
+    levelled: bool     # takes a noise level; the others' level stays 0
+
+
+# Ordered confusion needs two distinct neighbours; an average fits whenever
+# its companions do.
+KINDS = {HAMMER_SPAMMER: Kind(2, True), STRUCTURED_FLIPS: Kind(2, True),
+         ORDERED_CONFUSION: Kind(3, True), ADVERSARIAL: Kind(2, False),
+         AVERAGE: Kind(2, False)}
 
 # CIFAR-10 easily-confused pairs: airplane->bird, cat->dog, deer->cat,
 # horse->deer, ship->airplane, truck->automobile.
-DEFAULT_FLIP_PAIRS = ((0, 2), (3, 5), (4, 3), (7, 4), (8, 0), (9, 1))
+CIFAR10_FLIP_PAIRS = ((0, 2), (3, 5), (4, 3), (7, 4), (8, 0), (9, 1))
 
 
-def default_flip_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """CIFAR-10 pairs for n=10; consecutive pairs (0->1, 2->3, ...) otherwise."""
+def confusion_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The fixed (source, target) pairs of structured flips on n classes:
+    CIFAR-10's for n=10, consecutive pairs (0->1, 2->3, ...) otherwise."""
     if n == 10:
-        return DEFAULT_FLIP_PAIRS
+        return CIFAR10_FLIP_PAIRS
     return tuple((i, i + 1) for i in range(0, n - 1, 2))
 
 ROW_SUM_TOL = 1e-12
-
-# The fewest classes each kind is defined on; ordered confusion needs two
-# distinct neighbours.
-MIN_CLASSES = {HAMMER_SPAMMER: 2, STRUCTURED_FLIPS: 2, ORDERED_CONFUSION: 3, ADVERSARIAL: 2}
 
 
 @dataclass(frozen=True)
@@ -68,16 +77,15 @@ class AnnotatorSpec:
 
     kind: str
     noise_level: float = 0.0
-    flip_pairs: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not (isinstance(self.kind, str) and self.kind in KINDS):
             raise ValueError(f"unknown annotator kind {self.kind!r}")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level must be in [0, 1], got {self.noise_level}")
-        if self.flip_pairs is not None and self.kind != STRUCTURED_FLIPS:
-            raise ValueError(f"flip_pairs apply only to {STRUCTURED_FLIPS!r}, "
-                             f"not to {self.kind!r}")
+        # an ignored level would draw the same labels under another config hash
+        if self.noise_level != 0.0 and not KINDS[self.kind].levelled:
+            raise ValueError(f"{self.kind!r} takes no noise_level, got {self.noise_level}")
 
 
 def as_labels(labels) -> np.ndarray:
@@ -109,19 +117,16 @@ def cm_hammer_spammer(n: int, noise_level: float) -> ConfusionMatrix:
     return ConfusionMatrix(n, rows)
 
 
-def cm_structured_flips(n: int, noise_level: float,
-                        pairs: tuple[tuple[int, int], ...] | None = None) -> ConfusionMatrix:
-    """Paired source classes flip to their target with the full error mass;
-    unpaired classes fall back to uniform corruption at the same rate."""
+def cm_structured_flips(n: int, noise_level: float) -> ConfusionMatrix:
+    """The source class of each ``confusion_pairs(n)`` pair flips to its
+    target with the full error mass; unpaired classes fall back to uniform
+    corruption at the same rate."""
     if n < 2:
         raise ValueError("structured flips needs n >= 2")
-    if pairs is None:
-        pairs = default_flip_pairs(n)
     if not 0.0 <= noise_level <= 1.0:
         raise ValueError("noise_level must be in [0, 1]")
-    _check_flip_pairs(pairs, n)
     rows = np.zeros((n, n))
-    paired = {int(src): int(dst) for src, dst in pairs}
+    paired = dict(confusion_pairs(n))
     for i in range(n):
         if i in paired:
             rows[i, i] = 1.0 - noise_level
@@ -130,18 +135,6 @@ def cm_structured_flips(n: int, noise_level: float,
             rows[i, :] = noise_level / (n - 1)
             rows[i, i] = 1.0 - noise_level
     return ConfusionMatrix(n, rows)
-
-
-def _check_flip_pairs(pairs: tuple[tuple[int, int], ...], n: int) -> None:
-    sources = set()
-    for src, dst in pairs:
-        if src == dst:
-            raise ValueError(f"flip pair ({src}, {dst}) maps a class to itself")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"flip pair ({src}, {dst}) outside of {n} classes")
-        if src in sources:
-            raise ValueError(f"flip pair ({src}, {dst}) repeats source class {src}")
-        sources.add(src)
 
 
 def cm_ordered_confusion(n: int, noise_level: float) -> ConfusionMatrix:
@@ -194,14 +187,11 @@ def noise_level_of(cm: ConfusionMatrix) -> float:
 
 def check_fits(spec: AnnotatorSpec, n: int) -> None:
     """Raise a ValueError where ``build_cm(spec, n)`` would for a non-average
-    spec, without building its n x n matrix: too few classes for the kind, or
-    a flip pair that maps a class to itself, leaves the n classes or repeats
-    a source class. An average fits whenever its companions do."""
-    least = MIN_CLASSES.get(spec.kind, 0)
+    spec, without building its n x n matrix: where n is below the kind's
+    fewest classes. An average needs what its companions need."""
+    least = KINDS[spec.kind].min_classes
     if n < least:
         raise ValueError(f"{spec.kind} needs n >= {least}")
-    if spec.kind == STRUCTURED_FLIPS and spec.flip_pairs is not None:
-        _check_flip_pairs(spec.flip_pairs, n)
 
 
 def build_cm(spec: AnnotatorSpec, n: int,
@@ -210,7 +200,7 @@ def build_cm(spec: AnnotatorSpec, n: int,
     if spec.kind == HAMMER_SPAMMER:
         return cm_hammer_spammer(n, spec.noise_level)
     if spec.kind == STRUCTURED_FLIPS:
-        return cm_structured_flips(n, spec.noise_level, spec.flip_pairs)
+        return cm_structured_flips(n, spec.noise_level)
     if spec.kind == ORDERED_CONFUSION:
         return cm_ordered_confusion(n, spec.noise_level)
     if spec.kind == ADVERSARIAL:

@@ -145,22 +145,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor_new(shape: Sequence[int], values: Sequence[float], requires_grad: bool = False) -> Tensor:
-    """Build a tensor from an explicit shape and row-major values."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ValueError("shape must be nonempty")
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"shape entries must be positive, got {shape}")
-    values = np.asarray(values, dtype=np.float64).ravel()
-    expected = int(np.prod(shape))
-    if values.size != expected:
-        raise ValueError(f"length mismatch: shape {shape} needs {expected} values, got {values.size}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    return Tensor(values.reshape(shape), requires_grad=requires_grad, copy=True)
-
-
 def constant(data) -> Tensor:
     """Wrap array-like data as a non-differentiable tensor."""
     return Tensor(data, requires_grad=False, copy=True)

@@ -6,7 +6,9 @@ Each config section is read from its spec dataclass (``SyntheticSpec``,
 each run sets, and ``MethodSpec``): its keys are the class's fields, the
 fields without a default are required, and each value is checked by its
 field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
-no auxiliary features; the key stays so that every config's hash holds."""
+no auxiliary features; the key stays so that every config's hash holds.
+A setting that a run would ignore is refused: a noise level on a kind
+that takes none, and a ``set_index`` on any method but ``baseline``."""
 
 from __future__ import annotations
 
@@ -58,6 +60,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ValueError(f"unknown method {self.name!r}; choose from {METHODS}")
+        if self.set_index != 0 and self.name != METHOD_BASELINE:
+            raise ValueError(f"set_index applies only to {METHOD_BASELINE!r}, "
+                             f"not to {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -122,20 +127,12 @@ def _paths(value, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _flip_pairs(value, where: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2
-                                              for p in value):
-        raise ConfigError(f"{where} must be a list of [a, b] pairs, got {value!r}")
-    return tuple(tuple(_integer(c, f"{where}[{j}]") for c in pair)
-                 for j, pair in enumerate(value))
-
-
 # The check and conversion of a config value by its spec field's annotation;
 # None leaves the value to the spec's own ``__post_init__``. A field named
 # ``seed`` goes through ``_seed`` instead.
 _CONVERTERS = {
     int: _integer, int | None: _integer, float: _number, str: None,
-    tuple[str, ...]: _paths, tuple[tuple[int, int], ...] | None: _flip_pairs,
+    tuple[str, ...]: _paths,
 }
 
 
@@ -268,10 +265,13 @@ def parse_config(path) -> ExperimentConfig:
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved plain-dict form, in the config file's layout; the hash
     input. It holds every field but ``meta.seed``, which each run sets to
-    its own seed."""
+    its own seed, and a null ``flip_pairs`` in each annotator entry, where
+    the setting was before the pairs were fixed, so that every hash holds."""
     d = asdict(cfg)
     kind = "synthetic" if isinstance(cfg.dataset, SyntheticSpec) else "cifar10"
     d["dataset"] = {kind: d["dataset"]}
+    for entry in d["annotators"]:
+        entry["flip_pairs"] = None
     d["model"] = {"hidden_dims": d.pop("hidden_dims"), "aux_dim": d.pop("aux_dim")}
     del d["meta"]["seed"]
     return d

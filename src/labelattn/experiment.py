@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, ORDERED_CONFUSION,
+from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, KINDS, ORDERED_CONFUSION,
                          STRUCTURED_FLIPS, AnnotatorSpec)
 from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS, Cifar10Spec,
                      ExperimentConfig, MethodSpec, config_hash)
@@ -204,12 +204,6 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
     return records
 
 
-def run_experiment(cfg: ExperimentConfig, tag: str = "",
-                   trace_sink=None) -> list[ResultRecord]:
-    """All seeds of one config; deterministic per seed."""
-    return run_variants([(cfg, tag)], trace_sink=trace_sink)
-
-
 def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[ExperimentConfig, str]]:
     """(variant config, tag) pairs for the noise sweep: the adjustable
     annotators (hammer-spammer, structured flips, ordered confusion, and
@@ -237,10 +231,6 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
     return variants
 
 
-def sweep_noise(cfg: ExperimentConfig, levels, trace_sink=None) -> list[ResultRecord]:
-    return run_variants(noise_sweep_variants(cfg, levels), trace_sink=trace_sink)
-
-
 ANNOTATOR_SWEEP_ORDER = (HAMMER_SPAMMER, ADVERSARIAL, ORDERED_CONFUSION,
                          STRUCTURED_FLIPS, AVERAGE)
 
@@ -251,15 +241,10 @@ def annotator_sweep_variants(cfg: ExperimentConfig,
     +structured flips -> +average, attention method at each size."""
     if not 0.0 < noise_level < 1.0:
         raise ValueError("noise_level must lie strictly inside (0, 1)")
-    full = [AnnotatorSpec(kind, 0.0 if kind in (ADVERSARIAL, AVERAGE) else noise_level)
+    full = [AnnotatorSpec(kind, noise_level if KINDS[kind].levelled else 0.0)
             for kind in ANNOTATOR_SWEEP_ORDER]
     return [(replace(cfg, annotators=tuple(full[:m]), method=MethodSpec(METHOD_OURS)),
              f"M={m}") for m in range(2, len(full) + 1)]
-
-
-def sweep_annotators(cfg: ExperimentConfig, noise_level: float = 0.3,
-                     trace_sink=None) -> list[ResultRecord]:
-    return run_variants(annotator_sweep_variants(cfg, noise_level), trace_sink=trace_sink)
 
 
 # ---------------------------------------------------------------------------

@@ -262,23 +262,19 @@ def attend(attn: AttentionParams, stacked: Tensor) -> Tensor:
 def sample_label(weights: Tensor, label_sets: np.ndarray) -> Tensor:
     """Convex combination of the one-hot label sets under per-sample weights.
 
-    ``weights`` is [B, M] (or [M] for one sample), ``label_sets`` is a
-    constant [M, B, N] (or [M, N]) array of binary vectors.
+    ``weights`` is [B, M] and ``label_sets`` a constant [M, B, N] array of
+    binary vectors.
     """
     labels = np.ascontiguousarray(label_sets, dtype=np.float64)
-    single = weights.data.ndim == 1
-    w2 = weights.data.reshape(1, -1) if single else weights.data
-    lab3 = labels.reshape(labels.shape[0], 1, -1) if labels.ndim == 2 else labels
-    if lab3.shape[0] != w2.shape[1] or lab3.shape[1] != w2.shape[0]:
+    w = weights.data
+    if w.ndim != 2 or labels.ndim != 3 or labels.shape[:2] != (w.shape[1], w.shape[0]):
         raise ValueError(f"label sets {labels.shape} do not match weights {weights.shape}")
-    out = np.einsum("bm,mbn->bn", np.ascontiguousarray(w2), lab3)
+    out = np.einsum("bm,mbn->bn", np.ascontiguousarray(w), labels)
 
     def grad_fn(g):
-        g2 = g.reshape(lab3.shape[1], lab3.shape[2])
-        gw = np.einsum("bn,mbn->bm", np.ascontiguousarray(g2), lab3)
-        return (gw.reshape(weights.shape),)
+        return (np.einsum("bn,mbn->bm", np.ascontiguousarray(g), labels),)
 
-    return make_op(out[0] if single else out, (weights,), grad_fn)
+    return make_op(out, (weights,), grad_fn)
 
 
 def binarize(y_soft: Tensor, k: float, t: float) -> Tensor:

@@ -1,16 +1,8 @@
-"""Evaluation metrics: exact-match accuracy and Mann-Whitney ROC AUC."""
+"""Evaluation metrics: Mann-Whitney ROC AUC, per class and averaged."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def accuracy(predictions, truth) -> float:
-    predictions = np.asarray(predictions)
-    truth = np.asarray(truth)
-    if predictions.shape != truth.shape:
-        raise ValueError(f"length mismatch: {predictions.shape} vs {truth.shape}")
-    return float(np.mean(predictions == truth))
 
 
 def auc_roc(scores, labels) -> float:

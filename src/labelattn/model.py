@@ -240,9 +240,8 @@ def params_set(model: Classifier, params) -> Classifier:
     return Classifier(model.layer_dims, model.n_classes, tuple(fresh))
 
 
-def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray | int:
-    """Argmax over probabilities; ties break toward the lowest index."""
+def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray:
+    """Per-row argmax over a batch's probabilities; ties break toward the
+    lowest index."""
     probs = result.probs.data if isinstance(result, ForwardResult) else result.probs
-    if probs.ndim == 1:
-        return int(np.argmax(probs))
     return np.argmax(probs, axis=1)

@@ -16,7 +16,7 @@ from labelattn.annotators import (cm_adversarial, cm_average, cm_hammer_spammer,
                                   cm_ordered_confusion, cm_structured_flips, corrupt,
                                   empirical_cm, noise_level_of)
 from labelattn.config import parse_config_dict
-from labelattn.experiment import run_experiment, run_single, sweep_annotators
+from labelattn.experiment import annotator_sweep_variants, run_single, run_variants
 from labelattn.verification import (attention_path_chain_gap, gradient_oracle_sweep,
                                     theorem1_sweep)
 
@@ -101,11 +101,9 @@ def test_criterion_3_annotator_fidelity():
 
 def test_criterion_4_directional_reproduction():
     start = time.perf_counter()
-    ours = run_experiment(synth_config(TABLE2_ROSTER, {"name": "ours"}))
-    avg = run_experiment(synth_config(TABLE2_ROSTER,
-                                      {"name": "baseline", "set_index": 4}))
-    ad = run_experiment(synth_config(TABLE2_ROSTER,
-                                     {"name": "baseline", "set_index": 3}))
+    ours, avg, ad = (run_variants([(synth_config(TABLE2_ROSTER, method), "")])
+                     for method in ({"name": "ours"}, {"name": "baseline", "set_index": 4},
+                                    {"name": "baseline", "set_index": 3}))
     mean_ours = float(np.mean([r.test_accuracy for r in ours]))
     mean_avg = float(np.mean([r.test_accuracy for r in avg]))
     mean_ad = float(np.mean([r.test_accuracy for r in ad]))
@@ -122,7 +120,7 @@ def test_criterion_5_annotator_count_surge():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3},
                         {"kind": "adversarial"}], {"name": "ours"})
-    records = sweep_annotators(cfg, noise_level=0.3)
+    records = run_variants(annotator_sweep_variants(cfg, 0.3))
     by_m = {}
     for rec in records:
         by_m.setdefault(rec.tag, []).append(rec.test_accuracy)
@@ -161,7 +159,7 @@ def _collapse_records():
     base_cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3}],
                             {"name": "baseline", "set_index": 0},
                             epochs=10, per_class=200)
-    return run_experiment(ours_cfg), run_experiment(base_cfg)
+    return run_variants([(ours_cfg, "")]), run_variants([(base_cfg, "")])
 
 
 def test_criterion_7_single_annotator_collapse():
@@ -217,8 +215,8 @@ def test_criterion_9_cifar_smoke():
         "meta": {"epochs": 10},
         "seeds": [0],
     }
-    ours = run_experiment(parse_config_dict({**raw, "method": {"name": "ours"}}))
-    avg = run_experiment(parse_config_dict({**raw, "method": {"name": "baseline_avg"}}))
+    ours, avg = (run_variants([(parse_config_dict({**raw, "method": method}), "")])
+                 for method in ({"name": "ours"}, {"name": "baseline_avg"}))
     elapsed = time.perf_counter() - start
     ok = ours[0].test_accuracy >= avg[0].test_accuracy and elapsed < 1200.0
     check("criterion 9 (CIFAR-10 smoke)", ok,

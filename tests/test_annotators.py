@@ -5,17 +5,22 @@ import hashlib
 import numpy as np
 import pytest
 
-from labelattn.annotators import (AVERAGE, DEFAULT_FLIP_PAIRS, KINDS, MIN_CLASSES,
-                                  AnnotatorSpec, ConfusionMatrix, as_labels, build_cm,
-                                  check_fits, cm_adversarial, cm_average, cm_hammer_spammer,
+from labelattn.annotators import (AVERAGE, CIFAR10_FLIP_PAIRS, KINDS, AnnotatorSpec,
+                                  ConfusionMatrix, as_labels, build_cm, check_fits,
+                                  cm_adversarial, cm_average, cm_hammer_spammer,
                                   cm_ordered_confusion, cm_structured_flips, corrupt,
-                                  empirical_cm, noise_level_of)
+                                  confusion_pairs, empirical_cm, noise_level_of)
 from labelattn.data import SyntheticSpec, attach_annotators, synth_blobs
 
 
 def assert_row_stochastic(cm, tol=1e-12):
     assert np.all(cm.rows >= 0) and np.all(cm.rows <= 1)
     assert np.all(np.abs(cm.rows.sum(axis=1) - 1.0) <= tol)
+
+
+def spec_of(kind, level=0.3):
+    """A spec of ``kind`` at ``level`` if the kind takes a level, else at 0."""
+    return AnnotatorSpec(kind, level if KINDS[kind].levelled else 0.0)
 
 
 class TestHammerSpammer:
@@ -40,14 +45,16 @@ class TestHammerSpammer:
 
 class TestStructuredFlips:
     def test_paired_row(self):
-        cm = cm_structured_flips(10, 0.4, pairs=((3, 5),))
-        assert cm.rows[3, 3] == pytest.approx(0.6)
-        assert cm.rows[3, 5] == pytest.approx(0.4)
+        # off CIFAR-10's ten classes the pairs are consecutive: 0->1, 2->3
+        cm = cm_structured_flips(5, 0.4)
+        assert cm.rows[2, 2] == pytest.approx(0.6)
+        assert cm.rows[2, 3] == pytest.approx(0.4)
+        assert np.allclose(cm.rows[4], [0.1, 0.1, 0.1, 0.1, 0.6])
         assert_row_stochastic(cm)
 
     def test_default_cifar_pairs(self):
         cm = cm_structured_flips(10, 0.4)
-        for src, dst in DEFAULT_FLIP_PAIRS:
+        for src, dst in CIFAR10_FLIP_PAIRS:
             assert cm.rows[src, dst] == pytest.approx(0.4)
         # unpaired classes fall back to uniform corruption at the same rate
         for unpaired in (1, 2, 5, 6):
@@ -59,23 +66,19 @@ class TestStructuredFlips:
     def test_zero_noise_identity(self):
         assert np.array_equal(cm_structured_flips(10, 0.0).rows, np.eye(10))
 
-    def test_row_sums_for_random_pair_lists(self):
+    def test_row_sums_for_random_class_counts(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            n = int(rng.integers(3, 12))
-            n_pairs = int(rng.integers(0, n))
-            srcs = rng.choice(n, size=n_pairs, replace=False)
-            pairs = tuple((int(s), int((s + 1 + rng.integers(n - 1)) % n)) for s in srcs)
-            assert_row_stochastic(cm_structured_flips(n, float(rng.uniform(0, 1)), pairs))
+            n = int(rng.integers(2, 13))
+            assert_row_stochastic(cm_structured_flips(n, float(rng.uniform(0, 1))))
 
-    def test_rejects_self_pair(self):
-        with pytest.raises(ValueError, match="itself"):
-            cm_structured_flips(10, 0.4, pairs=((3, 3),))
-
-    def test_rejects_repeated_source(self):
-        # one row has one flip target: a second pair from class 0 was dropped
-        with pytest.raises(ValueError, match="repeats source class 0"):
-            cm_structured_flips(4, 0.4, pairs=((0, 1), (0, 2)))
+    def test_pairs_fit_every_class_count(self):
+        # each source flips to another class inside the n, and has one target
+        for n in range(2, 41):
+            pairs = confusion_pairs(n)
+            sources = [src for src, _ in pairs]
+            assert all(0 <= src < n and 0 <= dst < n and src != dst for src, dst in pairs)
+            assert len(set(sources)) == len(sources)
 
 
 class TestOrderedConfusion:
@@ -234,8 +237,8 @@ class TestCorruptAgainstRowSums:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 12])
     def test_every_kind_build_cm_makes(self, n):
-        parts = [build_cm(AnnotatorSpec(kind, 0.35), n) for kind in KINDS
-                 if kind != AVERAGE and n >= MIN_CLASSES[kind]]
+        parts = [build_cm(spec_of(kind, 0.35), n) for kind in KINDS
+                 if kind != AVERAGE and n >= KINDS[kind].min_classes]
         cms = [*parts, build_cm(AnnotatorSpec(AVERAGE), n, roster=parts)]
         clean = np.random.default_rng(n).integers(0, n, size=2000)
         for seed, cm in enumerate(cms):
@@ -325,13 +328,19 @@ class TestSpecAndSerialization:
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="unknown annotator kind"):
             AnnotatorSpec(kind="oracle")
+        with pytest.raises(ValueError, match="unknown annotator kind"):
+            AnnotatorSpec(kind=["hammer_spammer"])
         with pytest.raises(ValueError, match="noise_level"):
             AnnotatorSpec(kind="hammer_spammer", noise_level=1.5)
-        # flip pairs would be ignored by every other kind, yet change the hash
-        for kind in KINDS:
-            if kind != "structured_flips":
-                with pytest.raises(ValueError, match="flip_pairs apply only"):
-                    AnnotatorSpec(kind=kind, noise_level=0.2, flip_pairs=((0, 1),))
+
+    @pytest.mark.parametrize("kind", ["adversarial", "average"])
+    def test_level_refused_on_the_kinds_that_take_none(self, kind):
+        # the level would draw the same labels, yet change the config hash
+        assert not KINDS[kind].levelled
+        for level in (0.2, 1.0):
+            with pytest.raises(ValueError, match=f"'{kind}' takes no noise_level"):
+                AnnotatorSpec(kind, level)
+        assert AnnotatorSpec(kind) == AnnotatorSpec(kind, 0.0)
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -342,14 +351,8 @@ class TestSpecAndSerialization:
 
 class TestCheckFits:
     @pytest.mark.parametrize("n", range(0, 7))
-    @pytest.mark.parametrize("spec", [
-        *(AnnotatorSpec(kind, 0.3) for kind in KINDS if kind != AVERAGE),
-        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 1), (2, 3))),
-        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((4, 0),)),
-        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((1, 1),)),
-        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((-1, 0),)),
-        AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 1), (0, 2))),
-    ], ids=lambda spec: f"{spec.kind}-{spec.flip_pairs}")
+    @pytest.mark.parametrize("spec", [spec_of(kind) for kind in KINDS if kind != AVERAGE],
+                             ids=lambda spec: spec.kind)
     def test_raises_exactly_where_build_cm_raises(self, spec, n):
         try:
             build_cm(spec, n)
@@ -362,7 +365,4 @@ class TestCheckFits:
     def test_huge_class_count_needs_no_matrix(self):
         # 10**6 classes would be an 8 TB matrix; the check never forms it
         for kind in KINDS:
-            check_fits(AnnotatorSpec(kind, 0.3), 10**6)
-        with pytest.raises(ValueError, match="outside"):
-            check_fits(AnnotatorSpec("structured_flips", 0.3, flip_pairs=((0, 10**6),)),
-                       10**6)
+            check_fits(spec_of(kind), 10**6)

@@ -7,8 +7,7 @@ import pytest
 
 import labelattn.autodiff as ad
 from labelattn.autodiff import (Tensor, bce_loss, constant, detach, finite_diff_grad,
-                                gradients, matmul, relu, sigmoid, softmax, sum_all,
-                                tensor_new)
+                                gradients, matmul, relu, sigmoid, softmax, sum_all)
 
 
 def fd_close(ad_grad, fd_grad, rel=1e-4, floor=1e-6):
@@ -16,40 +15,19 @@ def fd_close(ad_grad, fd_grad, rel=1e-4, floor=1e-6):
     assert np.all(diff <= np.maximum(floor, rel * np.abs(fd_grad))), (ad_grad, fd_grad)
 
 
-class TestTensorNew:
-    def test_row_major_2x2(self):
-        t = tensor_new([2, 2], [1, 2, 3, 4])
-        assert t.data[0, 1] == 2 and t.data[1, 0] == 3
-
-    def test_zero_vector_without_grad(self):
-        t = tensor_new([3], [0, 0, 0])
-        assert not t.requires_grad and t.node is None
-        assert np.array_equal(t.data, np.zeros(3))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            tensor_new([2], [1, 2, 3])
-
-    def test_rejects_empty_shape_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            tensor_new([], [])
-        with pytest.raises(ValueError, match="finite"):
-            tensor_new([1], [np.inf])
-
-
 class TestMatmul:
     def test_identity(self):
-        a = tensor_new([2, 2], [1.5, -2, 0.25, 4])
+        a = constant([[1.5, -2], [0.25, 4]])
         out = matmul(a, constant(np.eye(2)))
         assert np.array_equal(out.data, a.data)
 
     def test_scalar_product(self):
-        out = matmul(tensor_new([1, 1], [2]), tensor_new([1, 1], [3]))
+        out = matmul(constant([[2]]), constant([[3]]))
         assert out.data[0, 0] == 6
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ValueError, match="inner-dimension"):
-            matmul(tensor_new([2, 3], range(6)), tensor_new([2, 2], range(4)))
+            matmul(constant(np.arange(6).reshape(2, 3)), constant(np.arange(4).reshape(2, 2)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -79,17 +57,17 @@ class TestElementwise:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            ad.mul(tensor_new([2], [1, 2]), tensor_new([3], [1, 2, 3]))
+            ad.mul(constant([1, 2]), constant([1, 2, 3]))
 
 
 class TestSigmoid:
     def test_symmetry_point(self):
-        assert sigmoid(tensor_new([1], [0])).data[0] == 0.5
+        assert sigmoid(constant([0])).data[0] == 0.5
 
     def test_saturation(self):
-        assert abs(sigmoid(tensor_new([1], [50])).data[0] - 1.0) < 1e-9
+        assert abs(sigmoid(constant([50])).data[0] - 1.0) < 1e-9
         # large negative input must not overflow
-        assert sigmoid(tensor_new([1], [-1000])).data[0] == pytest.approx(0.0, abs=1e-300)
+        assert sigmoid(constant([-1000])).data[0] == pytest.approx(0.0, abs=1e-300)
 
     def test_derivative_at_one(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
@@ -161,10 +139,10 @@ def test_logistic_one_division_keeps_the_bits_of_two(dtype):
 
 class TestRelu:
     def test_values(self):
-        assert np.array_equal(relu(tensor_new([3], [-1, 0, 2])).data, [0, 0, 2])
+        assert np.array_equal(relu(constant([-1, 0, 2])).data, [0, 0, 2])
 
     def test_positive_identity(self):
-        x = tensor_new([3], [0.5, 1, 7])
+        x = constant([0.5, 1, 7])
         assert np.array_equal(relu(x).data, x.data)
 
     def test_gradient_mask(self):

@@ -166,15 +166,24 @@ class TestErrors:
         assert "config error: model.aux_dim" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("annotator, message", [
-        ({"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1], [0, 2]]},
-         "repeats source class 0"),
-        ({"kind": "hammer_spammer", "noise_level": 0.2, "flip_pairs": [[0, 1]]},
-         "flip_pairs apply only to 'structured_flips'"),
-    ], ids=["repeated-source", "not-structured-flips"])
-    def test_flip_pairs_that_would_be_ignored_exit_two(self, tmp_path, capsys, annotator,
-                                                       message):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"), annotators=[annotator])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"annotators": [{"kind": "structured_flips", "noise_level": 0.3,
+                          "flip_pairs": [[0, 1]]}]},
+         "unknown key 'flip_pairs' at annotators[0]"),
+        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2},
+                         {"kind": "adversarial", "noise_level": 0.5}]},
+         "annotators[1]: 'adversarial' takes no noise_level"),
+        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2},
+                         {"kind": "average", "noise_level": 0.5}]},
+         "annotators[1]: 'average' takes no noise_level"),
+        ({"method": {"name": "ours", "set_index": 1}},
+         "method: set_index applies only to 'baseline', not to 'ours'"),
+        ({"method": {"name": "baseline_avg", "set_index": -3}},
+         "method: set_index applies only to 'baseline', not to 'baseline_avg'"),
+    ], ids=["flip-pairs", "adversarial-level", "average-level", "ours-set-index",
+            "baseline-avg-set-index"])
+    def test_settings_a_run_would_ignore_exit_two(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **overrides)
         assert main(["run", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
@@ -314,13 +323,13 @@ class TestVerify:
 ON_DEMAND = ("concurrent.futures", "multiprocessing", "labelattn.verification")
 
 
-def modules_loaded_by(code):
-    """The ON_DEMAND modules a fresh interpreter holds after running ``code``."""
+def modules_loaded_by(code, modules=ON_DEMAND):
+    """The ``modules`` a fresh interpreter holds after running ``code``."""
     src = str(Path(labelattn.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {ON_DEMAND!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -329,6 +338,13 @@ def modules_loaded_by(code):
 class TestStartup:
     def test_import_loads_no_pool_and_no_verification(self):
         assert modules_loaded_by("import labelattn.cli") == []
+
+    def test_package_import_loads_no_submodule(self):
+        package = Path(labelattn.__file__).parent
+        submodules = tuple(f"labelattn.{p.stem}" for p in sorted(package.glob("*.py"))
+                           if p.stem != "__init__")
+        assert "labelattn.experiment" in submodules
+        assert modules_loaded_by("import labelattn", submodules) == []
 
     def test_serial_run_loads_no_pool(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))

@@ -71,6 +71,26 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config_dict(raw)
 
+    @pytest.mark.parametrize("kind", ["adversarial", "average"])
+    def test_level_refused_on_the_kinds_that_take_none(self, kind):
+        raw = minimal(annotators=[{"kind": "hammer_spammer", "noise_level": 0.3},
+                                  {"kind": kind, "noise_level": 0.9}])
+        with pytest.raises(ConfigError, match=f"^invalid value at annotators\\[1\\]: "
+                                              f"'{kind}' takes no noise_level, got 0.9$"):
+            parse_config_dict(raw)
+        raw["annotators"][1]["noise_level"] = 0.0
+        assert parse_config_dict(raw).annotators[1].noise_level == 0.0
+
+    @pytest.mark.parametrize("name", ["ours", "baseline_avg"])
+    @pytest.mark.parametrize("set_index", [7, -3])
+    def test_set_index_refused_off_baseline(self, name, set_index):
+        raw = minimal(method={"name": name, "set_index": set_index})
+        with pytest.raises(ConfigError, match=f"^invalid value at method: set_index applies "
+                                              f"only to 'baseline', not to '{name}'$"):
+            parse_config_dict(raw)
+        raw["method"]["set_index"] = 0
+        assert parse_config_dict(raw).method.name == name
+
     def test_annotator_kind_checked(self):
         raw = minimal(annotators=[{"kind": "psychic"}])
         with pytest.raises(ConfigError, match="unknown annotator kind"):
@@ -88,12 +108,7 @@ class TestParsing:
         ({"model": {"aux_dim": True}}, "model.aux_dim"),
         ({"model": {"aux_dim": 2}}, "^model.aux_dim must be 0"),
         ({"model": {"aux_dim": -1}}, "^model.aux_dim must be 0"),
-        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2,
-                          "flip_pairs": [[0, 1]]}]},
-         "annotators\\[0\\]: flip_pairs apply only to 'structured_flips'"),
         ({"val_fraction": "a"}, "val_fraction"),
-        ({"annotators": [{"kind": "structured_flips", "noise_level": 0.3,
-                          "flip_pairs": [[1]]}]}, "annotators\\[0\\].flip_pairs"),
         ({"trace": "false"}, "trace"),
         ({"meta": {"epochs": 1.5}}, "meta.epochs"),
         ({"meta": {"batch_size": True}}, "meta.batch_size"),
@@ -127,32 +142,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match=where):
             parse_config_dict(minimal(**overrides))
 
-    @pytest.mark.parametrize("dataset, annotator", [
-        ({"synthetic": {"n_classes": 2}}, {"kind": "ordered_confusion", "noise_level": 0.3}),
-        ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"}),
-        ({"synthetic": {"n_classes": 4}},
-         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 4]]}),
-        ({"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"]}},
-         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[10, 0]]}),
-        ({"synthetic": {"n_classes": 4}},
-         {"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1], [0, 2]]}),
+    # the class count is the one thing a roster entry can misfit
+    @pytest.mark.parametrize("dataset, annotator, message", [
+        ({"synthetic": {"n_classes": 2}}, {"kind": "ordered_confusion", "noise_level": 0.3},
+         "2 classes: ordered_confusion needs n >= 3"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"},
+         "1 classes: adversarial needs n >= 2"),
     ])
-    def test_roster_must_fit_the_class_count(self, dataset, annotator):
+    def test_roster_must_fit_the_class_count(self, dataset, annotator, message):
         raw = minimal(dataset=dataset, annotators=[annotator, {"kind": "average"}])
-        with pytest.raises(ConfigError, match="annotators\\[0\\] does not fit"):
+        with pytest.raises(ConfigError, match=f"^annotators\\[0\\] does not fit {message}$"):
             parse_config_dict(raw)
 
     def test_million_classes_parse_without_confusion_matrices(self):
-        roster = [{"kind": kind, "noise_level": 0.3} for kind in KINDS]
-        roster.append({"kind": "structured_flips", "noise_level": 0.3,
-                       "flip_pairs": [[0, 999_999]]})
+        roster = [{"kind": kind, "noise_level": 0.3} if KINDS[kind].levelled
+                  else {"kind": kind} for kind in KINDS]
         cfg = parse_config_dict(minimal(dataset={"synthetic": {"n_classes": 10**6}},
                                         annotators=roster))
-        assert cfg.dataset.n_classes == 10**6
-        roster[-1]["flip_pairs"] = [[0, 10**6]]
-        with pytest.raises(ConfigError, match="annotators\\[5\\] does not fit"):
-            parse_config_dict(minimal(dataset={"synthetic": {"n_classes": 10**6}},
-                                      annotators=roster))
+        assert cfg.dataset.n_classes == 10**6 and len(cfg.annotators) == 5
 
     def test_integral_floats_taken_as_integers(self):
         cfg = parse_config_dict(minimal(seeds=[1.0], meta={"epochs": 2.0}))
@@ -227,8 +234,7 @@ class TestHash:
             minimal(meta={"alpha": 0.3}),
             minimal(model={"hidden_dims": [64]}),
             minimal(annotators=[{"kind": "hammer_spammer", "noise_level": 0.4}]),
-            minimal(annotators=[{"kind": "structured_flips", "noise_level": 0.3,
-                                 "flip_pairs": [[0, 1]]}]),
+            minimal(annotators=[{"kind": "structured_flips", "noise_level": 0.3}]),
             minimal(method={"name": "baseline", "set_index": 0}),
             minimal(dataset={"synthetic": {"n_classes": 4, "dim": 6,
                                            "samples_per_class": 10, "seed": 1}}),
@@ -243,15 +249,26 @@ class TestHash:
         cfg = parse_config_dict(minimal())
         json.dumps(to_canonical_dict(cfg))
 
+    def test_flip_pairs_null_in_the_hash_input_and_no_config_key(self):
+        # the pairs are fixed per class count; the null that stands where
+        # they were a setting keeps the hash of every record written then
+        roster = [{"kind": "adversarial"}, {"kind": "structured_flips", "noise_level": 0.3}]
+        cfg = parse_config_dict(minimal(annotators=roster))
+        assert [a["flip_pairs"] for a in to_canonical_dict(cfg)["annotators"]] == [None, None]
+        for pairs in ([[0, 1]], [[0, 1], [0, 2]], None):
+            roster[1]["flip_pairs"] = pairs
+            with pytest.raises(ConfigError,
+                               match="^unknown key 'flip_pairs' at annotators\\[1\\]$"):
+                parse_config_dict(minimal(annotators=roster))
+
     # A change to one of these values changes the config_hash of every record
     # already written for that config.
     @pytest.mark.parametrize("raw, expected", [
-        ({  # every section set, with flip_pairs and a baseline
+        ({  # every section set, with a baseline
             "dataset": {"synthetic": {"n_classes": 10, "dim": 32, "samples_per_class": 500,
                                       "cluster_std": 1.0, "center_scale": 3.0, "seed": 7}},
             "annotators": [{"kind": "hammer_spammer", "noise_level": 0.3},
-                           {"kind": "structured_flips", "noise_level": 0.4,
-                            "flip_pairs": [[0, 2], [3, 5]]},
+                           {"kind": "structured_flips", "noise_level": 0.4},
                            {"kind": "ordered_confusion", "noise_level": 0.5},
                            {"kind": "adversarial"}, {"kind": "average"}],
             "model": {"hidden_dims": [128, 64], "aux_dim": 0},
@@ -259,7 +276,7 @@ class TestHash:
                      "batch_size": 32, "epochs": 30, "attention_mode": "concat"},
             "method": {"name": "baseline", "set_index": 2},
             "seeds": [0, 1, 2], "val_fraction": 0.2, "output": "results", "trace": False,
-        }, "a6d59a76326c4e90"),
+        }, "5fa58e6d1feefc1a"),
         ({
             "dataset": {"cifar10": {"paths": ["data_batch_1.bin"],
                                     "test_paths": ["test_batch.bin"],
@@ -320,10 +337,8 @@ _PLAUSIBLE = st.fixed_dictionaries({
              "test_paths": st.lists(st.text(max_size=4), max_size=2)},
             optional={"subset": _SMALL, "test_subset": _SMALL, "seed": _SMALL})})),
     "annotators": st.lists(st.fixed_dictionaries(
-        {"kind": st.sampled_from(KINDS)},
-        optional={"noise_level": _FRACTION,
-                  "flip_pairs": st.lists(st.lists(st.integers(-1, 12), min_size=2, max_size=2),
-                                         max_size=3)}),
+        {"kind": st.sampled_from(list(KINDS))},
+        optional={"noise_level": _FRACTION}),
         min_size=1, max_size=4),
     "seeds": st.lists(_SMALL, min_size=1, max_size=3),
 }, optional={

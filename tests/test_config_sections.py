@@ -98,12 +98,15 @@ class TestSections:
 
     def test_null_kept_where_the_annotation_allows_none(self):
         cfg = parse_config_dict({**MINIMAL, "dataset": {"cifar10": {
-            "paths": ["a.bin"], "test_paths": ["t.bin"], "subset": None, "test_subset": None}},
-            "annotators": [{"kind": "structured_flips", "noise_level": 0.3,
-                            "flip_pairs": None}]})
+            "paths": ["a.bin"], "test_paths": ["t.bin"], "subset": None, "test_subset": None}}})
         assert cfg.dataset.subset is None and cfg.dataset.test_subset is None
-        assert cfg.annotators[0].flip_pairs is None
 
     def test_unknown_method_refused_by_its_spec(self):
         with pytest.raises(ValueError, match="unknown method 'magic'"):
             MethodSpec("magic")
+
+    def test_set_index_off_baseline_refused_by_its_spec(self):
+        with pytest.raises(ValueError, match="set_index applies only to 'baseline'"):
+            MethodSpec("ours", set_index=7)
+        assert MethodSpec("baseline", set_index=7).set_index == 7
+        assert MethodSpec("baseline_avg") == MethodSpec("baseline_avg", set_index=0)

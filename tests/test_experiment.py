@@ -8,9 +8,10 @@ import pytest
 
 from labelattn import experiment
 from labelattn.config import ConfigError, config_hash, parse_config_dict
-from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord, build_datasets,
-                                  emit, emit_summary, read_records, run_experiment,
-                                  run_single, summarize, sweep_annotators, sweep_noise)
+from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord,
+                                  annotator_sweep_variants, build_datasets, emit,
+                                  emit_summary, noise_sweep_variants, read_records,
+                                  run_single, run_variants, summarize)
 from labelattn.data import Batch, LabeledDataset, minibatches
 from labelattn.metatrain import attention_init, collect_feedback, meta_step
 from labelattn.model import Classifier, classifier_init, forward
@@ -40,26 +41,26 @@ def strip_clock(record: ResultRecord) -> dict:
 class TestRunExperiment:
     def test_clean_baseline_learns_separable_data(self):
         cfg = tiny_config(method={"name": "baseline", "set_index": 0})
-        records = run_experiment(cfg)
+        records = run_variants([(cfg, "")])
         assert len(records) == 1
         assert records[0].test_accuracy >= 0.95
         assert records[0].method == "baseline:0"
         assert len(records[0].epochs) == 15
 
     def test_single_set_collapse_matches_baseline(self):
-        ours = run_experiment(tiny_config(method={"name": "ours"}))
-        base = run_experiment(tiny_config(method={"name": "baseline", "set_index": 0}))
+        ours = run_variants([(tiny_config(method={"name": "ours"}), "")])
+        base = run_variants([(tiny_config(method={"name": "baseline", "set_index": 0}), "")])
         assert abs(ours[0].test_accuracy - base[0].test_accuracy) <= 0.02
 
     def test_bitwise_determinism(self):
         cfg = tiny_config(method={"name": "ours"})
-        a = [strip_clock(r) for r in run_experiment(cfg)]
-        b = [strip_clock(r) for r in run_experiment(cfg)]
+        a = [strip_clock(r) for r in run_variants([(cfg, "")])]
+        b = [strip_clock(r) for r in run_variants([(cfg, "")])]
         assert a == b
 
     def test_record_fields(self):
         cfg = tiny_config()
-        rec = run_experiment(cfg)[0]
+        rec = run_variants([(cfg, "")])[0]
         assert rec.config_hash and rec.seed == 0 and rec.tag == ""
         assert 0.0 <= rec.test_accuracy <= 1.0
         assert len(rec.per_class_auc) == 3
@@ -100,7 +101,7 @@ class TestRunExperiment:
         raw["annotators"] = [{"kind": "hammer_spammer", "noise_level": 0.3},
                              {"kind": "adversarial"}]
         cfg = parse_config_dict(raw)
-        records = run_experiment(cfg)
+        records = run_variants([(cfg, "")])
         assert len(records) == 1
         assert 0.0 <= records[0].test_accuracy <= 1.0
 
@@ -161,7 +162,7 @@ def test_aux_names_the_benchmark_reads():
 class TestSweeps:
     def test_noise_sweep_bookkeeping(self):
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
-        records = sweep_noise(cfg, [0.2, 0.5])
+        records = run_variants(noise_sweep_variants(cfg, [0.2, 0.5]))
         # |levels| x (ours + 4 baselines) x |seeds|
         assert len(records) == 2 * 5 * 2
         tags = {r.tag for r in records}
@@ -178,7 +179,7 @@ class TestSweeps:
                             lambda ds, specs, seed: rosters.append(specs)
                             or real_attach(ds, specs, seed))
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
-        records = sweep_noise(cfg, [0.2, 0.5])
+        records = run_variants(noise_sweep_variants(cfg, [0.2, 0.5]))
         assert len(records) == 20
         # one clean build for both levels, and one attach of each level's roster
         assert drawn == ["train", "test"]
@@ -192,7 +193,7 @@ class TestSweeps:
     def test_sweep_records_carry_their_variant_hash(self):
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
         variants = experiment.noise_sweep_variants(cfg, [0.2])
-        records = sweep_noise(cfg, [0.2])
+        records = run_variants(noise_sweep_variants(cfg, [0.2]))
         assert len(records) == 10
         assert [r.config_hash for r in records] == [config_hash(v) for v, _ in variants
                                                     for _ in v.seeds]
@@ -209,11 +210,11 @@ class TestSweeps:
 
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
-            sweep_noise(tiny_config(), [0.0])
+            noise_sweep_variants(tiny_config(), [0.0])
         with pytest.raises(ValueError, match="must not repeat"):
-            sweep_noise(tiny_config(), [0.3, 0.5, 0.3])
+            noise_sweep_variants(tiny_config(), [0.3, 0.5, 0.3])
         with pytest.raises(ValueError, match="must not repeat"):  # both tagged noise=0.3
-            sweep_noise(tiny_config(), [0.3, 0.3000001])
+            noise_sweep_variants(tiny_config(), [0.3, 0.3000001])
 
     def test_baseline_accuracy_non_increasing_in_noise(self):
         raw = json.loads(json.dumps(TINY))
@@ -223,7 +224,7 @@ class TestSweeps:
         raw["model"] = {"hidden_dims": [16, 8]}
         raw["meta"] = {"epochs": 12, "batch_size": 32, "beta": 5e-3}
         raw["seeds"] = [0, 1]
-        records = sweep_noise(parse_config_dict(raw), [0.2, 0.7])
+        records = run_variants(noise_sweep_variants(parse_config_dict(raw), [0.2, 0.7]))
         means = {}
         for rec in records:
             means.setdefault((rec.method, rec.tag), []).append(rec.test_accuracy)
@@ -234,7 +235,7 @@ class TestSweeps:
 
     def test_annotator_sweep_tags(self):
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32})
-        records = sweep_annotators(cfg, noise_level=0.3)
+        records = run_variants(annotator_sweep_variants(cfg, 0.3))
         assert [r.tag for r in records] == ["M=2", "M=3", "M=4", "M=5"]
         assert all(r.method == "ours" for r in records)
 
@@ -245,7 +246,7 @@ class TestSweeps:
         raw["dataset"]["synthetic"]["n_classes"] = 2
         raw.update(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
         with pytest.raises(ExperimentError, match="tag='M=3'") as exc:
-            sweep_annotators(parse_config_dict(raw), noise_level=0.3)
+            run_variants(annotator_sweep_variants(parse_config_dict(raw), 0.3))
         assert len(exc.value.completed) == 2
         assert [(r.tag, r.seed) for r in exc.value.completed] == [("M=2", 0), ("M=2", 1)]
 
@@ -253,7 +254,7 @@ class TestSweeps:
 class TestEmission:
     def make_records(self):
         cfg = tiny_config(meta={"epochs": 2, "batch_size": 32}, seeds=[0, 1])
-        return run_experiment(cfg, tag="demo")
+        return run_variants([(cfg, "demo")])
 
     def test_csv_round_trip(self, tmp_path):
         records = self.make_records()

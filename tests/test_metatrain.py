@@ -188,24 +188,31 @@ class TestSampleLabel:
             assert np.max(np.abs(out.data - y[0])) <= 4e-16
 
     def test_half_half(self):
-        w = Tensor(np.array([0.5, 0.5]))
-        sets = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(sample_label(w, sets).data, [0.5, 0.5])
+        w = Tensor(np.array([[0.5, 0.5]]))
+        sets = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        assert np.array_equal(sample_label(w, sets).data, [[0.5, 0.5]])
 
     def test_convexity_bounds(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):
-            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-            sets = rng.integers(0, 2, size=(m, n)).astype(float)
-            e = rng.exponential(size=m)
-            w = Tensor(e / e.sum())
+            m, b, n = (int(v) for v in rng.integers(1, [6, 5, 8]))
+            sets = rng.integers(0, 2, size=(m, b, n)).astype(float)
+            e = rng.exponential(size=(b, m))
+            w = Tensor(e / e.sum(axis=1, keepdims=True))
             out = sample_label(w, sets).data
+            assert out.shape == (b, n)
             assert np.all(out >= sets.min(axis=0) - 1e-12)
             assert np.all(out <= sets.max(axis=0) + 1e-12)
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("weights, sets", [
+        ((4, 2), (3, 4, 5)),   # two weights per sample, three label sets
+        ((4, 3), (3, 2, 5)),   # four samples, label sets of two
+        ((2,), (2, 5)),        # one unbatched sample
+        ((1, 2), (2, 5)),      # label sets without a batch axis
+    ], ids=["sets", "batch", "1d-weights", "2d-sets"])
+    def test_shape_mismatch(self, weights, sets):
         with pytest.raises(ValueError, match="do not match"):
-            sample_label(Tensor(np.array([0.5, 0.5])), np.zeros((3, 4)))
+            sample_label(Tensor(np.full(weights, 0.5)), np.zeros(sets))
 
 
 class TestBinarize:

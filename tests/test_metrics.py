@@ -1,9 +1,9 @@
-"""Accuracy and Mann-Whitney AUC against brute-force and rank-sum oracles."""
+"""Mann-Whitney AUC against brute-force and rank-sum oracles."""
 
 import numpy as np
 import pytest
 
-from labelattn.metrics import accuracy, auc_roc, mean_auc, per_class_auc
+from labelattn.metrics import auc_roc, mean_auc, per_class_auc
 
 
 def brute_force_auc(scores, labels):
@@ -22,25 +22,6 @@ def rank_sum_auc(scores, labels):
     pos = labels != 0
     n_pos = int(pos.sum())
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (labels.size - n_pos)))
-
-
-class TestAccuracy:
-    def test_identical(self):
-        v = np.arange(10)
-        assert accuracy(v, v) == 1.0
-
-    def test_disjoint(self):
-        assert accuracy(np.zeros(5), np.ones(5)) == 0.0
-
-    def test_random_ten_class_rate(self):
-        rng = np.random.default_rng(0)
-        pred = rng.integers(0, 10, size=10_000)
-        truth = rng.integers(0, 10, size=10_000)
-        assert abs(accuracy(pred, truth) - 0.10) < 0.01
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            accuracy(np.zeros(3), np.zeros(4))
 
 
 class TestAucRoc:
