@@ -350,9 +350,12 @@ class TestSpecAndSerialization:
 
 
 class TestCheckFits:
-    @pytest.mark.parametrize("n", range(0, 7))
-    @pytest.mark.parametrize("spec", [spec_of(kind) for kind in KINDS if kind != AVERAGE],
-                             ids=lambda spec: spec.kind)
+    # n = 10 takes CIFAR-10's flip pairs; a level of 1 moves a whole row
+    @pytest.mark.parametrize("n", [*range(0, 7), 10])
+    @pytest.mark.parametrize("spec", [
+        *(spec_of(kind) for kind in KINDS if kind != AVERAGE),
+        *(AnnotatorSpec(kind, 1.0) for kind in KINDS if KINDS[kind].levelled),
+    ], ids=lambda spec: f"{spec.kind}-{spec.noise_level:g}")
     def test_raises_exactly_where_build_cm_raises(self, spec, n):
         try:
             build_cm(spec, n)

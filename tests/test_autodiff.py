@@ -15,6 +15,30 @@ def fd_close(ad_grad, fd_grad, rel=1e-4, floor=1e-6):
     assert np.all(diff <= np.maximum(floor, rel * np.abs(fd_grad))), (ad_grad, fd_grad)
 
 
+class TestConstant:
+    def test_row_major_2x2(self):
+        t = constant([[1, 2], [3, 4]])
+        assert t.data[0, 1] == 2 and t.data[1, 0] == 3
+
+    def test_float64_without_grad(self):
+        t = constant([0, 0, 0])
+        assert not t.requires_grad and t.node is None
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, np.zeros(3))
+
+    def test_copies_its_input(self):
+        src = np.array([1.0, 2.0])
+        t = constant(src)
+        src[0] = 9.0
+        assert np.array_equal(t.data, [1.0, 2.0])
+
+    def test_gradients_stop_at_a_constant(self):
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        c = constant([5.0, 7.0])
+        (g,) = gradients(sum_all(ad.mul(x, c)), [x])
+        assert np.array_equal(g, [5.0, 7.0])
+        assert ad.mul(c, c).node is None
+
+
 class TestMatmul:
     def test_identity(self):
         a = constant([[1.5, -2], [0.25, 4]])

@@ -148,6 +148,12 @@ class TestParsing:
          "2 classes: ordered_confusion needs n >= 3"),
         ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"},
          "1 classes: adversarial needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "hammer_spammer", "noise_level": 0.3},
+         "1 classes: hammer_spammer needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "structured_flips", "noise_level": 0.3},
+         "1 classes: structured_flips needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "ordered_confusion", "noise_level": 0.3},
+         "1 classes: ordered_confusion needs n >= 3"),
     ])
     def test_roster_must_fit_the_class_count(self, dataset, annotator, message):
         raw = minimal(dataset=dataset, annotators=[annotator, {"kind": "average"}])

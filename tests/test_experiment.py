@@ -10,11 +10,12 @@ from labelattn import experiment
 from labelattn.config import ConfigError, config_hash, parse_config_dict
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord,
                                   annotator_sweep_variants, build_datasets, emit,
-                                  emit_summary, noise_sweep_variants, read_records,
-                                  run_single, run_variants, summarize)
+                                  emit_summary, evaluate_clean, noise_sweep_variants,
+                                  read_records, run_single, run_variants, summarize)
 from labelattn.data import Batch, LabeledDataset, minibatches
 from labelattn.metatrain import attention_init, collect_feedback, meta_step
-from labelattn.model import Classifier, classifier_init, forward
+from labelattn.model import (Classifier, classifier_init, forward, forward_arrays,
+                             predict_class)
 
 TINY = {
     "dataset": {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 30,
@@ -157,6 +158,32 @@ def test_aux_names_the_benchmark_reads():
         forward(model, batch.x, np.zeros((8, 1)))
     with pytest.raises(ValueError, match="aux"):
         collect_feedback(probes, batch.x, np.zeros((8, 1)))
+
+
+class TestEvaluateClean:
+    """The test accuracy is the share of argmax predictions equal to the clean labels."""
+
+    def predictions(self, n_classes, n_samples=10_000):
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(n_samples, 4))
+        model = classifier_init((4, 8), n_classes, rng=rng)
+        return features, model, predict_class(forward_arrays(model, features))
+
+    def test_identical(self):
+        features, model, pred = self.predictions(10)
+        acc, _ = evaluate_clean(model, LabeledDataset(features, pred, 10))
+        assert acc == 1.0
+
+    def test_disjoint(self):
+        features, model, pred = self.predictions(10)
+        acc, _ = evaluate_clean(model, LabeledDataset(features, (pred + 1) % 10, 10))
+        assert acc == 0.0
+
+    def test_random_ten_class_rate(self):
+        features, model, _ = self.predictions(10)
+        truth = np.random.default_rng(1).integers(0, 10, size=features.shape[0])
+        acc, aucs = evaluate_clean(model, LabeledDataset(features, truth, 10))
+        assert abs(acc - 0.10) < 0.01 and len(aucs) == 10
 
 
 class TestSweeps:
