@@ -5,14 +5,16 @@ otherwise uniform over the other classes), structured flips (the fixed
 class-confusion pairs of ``confusion_pairs``), ordered confusion (mass on
 the cyclic neighbour classes), adversarial (the fixed-point-free +1 cyclic
 shift, always wrong), and the entrywise average of a roster. The first three
-take a noise level; adversarial and average take none.
+take a noise level; adversarial and average take none (their level is 0.0).
+Each kind is one ``KINDS`` row, and ``check_roster`` holds the rules of a
+whole roster, for a parsed config and a sweep's rosters alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,17 +25,6 @@ ORDERED_CONFUSION = "ordered_confusion"
 ADVERSARIAL = "adversarial"
 AVERAGE = "average"
 
-
-class Kind(NamedTuple):
-    min_classes: int   # the fewest classes the kind is defined on
-    levelled: bool     # takes a noise level; the others' level stays 0
-
-
-# Ordered confusion needs two distinct neighbours; an average fits whenever
-# its companions do.
-KINDS = {HAMMER_SPAMMER: Kind(2, True), STRUCTURED_FLIPS: Kind(2, True),
-         ORDERED_CONFUSION: Kind(3, True), ADVERSARIAL: Kind(2, False),
-         AVERAGE: Kind(2, False)}
 
 # CIFAR-10 easily-confused pairs: airplane->bird, cat->dog, deer->cat,
 # horse->deer, ship->airplane, truck->automobile.
@@ -83,9 +74,12 @@ class AnnotatorSpec:
             raise ValueError(f"unknown annotator kind {self.kind!r}")
         if not 0.0 <= self.noise_level <= 1.0:
             raise ValueError(f"noise_level must be in [0, 1], got {self.noise_level}")
-        # an ignored level would draw the same labels under another config hash
-        if self.noise_level != 0.0 and not KINDS[self.kind].levelled:
-            raise ValueError(f"{self.kind!r} takes no noise_level, got {self.noise_level}")
+        # an ignored level would draw the same labels under another config
+        # hash, and so would 0 or -0.0 written for the 0.0 of no level
+        if not KINDS[self.kind].levelled:
+            if self.noise_level != 0.0:
+                raise ValueError(f"{self.kind!r} takes no noise_level, got {self.noise_level}")
+            object.__setattr__(self, "noise_level", 0.0)
 
 
 def as_labels(labels) -> np.ndarray:
@@ -106,60 +100,61 @@ def as_labels(labels) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def cm_hammer_spammer(n: int, noise_level: float) -> ConfusionMatrix:
-    """Correct with probability 1-noise; error mass uniform on the other n-1."""
-    if n < 2:
-        raise ValueError("hammer-spammer needs n >= 2")
-    if not 0.0 <= noise_level <= 1.0:
-        raise ValueError("noise_level must be in [0, 1]")
-    rows = np.full((n, n), noise_level / (n - 1))
-    np.fill_diagonal(rows, 1.0 - noise_level)
-    return ConfusionMatrix(n, rows)
+def _hammer_spammer(n: int, level: float) -> np.ndarray:
+    """Correct with probability 1-level; error mass uniform on the other n-1."""
+    rows = np.full((n, n), level / (n - 1))
+    np.fill_diagonal(rows, 1.0 - level)
+    return rows
 
 
-def cm_structured_flips(n: int, noise_level: float) -> ConfusionMatrix:
+def _structured_flips(n: int, level: float) -> np.ndarray:
     """The source class of each ``confusion_pairs(n)`` pair flips to its
     target with the full error mass; unpaired classes fall back to uniform
     corruption at the same rate."""
-    if n < 2:
-        raise ValueError("structured flips needs n >= 2")
-    if not 0.0 <= noise_level <= 1.0:
-        raise ValueError("noise_level must be in [0, 1]")
     rows = np.zeros((n, n))
     paired = dict(confusion_pairs(n))
     for i in range(n):
         if i in paired:
-            rows[i, i] = 1.0 - noise_level
-            rows[i, paired[i]] += noise_level
+            rows[i, i] = 1.0 - level
+            rows[i, paired[i]] += level
         else:
-            rows[i, :] = noise_level / (n - 1)
-            rows[i, i] = 1.0 - noise_level
-    return ConfusionMatrix(n, rows)
+            rows[i, :] = level / (n - 1)
+            rows[i, i] = 1.0 - level
+    return rows
 
 
-def cm_ordered_confusion(n: int, noise_level: float) -> ConfusionMatrix:
+def _ordered_confusion(n: int, level: float) -> np.ndarray:
     """Error mass split evenly between the cyclic neighbours i-1 and i+1."""
-    if n < 3:
-        raise ValueError("ordered confusion needs n >= 3 for distinct neighbours")
-    if not 0.0 <= noise_level <= 1.0:
-        raise ValueError("noise_level must be in [0, 1]")
     rows = np.zeros((n, n))
-    half = noise_level / 2.0
+    half = level / 2.0
     for i in range(n):
-        rows[i, i] = 1.0 - noise_level
+        rows[i, i] = 1.0 - level
         rows[i, (i - 1) % n] += half
         rows[i, (i + 1) % n] += half
-    return ConfusionMatrix(n, rows)
+    return rows
 
 
-def cm_adversarial(n: int) -> ConfusionMatrix:
+def _adversarial(n: int, level: float) -> np.ndarray:
     """Deterministic +1 cyclic shift: consistent per class and always wrong."""
-    if n < 2:
-        raise ValueError("adversarial needs n >= 2")
     rows = np.zeros((n, n))
     for i in range(n):
         rows[i, (i + 1) % n] = 1.0
-    return ConfusionMatrix(n, rows)
+    return rows
+
+
+class Kind(NamedTuple):
+    min_classes: int   # the fewest classes the kind is defined on
+    levelled: bool     # takes a noise level; the others' level is 0.0
+    rows: Callable[[int, float], np.ndarray] | None  # (n, level) -> [n, n]; None: average
+
+
+# Ordered confusion needs two distinct neighbours; an average fits whenever
+# its companions do, and is built from their matrices.
+KINDS = {HAMMER_SPAMMER: Kind(2, True, _hammer_spammer),
+         STRUCTURED_FLIPS: Kind(2, True, _structured_flips),
+         ORDERED_CONFUSION: Kind(3, True, _ordered_confusion),
+         ADVERSARIAL: Kind(2, False, _adversarial),
+         AVERAGE: Kind(2, False, None)}
 
 
 def cm_average(parts: list[ConfusionMatrix]) -> ConfusionMatrix:
@@ -186,30 +181,36 @@ def noise_level_of(cm: ConfusionMatrix) -> float:
 
 
 def check_fits(spec: AnnotatorSpec, n: int) -> None:
-    """Raise a ValueError where ``build_cm(spec, n)`` would for a non-average
-    spec, without building its n x n matrix: where n is below the kind's
-    fewest classes. An average needs what its companions need."""
+    """Raise a ValueError where n is below the fewest classes of the spec's
+    kind; builds no matrix. An average needs what its companions need."""
     least = KINDS[spec.kind].min_classes
     if n < least:
         raise ValueError(f"{spec.kind} needs n >= {least}")
 
 
+def check_roster(specs, n: int, where: str = "annotators") -> None:
+    """Raise a ValueError unless the roster ``where`` can be built on n
+    classes: it is not all ``average``, and each spec fits n. Builds no
+    matrix."""
+    if all(spec.kind == AVERAGE for spec in specs):
+        raise ValueError(f"{where} cannot all be 'average'")
+    for i, spec in enumerate(specs):
+        try:
+            check_fits(spec, n)
+        except ValueError as err:
+            raise ValueError(f"{where}[{i}] does not fit {n} classes: {err}") from err
+
+
 def build_cm(spec: AnnotatorSpec, n: int,
              roster: list[ConfusionMatrix] | None = None) -> ConfusionMatrix:
     """Materialize a spec; AVERAGE requires the roster of constituent matrices."""
-    if spec.kind == HAMMER_SPAMMER:
-        return cm_hammer_spammer(n, spec.noise_level)
-    if spec.kind == STRUCTURED_FLIPS:
-        return cm_structured_flips(n, spec.noise_level)
-    if spec.kind == ORDERED_CONFUSION:
-        return cm_ordered_confusion(n, spec.noise_level)
-    if spec.kind == ADVERSARIAL:
-        return cm_adversarial(n)
-    if spec.kind == AVERAGE:
-        if not roster:
-            raise ValueError("an average annotator needs at least one non-average companion")
-        return cm_average(roster)
-    raise ValueError(f"unknown annotator kind {spec.kind!r}")
+    check_fits(spec, n)
+    rows = KINDS[spec.kind].rows
+    if rows is not None:
+        return ConfusionMatrix(n, rows(n, spec.noise_level))
+    if not roster:
+        raise ValueError("an average annotator needs at least one non-average companion")
+    return cm_average(roster)
 
 
 def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,8 @@ fields without a default are required, and each value is checked by its
 field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
 no auxiliary features; the key stays so that every config's hash holds.
 A setting that a run would ignore is refused: a noise level on a kind
-that takes none, and a ``set_index`` on any method but ``baseline``."""
+that takes none, and a ``set_index`` on any method but ``baseline``. The
+roster is checked by ``annotators.check_roster``, as a sweep's rosters are."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass
 from pathlib import Path
 
-from .annotators import AnnotatorSpec, AVERAGE, check_fits
+from .annotators import AnnotatorSpec, check_roster
 from .data import CIFAR10_CLASSES, SyntheticSpec, validation_size
 from .metatrain import MetaConfig
 
@@ -38,6 +39,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Cifar10Spec:
+    n_classes = CIFAR10_CLASSES          # a class constant, not a config key
     paths: tuple[str, ...]
     test_paths: tuple[str, ...]
     subset: int | None = None
@@ -187,17 +189,10 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("annotators must be a nonempty list")
     annotators = tuple(_section(AnnotatorSpec, entry, f"annotators[{i}]")
                        for i, entry in enumerate(ann_raw))
-    if all(a.kind == AVERAGE for a in annotators):
-        raise ConfigError("annotators cannot all be 'average'")
-    # Checked without building the n x n matrices, so parsing allocates
-    # nothing that grows with the class count.
-    n_classes = dataset.n_classes if isinstance(dataset, SyntheticSpec) else CIFAR10_CLASSES
-    for i, spec in enumerate(annotators):
-        try:
-            check_fits(spec, n_classes)
-        except ValueError as err:
-            raise ConfigError(f"annotators[{i}] does not fit {n_classes} classes: "
-                              f"{err}") from err
+    try:  # builds no n x n matrix, so a large class count costs nothing
+        check_roster(annotators, dataset.n_classes)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
     model_raw = raw.get("model", {})
     _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")

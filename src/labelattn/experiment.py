@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, KINDS, ORDERED_CONFUSION,
-                         STRUCTURED_FLIPS, AnnotatorSpec)
+                         STRUCTURED_FLIPS, AnnotatorSpec, check_roster)
 from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS, Cifar10Spec,
                      ExperimentConfig, MethodSpec, config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
@@ -224,6 +224,7 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
     for lv, tag in zip(levels, tags):
         roster = (AnnotatorSpec(HAMMER_SPAMMER, lv), AnnotatorSpec(STRUCTURED_FLIPS, lv),
                   AnnotatorSpec(ORDERED_CONFUSION, lv), AnnotatorSpec(AVERAGE))
+        check_roster(roster, cfg.dataset.n_classes, where="the noise sweep's annotators")
         methods = [MethodSpec(METHOD_OURS)] + [MethodSpec(METHOD_BASELINE, set_index=i)
                                                for i in range(len(roster))]
         for method in methods:
@@ -238,11 +239,13 @@ ANNOTATOR_SWEEP_ORDER = (HAMMER_SPAMMER, ADVERSARIAL, ORDERED_CONFUSION,
 def annotator_sweep_variants(cfg: ExperimentConfig,
                              noise_level: float = 0.3) -> list[tuple[ExperimentConfig, str]]:
     """Roster growth [hammer-spammer, adversarial] -> +ordered confusion ->
-    +structured flips -> +average, attention method at each size."""
+    +structured flips -> +average, attention method at each size. Each
+    roster is a prefix of the full one, so checking that one checks all."""
     if not 0.0 < noise_level < 1.0:
         raise ValueError("noise_level must lie strictly inside (0, 1)")
     full = [AnnotatorSpec(kind, noise_level if KINDS[kind].levelled else 0.0)
             for kind in ANNOTATOR_SWEEP_ORDER]
+    check_roster(full, cfg.dataset.n_classes, where="the annotator sweep's annotators")
     return [(replace(cfg, annotators=tuple(full[:m]), method=MethodSpec(METHOD_OURS)),
              f"M={m}") for m in range(2, len(full) + 1)]
 

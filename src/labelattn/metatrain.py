@@ -51,7 +51,7 @@ computes its values when read: only a read of ``loss_post`` runs a forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -186,7 +186,6 @@ class TrainResult:
     attn: AttentionParams | None
     history: list[EpochStats]
     best_epoch: int
-    iteration_weights: list[list[np.ndarray]] = field(default_factory=list)  # per epoch
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,6 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
     is given, its accuracy and loss against ``val_targets``; the returned
     ``model`` is the best-validation snapshot (else the final iterate)."""
     history: list[EpochStats] = []
-    iteration_weights: list[list[np.ndarray]] = []
     best_acc, best_epoch, best_model = -np.inf, -1, model
 
     for epoch in range(config.epochs):
@@ -439,7 +437,6 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
             losses.append(loss)
             if weights is not None:
                 epoch_weights.append(weights)
-        iteration_weights.append(epoch_weights)
 
         stats = EpochStats(train_loss=float(np.mean(losses)) if losses else float("nan"),
                            mean_weights=[float(v) for v in np.mean(epoch_weights, axis=0)]
@@ -453,7 +450,7 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
     if val_ds is None or best_epoch < 0:
         best_model, best_epoch = model, max(config.epochs - 1, 0)
     return TrainResult(model=best_model, last_model=model, attn=None, history=history,
-                       best_epoch=best_epoch, iteration_weights=iteration_weights)
+                       best_epoch=best_epoch)
 
 
 def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,

@@ -12,9 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelattn.annotators import (cm_adversarial, cm_average, cm_hammer_spammer,
-                                  cm_ordered_confusion, cm_structured_flips, corrupt,
-                                  empirical_cm, noise_level_of)
+from labelattn.annotators import AnnotatorSpec, build_cm, corrupt, empirical_cm, noise_level_of
 from labelattn.config import parse_config_dict
 from labelattn.experiment import annotator_sweep_variants, run_single, run_variants
 from labelattn.verification import (attention_path_chain_gap, gradient_oracle_sweep,
@@ -75,12 +73,12 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_annotator_fidelity():
     start = time.perf_counter()
     matrices = {
-        "HS(0.3)": cm_hammer_spammer(10, 0.3),
-        "SF(0.4)": cm_structured_flips(10, 0.4),
-        "OC(0.5)": cm_ordered_confusion(10, 0.5),
-        "AD": cm_adversarial(10),
+        "HS(0.3)": build_cm(AnnotatorSpec("hammer_spammer", 0.3), 10),
+        "SF(0.4)": build_cm(AnnotatorSpec("structured_flips", 0.4), 10),
+        "OC(0.5)": build_cm(AnnotatorSpec("ordered_confusion", 0.5), 10),
+        "AD": build_cm(AnnotatorSpec("adversarial"), 10),
     }
-    matrices["AVG"] = cm_average(list(matrices.values()))
+    matrices["AVG"] = build_cm(AnnotatorSpec("average"), 10, roster=list(matrices.values()))
     clean = np.repeat(np.arange(10), 100_000)  # class-balanced, 100k per class
     worst = 0.0
     for i, (name, cm) in enumerate(matrices.items()):
@@ -138,12 +136,12 @@ def test_criterion_6_attention_discrimination():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.0},
                         {"kind": "adversarial"}], {"name": "ours"},
-                       epochs=10)
+                       epochs=10, trace=True)
     fractions = []
     for seed in cfg.seeds:
-        out = run_single(cfg, seed=seed)
-        after_first = np.array([wm for epoch_w in out.result.iteration_weights[1:]
-                                for wm in epoch_w])
+        rows = run_single(cfg, seed=seed).trace_rows
+        per_epoch = len(rows) // cfg.meta.epochs
+        after_first = np.array([row["weights_mean"] for row in rows[per_epoch:]])
         fractions.append(float(np.mean(after_first[:, 0] > after_first[:, 1])))
     elapsed = time.perf_counter() - start
     ok = all(f >= 0.80 for f in fractions)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import labelattn
+from labelattn import experiment
 from labelattn.cli import main
 from labelattn.experiment import read_records
 
@@ -25,8 +26,8 @@ TINY = {
 }
 
 
-# Two classes: the annotator sweep's M=2 roster fits them, its M=3 roster
-# (ordered confusion) does not, so every M=3 job fails attaching its annotators.
+# Two classes: the roster of either sweep holds ordered confusion, which needs
+# three, so either sweep is a config error.
 TWO_CLASSES = {**TINY, "dataset": {"synthetic": {"n_classes": 2, "dim": 4,
                                                  "samples_per_class": 20,
                                                  "center_scale": 4.0, "seed": 5}},
@@ -235,9 +236,18 @@ class TestErrors:
             "config error: invalid value at dataset.cifar10: ")
         assert not (tmp_path / "out").exists()
 
-    def test_failure_keeps_finished_records(self, tmp_path, pool_sizes):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(TWO_CLASSES))
+    def test_failure_keeps_finished_records(self, tmp_path, pool_sizes, monkeypatch):
+        # a planted failure: every M=3 job raises in training; the pool's
+        # workers are forked, so they inherit the patch
+        real_train = experiment.train_attention
+
+        def fail_on_three_sets(model, train_ds, *args, **kwargs):
+            if train_ds.n_sets == 3:
+                raise RuntimeError("planted failure")
+            return real_train(model, train_ds, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_attention", fail_on_three_sets)
+        path = write_config(tmp_path, meta={"epochs": 1, "batch_size": 16}, seeds=[0, 1])
         for jobs in ("1", "2"):
             out = tmp_path / jobs
             assert main(["sweep-annotators", "--config", str(path), "--jobs", jobs,
@@ -248,6 +258,21 @@ class TestErrors:
         assert pool_sizes == [2]
         assert without_clock(tmp_path / "1" / "results.jsonl") == \
             without_clock(tmp_path / "2" / "results.jsonl")
+
+    @pytest.mark.parametrize("sweep", [["sweep-noise", "--levels", "0.3"],
+                                       ["sweep-annotators"]], ids=["noise", "annotators"])
+    def test_sweep_roster_that_does_not_fit_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                       sweep):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a sweep whose roster does not fit")
+
+        monkeypatch.setattr("labelattn.cli.run_variants", no_training)
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **TWO_CLASSES)
+        assert main([*sweep, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the ") and "sweep's annotators[2] does not fit " \
+            "2 classes: ordered_confusion needs n >= 3" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))

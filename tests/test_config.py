@@ -267,6 +267,17 @@ class TestHash:
                                match="^unknown key 'flip_pairs' at annotators\\[1\\]$"):
                 parse_config_dict(minimal(annotators=roster))
 
+    @pytest.mark.parametrize("kind, expected", [("adversarial", "7c33bdcf449a4086"),
+                                                ("average", "80d8b080d285f2e3")])
+    def test_zero_level_hashes_as_no_level(self, kind, expected):
+        # on a kind that takes no level, 0 and -0.0 draw the labels of no key
+        for entry in ({"kind": kind}, *({"kind": kind, "noise_level": level}
+                                        for level in (0.0, 0, -0.0))):
+            raw = {"dataset": {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 20}},
+                   "annotators": [{"kind": "hammer_spammer", "noise_level": 0.2}, entry],
+                   "seeds": [0]}
+            assert config_hash(parse_config_dict(raw)) == expected, entry
+
     # A change to one of these values changes the config_hash of every record
     # already written for that config.
     @pytest.mark.parametrize("raw, expected", [

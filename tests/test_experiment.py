@@ -266,16 +266,39 @@ class TestSweeps:
         assert [r.tag for r in records] == ["M=2", "M=3", "M=4", "M=5"]
         assert all(r.method == "ours" for r in records)
 
-    def test_failing_variant_keeps_finished_records(self):
-        # two classes fit the M=2 roster; the M=3 roster's ordered confusion
-        # needs three, so the first M=3 job fails attaching its annotators
+    def test_failing_variant_keeps_finished_records(self, monkeypatch):
+        # a planted failure: every M=3 job raises in training, after both
+        # M=2 jobs have finished
+        real_train = experiment.train_attention
+
+        def fail_on_three_sets(model, train_ds, *args, **kwargs):
+            if train_ds.n_sets == 3:
+                raise RuntimeError("planted failure")
+            return real_train(model, train_ds, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_attention", fail_on_three_sets)
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
+        with pytest.raises(ExperimentError, match="tag='M=3'.*planted failure") as exc:
+            run_variants(annotator_sweep_variants(cfg, 0.3))
+        assert [(r.tag, r.seed) for r in exc.value.completed] == [("M=2", 0), ("M=2", 1)]
+
+    @pytest.mark.parametrize("build", [
+        lambda cfg: noise_sweep_variants(cfg, [0.3]),
+        lambda cfg: annotator_sweep_variants(cfg, 0.3),
+    ], ids=["noise", "annotators"])
+    def test_sweep_roster_must_fit_the_class_count(self, build):
+        # both sweeps add ordered confusion, which needs three classes
         raw = json.loads(json.dumps(TINY))
         raw["dataset"]["synthetic"]["n_classes"] = 2
-        raw.update(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
-        with pytest.raises(ExperimentError, match="tag='M=3'") as exc:
-            run_variants(annotator_sweep_variants(parse_config_dict(raw), 0.3))
-        assert len(exc.value.completed) == 2
-        assert [(r.tag, r.seed) for r in exc.value.completed] == [("M=2", 0), ("M=2", 1)]
+        cfg = parse_config_dict(raw)
+        with pytest.raises(ValueError, match="sweep's annotators\\[2\\] does not fit 2 classes: "
+                                             "ordered_confusion needs n >= 3$"):
+            build(cfg)
+
+    def test_cifar_config_reads_ten_classes(self):
+        cfg = tiny_config(dataset={"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"]}})
+        assert cfg.dataset.n_classes == 10
+        assert len(annotator_sweep_variants(cfg, 0.3)) == 4
 
 
 class TestEmission:
