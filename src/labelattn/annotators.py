@@ -203,13 +203,18 @@ def check_roster(specs, n: int, where: str = "annotators") -> None:
 
 def build_cm(spec: AnnotatorSpec, n: int,
              roster: list[ConfusionMatrix] | None = None) -> ConfusionMatrix:
-    """Materialize a spec; AVERAGE requires the roster of constituent matrices."""
+    """Materialize a spec; AVERAGE requires the roster of constituent
+    matrices, each on n classes."""
     check_fits(spec, n)
     rows = KINDS[spec.kind].rows
     if rows is not None:
         return ConfusionMatrix(n, rows(n, spec.noise_level))
     if not roster:
         raise ValueError("an average annotator needs at least one non-average companion")
+    for cm in roster:
+        if cm.n_classes != n:
+            raise ValueError(f"an average annotator on {n} classes got a roster matrix "
+                             f"on {cm.n_classes} classes")
     return cm_average(roster)
 
 

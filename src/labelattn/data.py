@@ -22,9 +22,11 @@ The clean labels are an int64 ``[S]`` vector, and the noisy labels one int64
 ``[M, S]`` matrix, ``label_sets``: row m is labeler m's label for each
 sample (M may be 0). The dataset keeps its own read-only copy of each,
 checked once at construction, so a caller's later write cannot skip the
-range check, and the one-hot form ``[M, S, N]`` is built once and never goes
-stale. Attaching annotators stacks new rows under the matrix, and a subset
-takes its columns.
+range check; the dataset holds nothing else and is never written after
+construction. Attaching annotators stacks new rows under the matrix, and a
+subset takes its columns. No one-hot form of the whole matrix is kept:
+``minibatches`` builds each batch's ``[M, B, N]`` one-hot label sets from an
+``N x N`` identity, and ``consensus_labels`` counts votes from the integers.
 
 ``synth_blobs`` builds its matrix in place as well: one ``standard_normal``
 draw of every sample (the class blocks are contiguous in draw order), scaled
@@ -79,7 +81,8 @@ class LabeledDataset:
     ``features``, ``clean_labels`` or ``label_sets`` raises;
     ``clean_labels`` and ``label_sets`` are the dataset's own copies, so a
     caller's later write to the labels it passed in does not reach the
-    dataset either.
+    dataset either. Nothing is cached on the dataset: every other array is
+    derived when it is read.
     """
 
     aux = None  # a class constant that perfbench reads
@@ -105,7 +108,6 @@ class LabeledDataset:
         if _out_of_range(sets, self.n_classes):
             raise ValueError("noisy label index out of range")
         self.label_sets = _read_only(sets.copy(), np.int64)
-        self._onehot: np.ndarray | None = None
 
     @property
     def features(self) -> np.ndarray:
@@ -123,12 +125,6 @@ class LabeledDataset:
     @property
     def n_sets(self) -> int:
         return self.label_sets.shape[0]
-
-    def onehot_label_sets(self) -> np.ndarray:
-        """All label sets as one-hot float64 [M, S, N], built on first use."""
-        if self._onehot is None:
-            self._onehot = one_hot(self.label_sets, self.n_classes)
-        return self._onehot
 
 
 @dataclass(frozen=True)
@@ -294,24 +290,31 @@ def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
 
 def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: int = 0):
     """Epoch-seeded shuffled batches; the final partial batch is kept. Each
-    batch's features are one gather from the source array."""
+    batch's features are one gather from the source array, and its one-hot
+    label sets are rows of an N x N identity picked by its [M, B] labels:
+    exact 0/1 values, the bits of ``one_hot``, with no [M, S, N] array
+    behind them."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     perm = np.random.default_rng([seed, _BATCH_TAG, epoch]).permutation(ds.n_samples)
     source_rows = perm if ds.rows is None else ds.rows[perm]
-    hot = ds.onehot_label_sets()
+    eye = np.eye(ds.n_classes)
     for start in range(0, ds.n_samples, batch_size):
         idx = perm[start:start + batch_size]
         rows = source_rows[start:start + batch_size]
         yield Batch(
             x=ds._features.take(rows, axis=0),
-            label_sets=hot.take(idx, axis=1),
+            label_sets=eye.take(ds.label_sets.take(idx, axis=1), axis=0),
             indices=idx,
         )
 
 
 def consensus_labels(ds: LabeledDataset) -> np.ndarray:
-    """Plurality vote across the noisy label sets (ties -> lowest index)."""
+    """Plurality vote across the noisy label sets (ties -> lowest index).
+    The votes are counted in one ``bincount`` of sample * N + label, an
+    [S, N] table of integers."""
     if not ds.n_sets:
         raise ValueError("dataset carries no label sets")
-    return np.argmax(ds.onehot_label_sets().sum(axis=0), axis=1)
+    n, s = ds.n_classes, ds.n_samples
+    cells = ds.label_sets + np.arange(0, s * n, n)
+    return np.argmax(np.bincount(cells.ravel(), minlength=s * n).reshape(s, n), axis=1)

@@ -21,7 +21,7 @@ from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_rec
                    load_cifar10, split, synth_blobs, take_subset, validation_size)
 from .metatrain import TrainResult, train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
-from .model import classifier_init, forward_arrays, predict_class
+from .model import classifier_init, forward_probs, predict_class
 
 _INIT_TAG = 2001
 
@@ -99,9 +99,11 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
-    fwd = forward_arrays(model, test.features)
-    acc = float(np.mean(predict_class(fwd) == test.clean_labels))
-    aucs = per_class_auc(fwd.probs, test.clean_labels, test.n_classes)
+    """(accuracy, per-class AUCs) of the model on the clean test labels,
+    from one whole-set forward that keeps only the probabilities."""
+    probs = forward_probs(model, test.features)
+    acc = float(np.mean(predict_class(probs) == test.clean_labels))
+    aucs = per_class_auc(probs, test.clean_labels, test.n_classes)
     return acc, aucs
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, constant, gradients,
                        logistic, make_op, matmul, row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
-from .model import (ArrayForward, Classifier, forward_arrays, hidden_gradients,
+from .model import (ArrayForward, Classifier, forward_arrays, forward_probs, hidden_gradients,
                     param_gradients, params_get, params_set, predict_class, stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
@@ -410,10 +410,11 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
 
 
 def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.ndarray):
-    """(accuracy, bce loss) of the model against the given noisy targets."""
-    fwd = forward_arrays(model, ds.features)
-    acc = float(np.mean(predict_class(fwd) == target_labels))
-    return acc, fwd.bce.value(one_hot(target_labels, ds.n_classes))
+    """(accuracy, bce loss) of the model against the given noisy targets,
+    from one whole-set forward that keeps only the probabilities."""
+    probs = forward_probs(model, ds.features)
+    acc = float(np.mean(predict_class(probs) == target_labels))
+    return acc, BceTerms(probs).value(one_hot(target_labels, ds.n_classes))
 
 
 def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,

@@ -5,7 +5,8 @@ head. Classifiers are immutable; parameter updates produce new instances.
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
 uses, and its :class:`ArrayForward` makes the BCE terms of its predictions
 (:class:`labelattn.autodiff.BceTerms`) once, on first use, for every loss
-and gradient of the step to read. :func:`param_gradients` is the MLP
+and gradient of the step to read. Evaluation runs :func:`forward_probs`,
+the same layer loop keeping only the probabilities. :func:`param_gradients` is the MLP
 backward from a gradient at the logits (one, optionally written into
 caller-given arrays, or a stack of M), :func:`hidden_gradients` its
 hidden-layer part, and :func:`stacked_features` the hidden stack of M
@@ -121,21 +122,42 @@ def relu_in_place(pre: np.ndarray) -> np.ndarray:
     return pre
 
 
-def forward_arrays(model: Classifier, x) -> ArrayForward:
-    """Forward pass over a batch [B, input_dim] on plain arrays, with no tape
-    and no copy of the input; equal bit for bit to :func:`forward`."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    _check_batch(model, x)
-    h = x
-    activations = [h]
+def _logits(model: Classifier, x, activations: list | None = None) -> np.ndarray:
+    """The logits of a batch [B, input_dim] on plain arrays: the layer loop
+    that :func:`forward_arrays` and :func:`forward_probs` share. The input and
+    each hidden ReLU output are appended to ``activations`` when it is given;
+    otherwise each layer's input is released once the next layer exists, and
+    the last hidden activation once the logits do."""
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    _check_batch(model, h)
+    if activations is not None:
+        activations.append(h)
     for i in range(len(model.layer_dims) - 1):
         pre = h @ model.params[2 * i].data
         pre += model.params[2 * i + 1].data
         h = relu_in_place(pre)
-        activations.append(h)
+        if activations is not None:
+            activations.append(h)
     logits = h @ model.params[-2].data
     logits += model.params[-1].data
+    return logits
+
+
+def forward_arrays(model: Classifier, x) -> ArrayForward:
+    """Forward pass over a batch [B, input_dim] on plain arrays, with no tape
+    and no copy of the input; equal bit for bit to :func:`forward`."""
+    activations: list[np.ndarray] = []
+    logits = _logits(model, x, activations)
     return ArrayForward(probs=logistic(logits), activations=tuple(activations))
+
+
+def forward_probs(model: Classifier, x) -> np.ndarray:
+    """The probabilities of :func:`forward_arrays`, bit for bit, keeping no
+    activation: at most two adjacent hidden activations are alive at once,
+    and none while the logistic runs. Evaluation scores whole sets with it.
+    The matrix products keep their whole-set shapes, since splitting the
+    rows into blocks can change a product's bits."""
+    return logistic(_logits(model, x))
 
 
 def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
@@ -240,8 +262,11 @@ def params_set(model: Classifier, params) -> Classifier:
     return Classifier(model.layer_dims, model.n_classes, tuple(fresh))
 
 
-def predict_class(result: ForwardResult | ArrayForward) -> np.ndarray:
-    """Per-row argmax over a batch's probabilities; ties break toward the
-    lowest index."""
-    probs = result.probs.data if isinstance(result, ForwardResult) else result.probs
-    return np.argmax(probs, axis=1)
+def predict_class(result: ForwardResult | ArrayForward | np.ndarray) -> np.ndarray:
+    """Per-row argmax over a batch's probabilities (a forward's, or the array
+    :func:`forward_probs` returns); ties break toward the lowest index."""
+    if isinstance(result, ForwardResult):
+        result = result.probs.data
+    elif isinstance(result, ArrayForward):
+        result = result.probs
+    return np.argmax(result, axis=1)

@@ -161,6 +161,14 @@ class TestAverage:
         with pytest.raises(ValueError, match="mismatch"):
             cm_average([build_cm(AnnotatorSpec(ADVERSARIAL), n) for n in (4, 5)])
 
+    def test_build_cm_refuses_a_roster_on_other_classes(self):
+        # every matrix of the roster agrees with the others, but not with n
+        roster = [build_cm(AnnotatorSpec(ADVERSARIAL), 10)]
+        with pytest.raises(ValueError, match="^an average annotator on 3 classes got a "
+                                             "roster matrix on 10 classes$"):
+            build_cm(AnnotatorSpec(AVERAGE), 3, roster=roster)
+        assert build_cm(AnnotatorSpec(AVERAGE), 10, roster=roster).n_classes == 10
+
 
 class TestNoiseLevelOf:
     def test_identity_and_adversarial(self):

@@ -285,6 +285,35 @@ class TestMinibatches:
         assert np.all(batch.label_sets.sum(axis=2) == 1.0)
         expected = one_hot(ds.label_sets[1][batch.indices], 4)
         assert np.array_equal(batch.label_sets[1], expected)
+        # every batch of a whole epoch, from a row view with M = 3 sets
+        three = attach_annotators(blob_dataset(per_class=25, n_classes=5),
+                                  [AnnotatorSpec("hammer_spammer", 0.3),
+                                   AnnotatorSpec("adversarial"),
+                                   AnnotatorSpec("average")], seed=8)
+        train, _, _ = split(three, 0.2, seed=1)
+        batches = list(minibatches(train, 16, seed=3, epoch=1))
+        assert len(batches) == 7 and batches[-1].label_sets.shape == (3, 4, 5)
+        for batch in batches:
+            expected = one_hot(train.label_sets[:, batch.indices], 5)
+            assert batch.label_sets.dtype == expected.dtype
+            assert batch.label_sets.shape == expected.shape
+            assert batch.label_sets.tobytes() == expected.tobytes()
+
+    def test_an_epoch_allocates_less_than_one_hot_label_matrix(self):
+        # the label sets are one-hot per batch: no [M, S, N] array is built
+        ds = attach_annotators(blob_dataset(per_class=250, n_classes=10),
+                               [AnnotatorSpec("hammer_spammer", 0.3),
+                                AnnotatorSpec("adversarial"),
+                                AnnotatorSpec("average")], seed=7)
+        train, _, _ = split(ds, 0.2, seed=0)
+        whole = 8 * train.n_sets * train.n_samples * train.n_classes
+
+        def epoch():
+            return sum(1 for _ in minibatches(train, 32, seed=0, epoch=0))
+
+        count, peak = traced(epoch)
+        assert count == 63
+        assert peak < whole, (peak, whole)
 
 
 def eager(ds, rows):
@@ -412,6 +441,27 @@ class TestConsensus:
     def test_no_label_sets_refused(self):
         with pytest.raises(ValueError, match="no label sets"):
             consensus_labels(blob_dataset())
+
+    def test_ties_go_to_the_lowest_index(self):
+        ds = LabeledDataset(np.zeros((4, 1)), [0, 0, 0, 0], 4,
+                            label_sets=[[3, 2, 1, 0], [1, 3, 3, 2], [0, 0, 2, 1],
+                                        [2, 1, 0, 3]])
+        assert consensus_labels(ds).tolist() == [0, 0, 0, 0]
+        ds = LabeledDataset(np.zeros((3, 1)), [0, 0, 0], 3,
+                            label_sets=[[2, 1, 2], [1, 2, 0]])
+        assert consensus_labels(ds).tolist() == [1, 1, 0]
+
+    @pytest.mark.parametrize("n_sets, n_classes", [(1, 2), (2, 3), (4, 3), (5, 10), (6, 4)])
+    def test_equals_the_argmax_of_summed_one_hot_sets(self, n_sets, n_classes):
+        # the vote as a sum of one-hot rows, ties included (even M on few
+        # classes ties often), on a row view
+        rng = np.random.default_rng(n_sets * 100 + n_classes)
+        sets = rng.integers(0, n_classes, size=(n_sets, 300))
+        ds = LabeledDataset(np.zeros((400, 1)), np.zeros(300, np.int64), n_classes,
+                            label_sets=sets, rows=rng.permutation(400)[:300])
+        expected = np.argmax(one_hot(sets, n_classes).sum(axis=0), axis=1)
+        got = consensus_labels(ds)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestContainer:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,28 @@ class TestEvaluateClean:
         truth = np.random.default_rng(1).integers(0, 10, size=features.shape[0])
         acc, aucs = evaluate_clean(model, LabeledDataset(features, truth, 10))
         assert abs(acc - 0.10) < 0.01 and len(aucs) == 10
+
+    def test_peak_is_two_adjacent_hidden_activations(self):
+        # the narrow benchmark's test set: 5,000 rows through 32-128-64-10.
+        # The forward keeps no activation, so the peak is the two hidden
+        # activations alive while the second one is made; the slack is one
+        # [S, N] float64 array, under the logits and the logistic's
+        # temporaries that a forward keeping every activation adds on top
+        rng = np.random.default_rng(0)
+        model = classifier_init((32, 128, 64), 10, rng=rng)
+        test = LabeledDataset(rng.standard_normal((5000, 32)),
+                              rng.integers(0, 10, size=5000), 10)
+        expected = evaluate_clean(model, test)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert evaluate_clean(model, test) == expected
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        hidden = 8 * 5000 * (128 + 64)
+        slack = 8 * 5000 * 10
+        assert peak <= hidden + slack, (peak, hidden)
 
 
 class TestSweeps:

@@ -17,7 +17,8 @@ from labelattn.metatrain import (AttentionParams, MetaConfig, attend, attention_
                                  attention_step, binarize, collect_feedback, final_step,
                                  label_path, meta_step, reweighted_loss, sample_label,
                                  theorem1_gap, train_attention, train_baseline, train_iteration)
-from labelattn.model import classifier_init, forward, forward_arrays, params_get, params_set
+from labelattn.model import (classifier_init, forward, forward_arrays, forward_probs,
+                             params_get, params_set)
 from labelattn.optim import adam_init
 
 
@@ -714,7 +715,13 @@ class TestTraceReadOnDemand:
             calls.append(1)
             return forward_arrays(*args, **kwargs)
 
+        def counted_probs(*args, **kwargs):
+            calls.append(1)
+            return forward_probs(*args, **kwargs)
+
+        # the training forwards, and the validation forward of each epoch
         monkeypatch.setattr(metatrain, "forward_arrays", counted)
+        monkeypatch.setattr(metatrain, "forward_probs", counted_probs)
         hook = None
         if reads:
             def hook(i, trace):

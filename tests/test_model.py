@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (classifier_init, forward, forward_arrays, hidden_gradients,
-                             param_gradients, params_get, params_set, predict_class,
-                             relu_in_place)
+from labelattn.model import (classifier_init, forward, forward_arrays, forward_probs,
+                             hidden_gradients, param_gradients, params_get, params_set,
+                             predict_class, relu_in_place)
 from labelattn.optim import adam_init
 
 
@@ -85,6 +85,37 @@ class TestForward:
 
         fd = finite_diff_grad(loss_of, w0)
         assert np.all(np.abs(g - fd.data) <= np.maximum(1e-6, 1e-4 * np.abs(fd.data)))
+
+
+class TestForwardProbs:
+    """Evaluation's probabilities-only forward has the bits of the training
+    forward, at the shapes the runs evaluate (CI runs this at one BLAS
+    thread, as the benchmark's digests are made)."""
+
+    @pytest.mark.parametrize("rows", [1, 33, 1000, 5000])
+    def test_narrow_model_bitwise(self, rows):
+        rng = np.random.default_rng(rows)
+        model = classifier_init((32, 128, 64), 10, rng=rng)
+        x = rng.standard_normal((rows, 32)) * 3.0
+        got = forward_probs(model, x)
+        expected = forward_arrays(model, x).probs
+        assert got.dtype == expected.dtype and got.shape == expected.shape == (rows, 10)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_wide_model_bitwise(self):
+        rng = np.random.default_rng(3072)
+        model = classifier_init((3072, 128, 64), 10, rng=rng)
+        x = rng.random((1000, 3072))
+        assert forward_probs(model, x).tobytes() == forward_arrays(model, x).probs.tobytes()
+
+    def test_input_checked_and_not_written(self):
+        model = tiny_model()
+        x = np.random.default_rng(4).normal(size=(6, 4))
+        before = x.copy()
+        assert forward_probs(model, x).tobytes() == forward_arrays(model, x).probs.tobytes()
+        assert np.array_equal(x, before)
+        with pytest.raises(ValueError, match="width"):
+            forward_probs(model, np.zeros((2, 5)))
 
 
 class TestParams:
@@ -192,6 +223,7 @@ class TestPredict:
         got = predict_class(fake)
         expected = [max(range(7), key=lambda j: (probs[i, j], -j)) for i in range(1000)]
         assert np.array_equal(got, expected)
+        assert np.array_equal(predict_class(probs), expected)
 
 
 def where_relu(pre):
