@@ -73,12 +73,16 @@ def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec,
                          val_fraction: float) -> tuple[LabeledDataset, LabeledDataset]:
     """(clean training pool, clean test set) for a dataset spec: the two
     synthetic streams, or the decoded CIFAR-10 files and their subsets. A
-    CIFAR-10 pool too small to give ``val_fraction`` any validation rows is
-    refused from the files' sizes, before anything is decoded."""
+    CIFAR-10 pool too small to give ``val_fraction`` any validation rows, and
+    test files that hold no record, are refused from the files' sizes, before
+    anything is decoded."""
     if isinstance(ds, SyntheticSpec):
         return synth_blobs(ds, stream="train"), synth_blobs(ds, stream="test")
     records = sum(cifar10_record_counts(ds.paths))
     validation_size(records if ds.subset is None else min(ds.subset, records), val_fraction)
+    if sum(cifar10_record_counts(ds.test_paths)) == 0:
+        raise ValueError(f"the CIFAR-10 test files {', '.join(map(str, ds.test_paths))} "
+                         f"hold no records")
     pool = load_cifar10(ds.paths)
     if ds.subset is not None:
         pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
@@ -100,7 +104,8 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
     """(accuracy, per-class AUCs) of the model on the clean test labels,
-    from one whole-set forward that keeps only the probabilities."""
+    from :func:`~labelattn.model.forward_probs`, which runs the hidden layers
+    in row blocks and keeps only the probabilities."""
     probs = forward_probs(model, test.features)
     acc = float(np.mean(predict_class(probs) == test.clean_labels))
     aucs = per_class_auc(probs, test.clean_labels, test.n_classes)

@@ -411,7 +411,8 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
 
 def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.ndarray):
     """(accuracy, bce loss) of the model against the given noisy targets,
-    from one whole-set forward that keeps only the probabilities."""
+    from :func:`~labelattn.model.forward_probs`, which runs the hidden layers
+    in row blocks and keeps only the probabilities."""
     probs = forward_probs(model, ds.features)
     acc = float(np.mean(predict_class(probs) == target_labels))
     return acc, BceTerms(probs).value(one_hot(target_labels, ds.n_classes))

@@ -6,8 +6,10 @@ Training runs on plain arrays: :func:`forward_arrays` is the forward it
 uses, and its :class:`ArrayForward` makes the BCE terms of its predictions
 (:class:`labelattn.autodiff.BceTerms`) once, on first use, for every loss
 and gradient of the step to read. Evaluation runs :func:`forward_probs`,
-the same layer loop keeping only the probabilities. :func:`param_gradients` is the MLP
-backward from a gradient at the logits (one, optionally written into
+the same layer loop over row blocks of the hidden layers, keeping only the
+probabilities; its bits equal :func:`forward_arrays`' where every hidden
+width is a multiple of 8 (see its docstring). :func:`param_gradients` is
+the MLP backward from a gradient at the logits (one, optionally written into
 caller-given arrays, or a stack of M), :func:`hidden_gradients` its
 hidden-layer part, and :func:`stacked_features` the hidden stack of M
 classifiers that differ only in their hidden parameters. None of them builds
@@ -122,42 +124,78 @@ def relu_in_place(pre: np.ndarray) -> np.ndarray:
     return pre
 
 
-def _logits(model: Classifier, x, activations: list | None = None) -> np.ndarray:
-    """The logits of a batch [B, input_dim] on plain arrays: the layer loop
-    that :func:`forward_arrays` and :func:`forward_probs` share. The input and
-    each hidden ReLU output are appended to ``activations`` when it is given;
-    otherwise each layer's input is released once the next layer exists, and
-    the last hidden activation once the logits do."""
-    h = np.ascontiguousarray(x, dtype=np.float64)
-    _check_batch(model, h)
-    if activations is not None:
-        activations.append(h)
-    for i in range(len(model.layer_dims) - 1):
-        pre = h @ model.params[2 * i].data
+# Rows per block of forward_probs' hidden layers. A set of S rows runs as
+# max(1, S // EVAL_BLOCK_ROWS) blocks whose sizes differ by at most one row.
+EVAL_BLOCK_ROWS = 512
+
+
+def _hidden(model: Classifier, h: np.ndarray, activations: list | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The hidden ReLU stack over a batch [B, input_dim] on plain arrays: the
+    layer loop that :func:`forward_arrays` and :func:`forward_probs` share.
+    Each hidden ReLU output is appended to ``activations`` when it is given;
+    otherwise each layer's input is released once the next layer exists. The
+    last activation is written into ``out`` [B, feature_dim] when it is given."""
+    last = len(model.layer_dims) - 2
+    for i in range(last + 1):
+        pre = np.matmul(h, model.params[2 * i].data, out=out if i == last else None)
         pre += model.params[2 * i + 1].data
         h = relu_in_place(pre)
         if activations is not None:
             activations.append(h)
-    logits = h @ model.params[-2].data
+    return h
+
+
+def _logits(model: Classifier, features: np.ndarray) -> np.ndarray:
+    """The head's logits of a batch's features [B, feature_dim]."""
+    logits = features @ model.params[-2].data
     logits += model.params[-1].data
     return logits
+
+
+def _input(model: Classifier, x) -> np.ndarray:
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    _check_batch(model, h)
+    return h
 
 
 def forward_arrays(model: Classifier, x) -> ArrayForward:
     """Forward pass over a batch [B, input_dim] on plain arrays, with no tape
     and no copy of the input; equal bit for bit to :func:`forward`."""
-    activations: list[np.ndarray] = []
-    logits = _logits(model, x, activations)
+    h = _input(model, x)
+    activations = [h]
+    logits = _logits(model, _hidden(model, h, activations))
     return ArrayForward(probs=logistic(logits), activations=tuple(activations))
 
 
 def forward_probs(model: Classifier, x) -> np.ndarray:
-    """The probabilities of :func:`forward_arrays`, bit for bit, keeping no
-    activation: at most two adjacent hidden activations are alive at once,
-    and none while the logistic runs. Evaluation scores whole sets with it.
-    The matrix products keep their whole-set shapes, since splitting the
-    rows into blocks can change a product's bits."""
-    return logistic(_logits(model, x))
+    """The probabilities of a whole set [S, input_dim], keeping no activation.
+    Evaluation scores whole sets with it.
+
+    The hidden layers run over row blocks of :data:`EVAL_BLOCK_ROWS` to
+    ``2 * EVAL_BLOCK_ROWS - 1`` rows (one block below that), each writing its
+    last activation into one [S, feature_dim] array; the head and the
+    logistic then run once on the whole set. So at most one block's hidden
+    activations are alive beside the head's input, and only the head's
+    [S, N] arrays while the logistic runs.
+
+    The head stays whole because its narrow product's bits depend on the row
+    count on OpenBLAS; the hidden products' bits did not, for blocks of 8 or
+    more rows, wherever every hidden width was a multiple of 8. Then the
+    result equals :func:`forward_arrays`' probabilities bit for bit, as
+    ``tests/test_model.py`` checks at the shapes the benchmark evaluates. A
+    hidden width that is not a multiple of 8 (``(32, 10)`` at 5,000 rows, for
+    one) may change the last bits on a set larger than one block."""
+    h = _input(model, x)
+    rows = h.shape[0]
+    n_blocks = max(1, rows // EVAL_BLOCK_ROWS)
+    features = np.empty((rows, model.feature_dim))
+    for i in range(n_blocks):
+        lo, hi = i * rows // n_blocks, (i + 1) * rows // n_blocks
+        _hidden(model, h[lo:hi], out=features[lo:hi])
+    logits = _logits(model, features)
+    del features   # before the logistic makes its [S, N] arrays
+    return logistic(logits)
 
 
 def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,

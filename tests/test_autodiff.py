@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, gradient contracts, finite-difference oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestLogistic:
         assert_same_bits(ad.logistic(x), masked_logistic(x))
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
-    @pytest.mark.parametrize("shape", [(32, 10), (1000, 10), (7,)])
+    @pytest.mark.parametrize("shape", [(32, 10), (1000, 10), (7,), ()])
     def test_random_arrays_match_the_masked_form(self, scale, shape):
         x = np.random.default_rng(int(scale * 1000) + len(shape)).normal(scale=scale, size=shape)
         assert_same_bits(ad.logistic(x), masked_logistic(x))
@@ -304,8 +305,26 @@ class TestBceTerms:
     def test_terms_are_made_once(self):
         terms = ad.BceTerms(self.predictions(np.random.default_rng(43)))
         assert terms.logs is terms.logs
-        assert np.array_equal(terms.inside, (terms.pred > ad.BCE_EPS)
+        assert terms.grad_terms is terms.grad_terms
+        assert np.array_equal(terms.grad_terms[0], (terms.pred > ad.BCE_EPS)
                               & (terms.pred < 1.0 - ad.BCE_EPS))
+
+    def test_value_alone_makes_no_gradient_terms(self):
+        # what a validation loss reads: the clamp, the two logs, the
+        # target-weighted terms and one buffer for (1 - target) * log1p(-c);
+        # the mask, 1 - clamped and 1 - pred wait for a gradient
+        rng = np.random.default_rng(44)
+        p, y = rng.uniform(size=(1000, 10)), (rng.uniform(size=(1000, 10)) > 0.5) * 1.0
+        expected = clip_bce_value(p, y)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = ad.BceTerms(p).value(y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert peak <= 5 * p.nbytes + 4096, (peak, p.nbytes)
 
 
 class TestBackward:

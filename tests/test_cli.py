@@ -222,6 +222,23 @@ class TestErrors:
                 "0.2 leaves no validation samples") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_cifar_test_file_exits_one_without_records(self, tmp_path, capsys, monkeypatch):
+        # zero bytes are a whole number of records, so the file sizes pass;
+        # a test set of no rows would score NaN, so the run fails before
+        # anything is decoded or trained
+        train, test = tmp_path / "train.bin", tmp_path / "test.bin"
+        train.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(20)))
+        test.write_bytes(b"")
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+                           dataset={"cifar10": {"paths": [str(train)], "test_paths": [str(test)]}})
+        decoded = []
+        monkeypatch.setattr(experiment, "load_cifar10", lambda paths: decoded.append(paths))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert (f"run failure: run failed (method=ours, seed=0, tag=''): the CIFAR-10 test "
+                f"files {test} hold no records") in capsys.readouterr().err
+        assert decoded == []
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("bad", [{"paths": []}, {"test_paths": []}, {"subset": 0},
                                      {"test_subset": 0}, {"test_subset": -3}],
                              ids=["no-paths", "no-test-paths", "subset-0", "test-subset-0",

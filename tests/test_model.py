@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (classifier_init, forward, forward_arrays, forward_probs,
-                             hidden_gradients, param_gradients, params_get, params_set,
-                             predict_class, relu_in_place)
+from labelattn.model import (EVAL_BLOCK_ROWS, classifier_init, forward, forward_arrays,
+                             forward_probs, hidden_gradients, param_gradients, params_get,
+                             params_set, predict_class, relu_in_place)
 from labelattn.optim import adam_init
 
 
@@ -88,11 +88,17 @@ class TestForward:
 
 
 class TestForwardProbs:
-    """Evaluation's probabilities-only forward has the bits of the training
-    forward, at the shapes the runs evaluate (CI runs this at one BLAS
-    thread, as the benchmark's digests are made)."""
+    """Evaluation's probabilities-only forward, which runs the hidden layers
+    in row blocks, has the bits of the training forward at the shapes the
+    runs evaluate (CI runs this at one BLAS thread, as the benchmark's
+    digests are made)."""
 
-    @pytest.mark.parametrize("rows", [1, 33, 1000, 5000])
+    # around one and two blocks; the sweep's validation (200) and test
+    # (1,000) sets; the narrow workload's validation (1,000) and test (5,000)
+    # sets; and a set of 39 blocks
+    @pytest.mark.parametrize("rows", [1, 33, 200, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS,
+                                      EVAL_BLOCK_ROWS + 1, 1000, 2 * EVAL_BLOCK_ROWS + 7,
+                                      5000, 20_000])
     def test_narrow_model_bitwise(self, rows):
         rng = np.random.default_rng(rows)
         model = classifier_init((32, 128, 64), 10, rng=rng)
@@ -102,10 +108,11 @@ class TestForwardProbs:
         assert got.dtype == expected.dtype and got.shape == expected.shape == (rows, 10)
         assert got.tobytes() == expected.tobytes()
 
-    def test_wide_model_bitwise(self):
+    @pytest.mark.parametrize("rows", [600, 3000])  # the wide workload's validation and test sets
+    def test_wide_model_bitwise(self, rows):
         rng = np.random.default_rng(3072)
         model = classifier_init((3072, 128, 64), 10, rng=rng)
-        x = rng.random((1000, 3072))
+        x = rng.random((rows, 3072))
         assert forward_probs(model, x).tobytes() == forward_arrays(model, x).probs.tobytes()
 
     def test_input_checked_and_not_written(self):
