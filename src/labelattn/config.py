@@ -1,5 +1,5 @@
-"""Experiment configuration: JSON file parsing with strict key checking,
-defaults, and a canonical content hash.
+"""Experiment configuration: JSON file parsing with strict key checking
+(a repeated key too), defaults, and a canonical content hash.
 
 Each config section is read from its spec dataclass (``SyntheticSpec``,
 ``Cifar10Spec``, ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which
@@ -247,9 +247,19 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a repeated key (``json`` keeps its last value)."""
+    d: dict = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConfigError(f"key {key!r} is written more than once")
+        d[key] = value
+    return d
+
+
 def parse_config(path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -19,7 +19,7 @@ from .config import (METHOD_BASELINE, METHOD_BASELINE_AVG, METHOD_OURS, Cifar10S
                      ExperimentConfig, MethodSpec, config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
                    load_cifar10, split, synth_blobs, take_subset, validation_size)
-from .metatrain import TrainResult, train_attention, train_baseline
+from .metatrain import train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
 from .model import classifier_init, forward_probs, predict_class
 
@@ -115,7 +115,6 @@ def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
 @dataclass
 class RunOutput:
     record: ResultRecord
-    result: TrainResult
     trace_rows: list[dict]
 
 
@@ -156,7 +155,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "",
         seed=int(seed), best_epoch=result.best_epoch, test_accuracy=acc,
         mean_auc=mean_auc(aucs), wall_clock_seconds=time.perf_counter() - start,
         per_class_auc=tuple(aucs), epochs=epochs)
-    return RunOutput(record=record, result=result, trace_rows=trace_rows)
+    return RunOutput(record=record, trace_rows=trace_rows)
 
 
 # One entry each, for this process's last job: the clean (pool, test) of a

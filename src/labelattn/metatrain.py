@@ -10,7 +10,7 @@ sets:
    gradients into [M, ...] hidden-parameter gradients, and the probe weights
    ``W - alpha * G`` are formed in those buffers (the live model is never
    mutated);
-3. a feature-feedback pass: one stacked hidden-layer forward of the M probe
+3. a feature-feedback pass: the step-1 layer loop over the M stacked probe
    weights gives their feature vectors, constant and stacked per sample
    [B, M*D] (the probe head is never run, since only features are fed back);
 4. a softmax attention over the stacked feedback producing per-sample,
@@ -59,8 +59,9 @@ import numpy as np
 from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, constant, gradients,
                        logistic, make_op, matmul, row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
-from .model import (ArrayForward, Classifier, forward_arrays, forward_probs, hidden_gradients,
-                    param_gradients, params_get, params_set, predict_class, stacked_features)
+from .model import (ArrayForward, Classifier, _input, forward_arrays, forward_probs,
+                    hidden_gradients, param_gradients, params_get, params_set, predict_class,
+                    stacked_features)
 from .optim import AdamState, adam_init, adam_step, sgd_step
 
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
@@ -185,7 +186,7 @@ class TrainResult:
     last_model: Classifier
     attn: AttentionParams | None
     history: list[EpochStats]
-    best_epoch: int
+    best_epoch: int                       # the last epoch without validation; -1 if none ran
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +209,15 @@ def meta_step(model: Classifier, y_m: np.ndarray, alpha: float, pred: Tensor) ->
 
 
 def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
-                   alpha: float, x) -> np.ndarray:
+                   alpha: float) -> np.ndarray:
     """The M probes toward ``label_sets`` [M, B, N] and their feedback in one
     stacked pass: a [B, M*D] array equal bit for bit to ``collect_feedback``
     of the ``meta_step`` probes.
 
-    ``fwd`` is ``model``'s array forward of the batch ``x``.
-    Only the hidden parameters of a probe reach its features, so neither its
-    head nor the head's gradient is formed. The [M, ...] gradient stack is
-    freed on return.
+    ``fwd`` is ``model``'s array forward of the batch, whose checked input
+    ``fwd.activations[0]`` the probes run on. Only the hidden parameters of a
+    probe reach its features, so neither its head nor the head's gradient is
+    formed. The [M, ...] gradient stack is freed on return.
     """
     if not np.logical_and.reduce(np.isfinite(fwd.probs), axis=None):
         raise ValueError("non-finite predictions")
@@ -225,7 +226,7 @@ def probe_features(model: Classifier, fwd: ArrayForward, label_sets: np.ndarray,
     for g, param in zip(hidden, model.params):
         g *= alpha
         np.subtract(param.data, g, out=g)
-    return stacked_features(model, hidden, x)
+    return stacked_features(hidden, fwd.activations[0])
 
 
 def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
@@ -240,9 +241,9 @@ def collect_feedback(meta_models: Sequence[Classifier], x, aux=None) -> Tensor:
         raise ValueError("a classifier takes no auxiliary features; aux must be None")
     if not meta_models:
         raise ValueError("no probe models to collect feedback from")
-    n_hidden = len(meta_models[0].params) - 2
-    hidden = [np.stack([m.params[j].data for m in meta_models]) for j in range(n_hidden)]
-    return Tensor(stacked_features(meta_models[0], hidden, x), copy=False)
+    hidden = [np.stack([p.data for p in layer])
+              for layer in zip(*(m.params[:-2] for m in meta_models))]
+    return Tensor(stacked_features(hidden, _input(meta_models[0], x)), copy=False)
 
 
 def _check_width(attn: AttentionParams, stacked: np.ndarray) -> None:
@@ -398,7 +399,7 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
         raise ValueError(f"batch carries {batch.label_sets.shape[0]} label sets, "
                          f"attention expects {attn.n_sets}")
     fwd = forward_arrays(model, batch.x)
-    stacked = probe_features(model, fwd, batch.label_sets, config.alpha, batch.x)
+    stacked = probe_features(model, fwd, batch.label_sets, config.alpha)
     path = label_path(attn, stacked, batch.label_sets, config.k, config.t_threshold)
 
     new_model, new_state, loss_pre = final_step(model, path.y_tilde, fwd, adam_state)
@@ -449,8 +450,8 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
                 best_acc, best_epoch, best_model = stats.val_accuracy, epoch, model
         history.append(stats)
 
-    if val_ds is None or best_epoch < 0:
-        best_model, best_epoch = model, max(config.epochs - 1, 0)
+    if best_epoch < 0:
+        best_model, best_epoch = model, config.epochs - 1
     return TrainResult(model=best_model, last_model=model, attn=None, history=history,
                        best_epoch=best_epoch)
 

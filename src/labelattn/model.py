@@ -1,20 +1,21 @@
 """Desk-scale multi-label classifier on one input ``x``: a dense ReLU stack
 whose last hidden activation is the feature vector, and a per-class sigmoid
-head. Classifiers are immutable; parameter updates produce new instances.
+head. A :class:`Classifier` is its parameters alone, which give its widths.
+Classifiers are immutable; parameter updates produce new instances.
 
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
 uses, and its :class:`ArrayForward` makes the BCE terms of its predictions
 (:class:`labelattn.autodiff.BceTerms`) once, on first use, for every loss
 and gradient of the step to read. Evaluation runs :func:`forward_probs`,
-the same layer loop over row blocks of the hidden layers, keeping only the
-probabilities; its bits equal :func:`forward_arrays`' where every hidden
-width is a multiple of 8 (see its docstring). :func:`param_gradients` is
-the MLP backward from a gradient at the logits (one, optionally written into
-caller-given arrays, or a stack of M), :func:`hidden_gradients` its
-hidden-layer part, and :func:`stacked_features` the hidden stack of M
-classifiers that differ only in their hidden parameters. None of them builds
-a tape graph. The tape :func:`forward` is the oracle: the array paths repeat
-its products in its order, so their results equal the tape's bit for bit;
+which keeps only the probabilities; its bits equal :func:`forward_arrays`'
+where every hidden width is a multiple of 8 (see its docstring). The meta
+probes run :func:`stacked_features`, M classifiers that differ only in
+their hidden parameters. All three run one hidden-layer loop, ``_hidden``.
+:func:`param_gradients` is the MLP backward from a gradient at the logits
+(one, optionally written into caller-given arrays, or a stack of M), and
+:func:`hidden_gradients` its hidden-layer part. None of them builds a tape
+graph. The tape :func:`forward` is the oracle: the array paths repeat its
+products in its order, so their results equal the tape's bit for bit;
 ``tests/test_closed_form.py`` holds them to that.
 """
 
@@ -33,14 +34,12 @@ _FLOAT64 = np.dtype(np.float64)
 
 @dataclass(frozen=True)
 class Classifier:
-    layer_dims: tuple[int, ...]          # input_dim, hidden..., feature_dim
-    n_classes: int
     params: tuple[Tensor, ...]           # W1, b1, ..., Wk, bk, head_W, head_b
     aux_dim = 0                          # a class constant that perfbench reads
 
     @property
     def feature_dim(self) -> int:
-        return self.layer_dims[-1]
+        return self.params[-2].shape[0]
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class ForwardResult:
 
 @dataclass(frozen=True)
 class ArrayForward:
-    """The array forward of a batch: what training and evaluation read."""
+    """The array forward of a batch: what training reads."""
 
     probs: np.ndarray
     activations: tuple[np.ndarray, ...]  # the input, then each hidden ReLU output
@@ -89,12 +88,7 @@ def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,  # only 0; per
     head_w = rng.normal(0.0, np.sqrt(2.0 / layer_dims[-1]), size=(layer_dims[-1], n_classes))
     params.append(Tensor(head_w, requires_grad=True, copy=False))
     params.append(Tensor(np.zeros(n_classes), requires_grad=True, copy=False))
-    return Classifier(layer_dims=layer_dims, n_classes=n_classes, params=tuple(params))
-
-
-def _check_batch(model: Classifier, x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
-        raise ValueError(f"input width {x.shape} does not match layer_dims[0]={model.layer_dims[0]}")
+    return Classifier(tuple(params))
 
 
 def forward(model: Classifier, x, aux=None) -> ForwardResult:  # aux: only None; perfbench passes it
@@ -103,11 +97,11 @@ def forward(model: Classifier, x, aux=None) -> ForwardResult:  # aux: only None;
     if aux is not None:
         raise ValueError("a classifier takes no auxiliary features; aux must be None")
     h = x if isinstance(x, Tensor) else constant(x)
-    _check_batch(model, h.data)
+    _input(model, h.data)
 
     activations = [h.data]
-    for i in range(len(model.layer_dims) - 1):
-        h = relu(add_bias(matmul(h, model.params[2 * i]), model.params[2 * i + 1]))
+    for w, b in zip(model.params[0:-2:2], model.params[1:-2:2]):
+        h = relu(add_bias(matmul(h, w), b))
         activations.append(h.data)
 
     logits = add_bias(matmul(h, model.params[-2]), model.params[-1])
@@ -129,17 +123,18 @@ def relu_in_place(pre: np.ndarray) -> np.ndarray:
 EVAL_BLOCK_ROWS = 512
 
 
-def _hidden(model: Classifier, h: np.ndarray, activations: list | None = None,
+def _hidden(hidden: Sequence[np.ndarray], h: np.ndarray, activations: list | None = None,
             out: np.ndarray | None = None) -> np.ndarray:
-    """The hidden ReLU stack over a batch [B, input_dim] on plain arrays: the
-    layer loop that :func:`forward_arrays` and :func:`forward_probs` share.
-    Each hidden ReLU output is appended to ``activations`` when it is given;
-    otherwise each layer's input is released once the next layer exists. The
-    last activation is written into ``out`` [B, feature_dim] when it is given."""
-    last = len(model.layer_dims) - 2
-    for i in range(last + 1):
-        pre = np.matmul(h, model.params[2 * i].data, out=out if i == last else None)
-        pre += model.params[2 * i + 1].data
+    """The hidden ReLU stack on plain arrays, the one layer loop of the array
+    paths. ``hidden`` is [W1, b1, ..., Wk, bk] of one classifier over a batch
+    ``h`` [B, input_dim], or those arrays stacked [M, ...] for M classifiers
+    with each bias an [M, 1, D] view (a 1-D bias widened to [1, D] kept the
+    bits but raised peak RSS). ReLU outputs go to ``activations`` if given,
+    else each layer's input is released once the next exists; the last is
+    written into ``out`` if given."""
+    for i in range(0, len(hidden), 2):
+        pre = np.matmul(h, hidden[i], out=out if i == len(hidden) - 2 else None)
+        pre += hidden[i + 1]
         h = relu_in_place(pre)
         if activations is not None:
             activations.append(h)
@@ -155,7 +150,9 @@ def _logits(model: Classifier, features: np.ndarray) -> np.ndarray:
 
 def _input(model: Classifier, x) -> np.ndarray:
     h = np.ascontiguousarray(x, dtype=np.float64)
-    _check_batch(model, h)
+    if h.ndim != 2 or h.shape[1] != model.params[0].shape[0]:
+        raise ValueError(f"input {h.shape} does not match the input width "
+                         f"{model.params[0].shape[0]}")
     return h
 
 
@@ -164,20 +161,18 @@ def forward_arrays(model: Classifier, x) -> ArrayForward:
     and no copy of the input; equal bit for bit to :func:`forward`."""
     h = _input(model, x)
     activations = [h]
-    logits = _logits(model, _hidden(model, h, activations))
+    logits = _logits(model, _hidden([p.data for p in model.params[:-2]], h, activations))
     return ArrayForward(probs=logistic(logits), activations=tuple(activations))
 
 
 def forward_probs(model: Classifier, x) -> np.ndarray:
-    """The probabilities of a whole set [S, input_dim], keeping no activation.
-    Evaluation scores whole sets with it.
-
-    The hidden layers run over row blocks of :data:`EVAL_BLOCK_ROWS` to
-    ``2 * EVAL_BLOCK_ROWS - 1`` rows (one block below that), each writing its
-    last activation into one [S, feature_dim] array; the head and the
-    logistic then run once on the whole set. So at most one block's hidden
-    activations are alive beside the head's input, and only the head's
-    [S, N] arrays while the logistic runs.
+    """The probabilities of a whole set [S, input_dim], keeping no activation;
+    evaluation scores whole sets with it. The hidden layers run over row
+    blocks of :data:`EVAL_BLOCK_ROWS` to ``2 * EVAL_BLOCK_ROWS - 1`` rows (one
+    block below that), each writing its last activation into one
+    [S, feature_dim] array; the head and the logistic then run once on the
+    whole set. So at most one block's hidden activations are alive beside the
+    head's input, and only the head's [S, N] arrays while the logistic runs.
 
     The head stays whole because its narrow product's bits depend on the row
     count on OpenBLAS; the hidden products' bits did not, for blocks of 8 or
@@ -189,10 +184,11 @@ def forward_probs(model: Classifier, x) -> np.ndarray:
     h = _input(model, x)
     rows = h.shape[0]
     n_blocks = max(1, rows // EVAL_BLOCK_ROWS)
+    hidden = [p.data for p in model.params[:-2]]
     features = np.empty((rows, model.feature_dim))
     for i in range(n_blocks):
         lo, hi = i * rows // n_blocks, (i + 1) * rows // n_blocks
-        _hidden(model, h[lo:hi], out=features[lo:hi])
+        _hidden(hidden, h[lo:hi], out=features[lo:hi])
     logits = _logits(model, features)
     del features   # before the logistic makes its [S, N] arrays
     return logistic(logits)
@@ -267,19 +263,15 @@ def _check_out(n: int, g: np.ndarray, out, start: int = 0) -> None:
                      f"[B, N] logit gradient; got {got}")
 
 
-def stacked_features(model: Classifier, hidden: Sequence[np.ndarray], x) -> np.ndarray:
-    """Features of M classifiers shaped like ``model`` whose hidden parameters
-    are ``hidden`` = [W1, b1, ..., Wk, bk], each stacked [M, ...]. Returns
-    [B, M*D]: row b holds sample b's M feature vectors, each equal bit for
-    bit to what ``forward`` gives for that classifier."""
-    x = np.ascontiguousarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-    _check_batch(model, x)
-    h = x
-    for w, b in zip(hidden[0::2], hidden[1::2]):
-        pre = np.matmul(h, w)
-        pre += b[:, None, :]
-        h = relu_in_place(pre)
-    return h.transpose(1, 0, 2).reshape(x.shape[0], -1)
+def stacked_features(hidden: Sequence[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """Features of M classifiers whose hidden arrays are ``hidden`` = [W1, b1,
+    ..., Wk, bk], each stacked [M, ...], over a checked float64 batch ``h``
+    [B, input_dim]. Returns [B, M*D]: row b holds sample b's M feature
+    vectors, each equal bit for bit to what ``forward`` gives for that
+    classifier."""
+    stack = list(hidden)
+    stack[1::2] = [b[:, None, :] for b in stack[1::2]]
+    return _hidden(stack, h).transpose(1, 0, 2).reshape(h.shape[0], -1)
 
 
 def params_get(model: Classifier) -> list[Tensor]:
@@ -297,14 +289,10 @@ def params_set(model: Classifier, params) -> Classifier:
         if arr.shape != old.data.shape:
             raise ValueError(f"parameter shape {arr.shape} does not match {old.data.shape}")
         fresh.append(Tensor(arr.copy(), requires_grad=True, copy=False))
-    return Classifier(model.layer_dims, model.n_classes, tuple(fresh))
+    return Classifier(tuple(fresh))
 
 
-def predict_class(result: ForwardResult | ArrayForward | np.ndarray) -> np.ndarray:
-    """Per-row argmax over a batch's probabilities (a forward's, or the array
-    :func:`forward_probs` returns); ties break toward the lowest index."""
-    if isinstance(result, ForwardResult):
-        result = result.probs.data
-    elif isinstance(result, ArrayForward):
-        result = result.probs
-    return np.argmax(result, axis=1)
+def predict_class(result: ForwardResult | np.ndarray) -> np.ndarray:
+    """Per-row argmax over a batch's probabilities (an array, or the tape
+    forward's); ties break toward the lowest index."""
+    return np.argmax(result.probs.data if isinstance(result, ForwardResult) else result, axis=1)

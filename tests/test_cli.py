@@ -132,6 +132,14 @@ class TestErrors:
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_key_written_twice_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+        cfg.write_text(cfg.read_text()[:-1] + ', "seeds": [1, 2]}')
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("config error: key 'seeds' is written more than once"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_bad_value_type_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seeds=["x"])
         assert main(["run", "--config", str(cfg)]) == 2

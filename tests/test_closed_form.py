@@ -82,7 +82,7 @@ class TestArrayForward:
         assert len(fwd.activations) == len(tape.activations) == len(hidden) + 1
         for a, e in zip(fwd.activations, tape.activations):
             assert_same_bits(a, e)
-        assert np.array_equal(predict_class(fwd), predict_class(tape))
+        assert np.array_equal(predict_class(fwd.probs), predict_class(tape))
 
     def test_input_is_not_copied(self, hidden, n_sets, batch):
         model, x, sets, fwd = edge_case_setup(hidden, n_sets, batch)
@@ -130,7 +130,7 @@ class TestStackedProbes:
         pred = forward(model, x).probs
         probes = [meta_step(model, sets[m], alpha, pred) for m in range(n_sets)]
         expected = collect_feedback(probes, x)
-        got = probe_features(model, fwd, sets, alpha, x)
+        got = probe_features(model, fwd, sets, alpha)
         assert type(got) is np.ndarray
         assert_same_bits(got, expected.data)
 
@@ -145,8 +145,26 @@ class TestStackedProbes:
     def test_live_model_untouched(self, hidden, n_sets, batch):
         model, x, sets, fwd = edge_case_setup(hidden, n_sets, batch)
         before = [p.data.tobytes() for p in model.params]
-        probe_features(model, fwd, sets, 0.3, x)
+        probe_features(model, fwd, sets, 0.3)
         assert [p.data.tobytes() for p in model.params] == before
+
+
+# the benchmark's probes: (label sets, layer widths, batch)
+BENCHMARK_PROBES = [(5, (32, 128, 64), 32), (3, (3072, 128, 64), 128)]
+
+
+@pytest.mark.parametrize("n_sets, dims, batch", BENCHMARK_PROBES, ids=["narrow", "wide"])
+def test_probe_features_match_tape_probes_at_benchmark_shapes(n_sets, dims, batch):
+    rng = np.random.default_rng(dims[0])
+    model = classifier_init(dims, 10, rng=rng)
+    x = rng.standard_normal((batch, dims[0]))
+    sets = np.eye(10)[rng.integers(0, 10, size=(n_sets, batch))]
+    pred = forward(model, x).probs
+    probes = [meta_step(model, sets[m], 0.2, pred) for m in range(n_sets)]
+    expected = np.concatenate([forward(p, x).features.data for p in probes], axis=1)
+    got = probe_features(model, forward_arrays(model, x), sets, 0.2)
+    assert got.shape == (batch, n_sets * dims[-1])
+    assert_same_bits(got, expected)
 
 
 def tape_final_step(model, y_tilde, pred, state):
@@ -219,7 +237,7 @@ def tape_attention_step(attn, stacked, label_sets, pred, k, t, beta):
 def test_attention_step_matches_tape_over_steps(start, hidden, n_sets, batch):
     model, x, sets, fwd = edge_case_setup(hidden, n_sets, batch)
     rng = np.random.default_rng(4)
-    stacked = probe_features(model, fwd, sets, 0.3, x)
+    stacked = probe_features(model, fwd, sets, 0.3)
     attn = start_attention(start, n_sets, model.feature_dim, rng)
     # the edge-case predictions: clamped at both ends in classes 0 and 1
     pred = fwd.probs

@@ -222,6 +222,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config(path)
 
+    def test_key_written_twice_refused(self, tmp_path):
+        # json alone reads a repeated key as its last value: seeds (1, 2)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(minimal())[:-1] + ', "seeds": [1, 2]}')
+        assert json.loads(path.read_text())["seeds"] == [1, 2]
+        with pytest.raises(ConfigError, match="^key 'seeds' is written more than once$"):
+            parse_config(path)
+
+    def test_key_written_twice_in_a_nested_section_refused(self, tmp_path):
+        path = tmp_path / "twice.json"
+        text = json.dumps(minimal()).replace('"samples_per_class": 10',
+                                             '"samples_per_class": 10, "seed": 1, "seed": 2')
+        path.write_text(text)
+        assert json.loads(text)["dataset"]["synthetic"]["seed"] == 2
+        with pytest.raises(ConfigError, match="^key 'seed' is written more than once$"):
+            parse_config(path)
+
 
 class TestHash:
     def test_stable_across_key_reordering(self):

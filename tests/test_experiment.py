@@ -68,6 +68,14 @@ class TestRunExperiment:
         assert len(rec.per_class_auc) == 3
         assert rec.wall_clock_seconds > 0
 
+    @pytest.mark.parametrize("method", [{"name": "ours"}, {"name": "baseline", "set_index": 0}])
+    def test_zero_epochs_record_no_best_epoch(self, method):
+        # a run that trains no epoch names none: -1, not the epoch 0 that never ran
+        record = run_single(tiny_config(method=method, meta={"epochs": 0}), seed=0).record
+        assert record.epochs == () and record.best_epoch == -1
+        assert run_single(tiny_config(method=method, meta={"epochs": 1}),
+                          seed=0).record.best_epoch == 0
+
     def test_trace_rows_emitted_when_enabled(self):
         cfg = tiny_config(trace=True, meta={"epochs": 2, "batch_size": 16})
         out = run_single(cfg, seed=0)
@@ -168,7 +176,7 @@ class TestEvaluateClean:
         rng = np.random.default_rng(0)
         features = rng.normal(size=(n_samples, 4))
         model = classifier_init((4, 8), n_classes, rng=rng)
-        return features, model, predict_class(forward_arrays(model, features))
+        return features, model, predict_class(forward_arrays(model, features).probs)
 
     def test_identical(self):
         features, model, pred = self.predictions(10)

@@ -1,12 +1,14 @@
 """Classifier: initialization, forward pass, parameter isolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from labelattn.autodiff import Tensor, bce_loss, constant, finite_diff_grad, gradients
-from labelattn.model import (EVAL_BLOCK_ROWS, classifier_init, forward, forward_arrays,
-                             forward_probs, hidden_gradients, param_gradients, params_get,
-                             params_set, predict_class, relu_in_place)
+from labelattn.model import (EVAL_BLOCK_ROWS, Classifier, classifier_init, forward,
+                             forward_arrays, forward_probs, hidden_gradients, param_gradients,
+                             params_get, params_set, predict_class, relu_in_place)
 from labelattn.optim import adam_init
 
 
@@ -40,6 +42,24 @@ class TestInit:
             classifier_init((4,), 3)
         with pytest.raises(ValueError):
             classifier_init((4, 0), 3)
+
+
+class TestShapeFromArrays:
+    def test_params_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Classifier)] == ["params"]
+
+    @pytest.mark.parametrize("dims", [(4, 8, 5), (6, 3), (2, 7, 9, 1)])
+    def test_widths_follow_the_arrays(self, dims):
+        rng = np.random.default_rng(len(dims))
+        init = classifier_init(dims, 3, rng=rng)
+        model = params_set(init, [rng.normal(size=p.shape) for p in init.params])
+        assert model.feature_dim == dims[-1]
+        x = rng.normal(size=(2, dims[0]))
+        assert len(forward_arrays(model, x).activations) == len(dims)
+        assert forward_probs(model, x).shape == forward(model, x).probs.shape == (2, 3)
+        for run in (forward, forward_arrays, forward_probs):
+            with pytest.raises(ValueError, match=f"width {dims[0]}"):
+                run(model, np.zeros((2, dims[0] + 1)))
 
 
 class TestForward:
