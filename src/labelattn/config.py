@@ -7,9 +7,11 @@ each run sets, and ``MethodSpec``): its keys are the class's fields, the
 fields without a default are required, and each value is checked by its
 field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
 no auxiliary features; the key stays so that every config's hash holds.
-A setting that a run would ignore is refused: a noise level on a kind
-that takes none, and a ``set_index`` on any method but ``baseline``. The
-roster is checked by ``annotators.check_roster``, as a sweep's rosters are."""
+A setting that a run would ignore or misread is refused: a noise level on a
+kind that takes none, a ``set_index`` on any method but ``baseline``, and an
+``output`` that names no directory. The roster is checked by
+``annotators.check_roster``, as a sweep's rosters are. A config file nested
+too deeply for ``json`` to read is a config error too."""
 
 from __future__ import annotations
 
@@ -72,7 +74,7 @@ class ExperimentConfig:
     dataset: SyntheticSpec | Cifar10Spec
     annotators: tuple[AnnotatorSpec, ...]
     hidden_dims: tuple[int, ...]
-    aux_dim: int                         # only 0; perfbench reads it
+    aux_dim = 0                          # a class constant that perfbench reads
     meta: MetaConfig
     method: MethodSpec
     seeds: tuple[int, ...]
@@ -227,8 +229,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from err
     output = raw.get("output", "results")
-    if not isinstance(output, str):
-        raise ConfigError(f"output must be a directory path string, got {output!r}")
+    if not isinstance(output, str) or not output or "\0" in output:
+        raise ConfigError(f"output must be a nonempty directory path string with no NUL "
+                          f"byte, got {output!r}")
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")
@@ -237,7 +240,6 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         dataset=dataset,
         annotators=annotators,
         hidden_dims=hidden_dims,
-        aux_dim=aux_dim,
         meta=meta,
         method=method,
         seeds=seeds,
@@ -264,20 +266,25 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"config file {path} nests arrays or objects too deeply "
+                          f"to read") from err
     return parse_config_dict(raw)
 
 
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved plain-dict form, in the config file's layout; the hash
     input. It holds every field but ``meta.seed``, which each run sets to
-    its own seed, and a null ``flip_pairs`` in each annotator entry, where
-    the setting was before the pairs were fixed, so that every hash holds."""
+    its own seed, and two values no config can change, so that every hash
+    holds: ``model.aux_dim`` (the class constant 0) and a null
+    ``flip_pairs`` in each annotator entry, where the setting was before the
+    pairs were fixed."""
     d = asdict(cfg)
     kind = "synthetic" if isinstance(cfg.dataset, SyntheticSpec) else "cifar10"
     d["dataset"] = {kind: d["dataset"]}
     for entry in d["annotators"]:
         entry["flip_pairs"] = None
-    d["model"] = {"hidden_dims": d.pop("hidden_dims"), "aux_dim": d.pop("aux_dim")}
+    d["model"] = {"hidden_dims": d.pop("hidden_dims"), "aux_dim": cfg.aux_dim}
     del d["meta"]["seed"]
     return d
 

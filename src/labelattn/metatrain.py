@@ -295,20 +295,19 @@ def final_step(model: Classifier, y_tilde: np.ndarray, fwd: ArrayForward,
     value.
 
     The loss value and the logit gradient read the forward's BCE terms
-    (``fwd.bce``). The gradient is the closed-form backward, equal bit for
-    bit to the tape's gradient of ``bce_loss(forward(...).probs,
-    constant(y_tilde))``, written through views built once from Adam's layout
-    straight into one flat vector, which ``adam_step`` then overwrites as its
-    scratch. The new classifier holds Adam's fresh parameter tensors."""
+    (``fwd.bce``). The gradient is the closed-form backward's one flat
+    vector (``param_gradients``), equal bit for bit to the tape's gradient of
+    ``bce_loss(forward(...).probs, constant(y_tilde))``, which ``adam_step``
+    then overwrites as its scratch. The new classifier holds Adam's fresh
+    parameter tensors."""
     y = np.asarray(y_tilde, dtype=np.float64)
     if fwd.probs.shape != y.shape:
         raise ValueError(f"target shape {y.shape} does not match predictions {fwd.probs.shape}")
     value = fwd.bce.value(y)
     if not math.isfinite(value):
         raise ValueError("non-finite final loss")
-    grads = np.empty(adam_state.offsets[-1])
-    param_gradients(model, fwd, fwd.bce.logit_grad(y), out=adam_state.views(grads))
-    new_params, new_state = adam_step(adam_state, model.params, grads)
+    new_params, new_state = adam_step(adam_state, model.params,
+                                      param_gradients(model, fwd, fwd.bce.logit_grad(y)))
     return replace(model, params=tuple(new_params)), new_state, value
 
 

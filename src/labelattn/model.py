@@ -11,12 +11,13 @@ which keeps only the probabilities; its bits equal :func:`forward_arrays`'
 where every hidden width is a multiple of 8 (see its docstring). The meta
 probes run :func:`stacked_features`, M classifiers that differ only in
 their hidden parameters. All three run one hidden-layer loop, ``_hidden``.
-:func:`param_gradients` is the MLP backward from a gradient at the logits
-(one, optionally written into caller-given arrays, or a stack of M), and
-:func:`hidden_gradients` its hidden-layer part. None of them builds a tape
-graph. The tape :func:`forward` is the oracle: the array paths repeat its
-products in its order, so their results equal the tape's bit for bit;
-``tests/test_closed_form.py`` holds them to that.
+:func:`param_gradients` is the MLP backward from one gradient at the
+logits, returned as one flat vector in Adam's layout, and
+:func:`hidden_gradients` its hidden-layer part, for one gradient or a stack
+of M. None of them builds a tape graph. The tape :func:`forward` is the
+oracle: the array paths repeat its products in its order, so their results
+equal the tape's bit for bit; ``tests/test_closed_form.py`` holds them to
+that.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import BceTerms, Tensor, add_bias, constant, logistic, matmul, relu, sigmoid
-
-_FLOAT64 = np.dtype(np.float64)
+from .optim import flat_views
 
 
 @dataclass(frozen=True)
@@ -194,47 +194,44 @@ def forward_probs(model: Classifier, x) -> np.ndarray:
     return logistic(logits)
 
 
-def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
-                    out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Gradients of every parameter, in declaration order, from the gradient
-    ``g`` at the logits of ``fwd`` (the array forward of ``model``).
+def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> np.ndarray:
+    """Gradients of every parameter from the gradient ``g`` [B, N] at the
+    logits of ``fwd`` (the array forward of ``model``), as one fresh flat
+    float64 vector in declaration order: the form ``optim.adam_step`` takes.
+    Each gradient is written into its own slice (see ``optim.flat_views``),
+    so no other model-sized array is made.
 
-    ``g`` is [B, N], or a stack [M, B, N] of M gradients, which gives [M, ...]
-    gradients through ``np.matmul`` over the leading axis. Each one equals
-    ``autodiff.gradients`` on the tape of ``fwd`` bit for bit: the same
-    products in the same order, the ReLU masks read as ``h > 0``, and no
-    gradient for the input.
-
-    With ``out``, one float64 array per parameter and shaped like it (``g``
-    then [B, N]), each gradient is written into its parameter's array and
-    those arrays are returned: ``metatrain.final_step`` passes views of one
-    flat vector in Adam's layout, so no other model-sized array is made. An
-    ``out`` of the wrong count or dtype, a read-only one or a stacked ``g``
-    raises ``ValueError`` (numpy would cast into a float32 array silently),
-    and so does an array of the wrong shape, which numpy refuses itself.
+    Each gradient equals ``autodiff.gradients`` on the tape of ``fwd`` bit
+    for bit: the same products in the same order, the ReLU masks read as
+    ``h > 0``, and no gradient for the input. A stacked ``g`` raises
+    ``ValueError``; :func:`hidden_gradients` takes one.
     """
-    hidden_out, head_out = None, (None, None)
-    if out is not None:  # the head's arrays here, the hidden ones in hidden_gradients
-        _check_out(len(model.params), g, out, start=len(model.params) - 2)
-        hidden_out, head_out = out[:-2], out[-2:]
-    return hidden_gradients(model, fwd, g, hidden_out) + [
-        np.matmul(fwd.features.T, g, out=head_out[0]),
-        np.add.reduce(g, axis=-2, out=head_out[1])]
+    if g.ndim != 2:
+        raise ValueError(f"param_gradients takes one [B, N] logit gradient, got {g.shape}")
+    flat = np.empty(sum(p.data.size for p in model.params))
+    out = flat_views(flat, [p.shape for p in model.params])
+    _backward(model, fwd, g, out[:-2])
+    np.matmul(fwd.features.T, g, out=out[-2])
+    np.add.reduce(g, axis=-2, out=out[-1])
+    return flat
 
 
-def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
-                     out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
     """The hidden-layer part of :func:`param_gradients`: the gradients of
-    W1, b1, ..., Wk, bk (every parameter but the head) from the same logit
-    gradient ``g``, with the same bits. The head's own gradients are never
-    formed. ``out`` is as in :func:`param_gradients`, one array per hidden
-    parameter."""
+    W1, b1, ..., Wk, bk (every parameter but the head) from a logit gradient
+    ``g``, with the same bits, as one array each. The head's own gradients
+    are never formed. ``g`` is [B, N], or a stack [M, B, N] of M gradients,
+    which gives [M, ...] gradients through ``np.matmul`` over the leading
+    axis, each equal to the tape's for its own gradient."""
+    return _backward(model, fwd, g, (None,) * (len(model.params) - 2))
+
+
+def _backward(model: Classifier, fwd: ArrayForward, g: np.ndarray,
+              out: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+    """The hidden layers' backward, each gradient written into its array of
+    ``out`` where that is not None."""
     acts = fwd.activations
-    if out is None:
-        out = (None,) * (len(model.params) - 2)
-    else:
-        _check_out(len(model.params) - 2, g, out)
-    grads: list = [None] * (len(model.params) - 2)
+    grads: list = [None] * len(out)
     g = np.matmul(g, model.params[-2].data.T)
     for i in reversed(range(len(acts) - 1)):
         g = g * (acts[i + 1] > 0.0)
@@ -243,24 +240,6 @@ def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
         if i:
             g = np.matmul(g, model.params[2 * i].data.T)
     return grads
-
-
-def _check_out(n: int, g: np.ndarray, out, start: int = 0) -> None:
-    """Refuse an ``out`` that is not ``n`` writeable float64 arrays for a
-    [B, N] logit gradient, where numpy would cast the gradient down into a
-    float32 array silently. Arrays before ``start`` are left to another
-    check, and a wrong shape to numpy, which refuses it."""
-    if g.ndim != 2 or len(out) != n:
-        got = f"{len(out)} arrays for {n} parameters and gradient {g.shape}"
-    else:
-        bad = [i for i in range(start, n)
-               if out[i].dtype != _FLOAT64 or not out[i].flags.writeable]
-        if not bad:
-            return
-        o = out[bad[0]]
-        got = f"{o.dtype}{'' if o.flags.writeable else ' read-only'} array {bad[0]}"
-    raise ValueError(f"out must hold one writeable float64 array per parameter, for a "
-                     f"[B, N] logit gradient; got {got}")
 
 
 def stacked_features(hidden: Sequence[np.ndarray], h: np.ndarray) -> np.ndarray:

@@ -13,13 +13,15 @@ the same bits on one flat vector as on each tensor apart.
 
 Gradients come as a list with one array per parameter, which is read and
 left unmodified. ``adam_step`` also takes them as one flat float64 vector in
-that layout (what ``metatrain.final_step`` writes them into): the step then
-uses that vector as scratch and overwrites it, so no second copy of the
-gradients is made.
+that layout (what ``model.param_gradients`` returns): the step then uses that
+vector as scratch and overwrites it, so no second copy of the gradients is
+made. :func:`flat_views` reads a flat vector in that layout as one view per
+parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -31,13 +33,10 @@ from .autodiff import Tensor
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # the values of Kingma & Ba (2015)
 
 
-def _offsets(arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
-    """Start of each array in their flat concatenation, then its length."""
-    return (0, *accumulate(a.size for a in arrays))
-
-
-def _views(flat: np.ndarray, shapes, offsets) -> tuple[np.ndarray, ...]:
-    """One view of ``flat`` per parameter, shaped like it."""
+def flat_views(flat: np.ndarray, shapes) -> tuple[np.ndarray, ...]:
+    """One view of the flat vector ``flat`` per shape in ``shapes``, in order:
+    the parameters' layout, in which parameter i follows parameter i - 1."""
+    offsets = (0, *accumulate(math.prod(s) for s in shapes))
     return tuple(flat[a:b].reshape(s) for s, a, b in zip(shapes, offsets, offsets[1:]))
 
 
@@ -74,34 +73,28 @@ class AdamState:
 
     The first and second moments of all parameters are two flat vectors,
     ``m_flat`` and ``v_flat``, in declaration order; ``m`` and ``v`` read
-    them as one view per parameter. ``shapes`` and ``offsets`` give that
-    layout: parameter i is ``flat[offsets[i]:offsets[i + 1]]``."""
+    them through :func:`flat_views` as one view per parameter, whose shapes
+    are ``shapes``."""
 
     lr: float
     t: int
     shapes: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]
     m_flat: np.ndarray
     v_flat: np.ndarray
 
     @property
     def m(self) -> tuple[np.ndarray, ...]:
-        return self.views(self.m_flat)
+        return flat_views(self.m_flat, self.shapes)
 
     @property
     def v(self) -> tuple[np.ndarray, ...]:
-        return self.views(self.v_flat)
-
-    def views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
-        """One view of the flat vector ``flat`` per parameter, in this layout."""
-        return _views(flat, self.shapes, self.offsets)
+        return flat_views(self.v_flat, self.shapes)
 
 
 def adam_init(params: Sequence[Tensor], lr: float) -> AdamState:
-    arrays = [p.data for p in params]
-    offsets = _offsets(arrays)
-    return AdamState(lr=lr, t=0, shapes=tuple(a.shape for a in arrays), offsets=offsets,
-                     m_flat=np.zeros(offsets[-1]), v_flat=np.zeros(offsets[-1]))
+    size = sum(p.data.size for p in params)
+    return AdamState(lr=lr, t=0, shapes=tuple(p.data.shape for p in params),
+                     m_flat=np.zeros(size), v_flat=np.zeros(size))
 
 
 def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[Tensor], AdamState]:
@@ -118,7 +111,7 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
         raise ValueError(f"Adam state tracks {len(state.shapes)} parameters, got {len(params)}")
     p_arrays = [p.data for p in params]
     if isinstance(grads, np.ndarray):
-        g, size = grads, state.offsets[-1]
+        g, size = grads, state.m_flat.size
         if g.shape != (size,) or g.dtype != np.float64 or not g.flags.writeable:
             raise ValueError(f"a flat gradient must be a writeable float64 vector of {size} "
                              f"entries, got shape {g.shape} and dtype {g.dtype}")
@@ -147,10 +140,9 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads) -> tuple[list[T
     p2 += ADAM_EPS
     step /= p2
     new_params = []
-    for arr, shape, a, b in zip(p_arrays, state.shapes, state.offsets, state.offsets[1:]):
-        out = p2[a:b].reshape(shape)
-        np.subtract(arr, step[a:b].reshape(shape), out=out)
+    steps, outs = flat_views(step, state.shapes), flat_views(p2, state.shapes)
+    for arr, s, out in zip(p_arrays, steps, outs):
+        np.subtract(arr, s, out=out)
         new_params.append(Tensor(out, requires_grad=True, copy=False))
-    next_state = AdamState(lr=state.lr, t=t, shapes=state.shapes, offsets=state.offsets,
-                           m_flat=m2, v_flat=v2)
+    next_state = AdamState(lr=state.lr, t=t, shapes=state.shapes, m_flat=m2, v_flat=v2)
     return new_params, next_state

@@ -198,13 +198,27 @@ class TestErrors:
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("output", [None, ["a", 1], 3])
-    def test_non_string_output_exits_two(self, tmp_path, capsys, monkeypatch, output):
-        # str() of these would name a directory "None", "['a', 1]" or "3"
+    @pytest.mark.parametrize("output", [None, ["a", 1], 3, "", "a\0b"],
+                             ids=["null", "list", "number", "empty", "nul-byte"])
+    def test_output_that_names_no_directory_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                      output):
+        # str() of the first three would name a directory "None", "['a', 1]"
+        # or "3"; "" would write the records into the working directory, and
+        # mkdir raises a bare ValueError on a NUL byte
         cfg = write_config(tmp_path, output=output)
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
         assert "config error: output must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+    def test_deeply_nested_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        # json raises RecursionError, not JSONDecodeError, on this
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "too deeply" in err
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
     def test_empty_validation_split_exits_two(self, tmp_path, capsys):

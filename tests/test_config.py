@@ -1,5 +1,6 @@
 """Config parsing: defaults, strict keys, ranges, canonical hashing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -32,6 +33,13 @@ class TestParsing:
         assert cfg.hidden_dims == (128, 64) and cfg.aux_dim == 0
         assert cfg.method.name == "ours"
         assert cfg.val_fraction == 0.2 and cfg.trace is False
+
+    def test_aux_dim_is_a_constant_not_a_field(self):
+        # a field could be set to a value the run ignores but the hash reads
+        cfg = parse_config_dict(minimal())
+        with pytest.raises(TypeError, match="aux_dim"):
+            dataclasses.replace(cfg, aux_dim=3)
+        assert to_canonical_dict(cfg)["model"] == {"hidden_dims": (128, 64), "aux_dim": 0}
 
     def test_unknown_key_rejected_with_location(self):
         raw = minimal()
@@ -136,6 +144,8 @@ class TestParsing:
         ({"output": None}, "^output must be"),
         ({"output": ["a", 1]}, "^output must be"),
         ({"output": 3}, "^output must be"),
+        ({"output": ""}, "^output must be a nonempty"),
+        ({"output": "results\0"}, "NUL byte"),
         ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
