@@ -157,17 +157,6 @@ KINDS = {HAMMER_SPAMMER: Kind(2, True, _hammer_spammer),
          AVERAGE: Kind(2, False, None)}
 
 
-def cm_average(parts: list[ConfusionMatrix]) -> ConfusionMatrix:
-    """Entrywise arithmetic mean; preserves row-stochasticity."""
-    if not parts:
-        raise ValueError("cm_average needs at least one matrix")
-    n = parts[0].n_classes
-    for p in parts[1:]:
-        if p.n_classes != n:
-            raise ValueError(f"dimension mismatch: {p.n_classes} vs {n}")
-    return ConfusionMatrix(n, np.mean([p.rows for p in parts], axis=0))
-
-
 def noise_level_of(cm: ConfusionMatrix) -> float:
     """Expected error rate under a uniform class prior.
 
@@ -203,8 +192,8 @@ def check_roster(specs, n: int, where: str = "annotators") -> None:
 
 def build_cm(spec: AnnotatorSpec, n: int,
              roster: list[ConfusionMatrix] | None = None) -> ConfusionMatrix:
-    """Materialize a spec; AVERAGE requires the roster of constituent
-    matrices, each on n classes."""
+    """Materialize a spec. AVERAGE is the entrywise mean of the roster of
+    constituent matrices, each on n classes, and so is row-stochastic too."""
     check_fits(spec, n)
     rows = KINDS[spec.kind].rows
     if rows is not None:
@@ -215,7 +204,7 @@ def build_cm(spec: AnnotatorSpec, n: int,
         if cm.n_classes != n:
             raise ValueError(f"an average annotator on {n} classes got a roster matrix "
                              f"on {cm.n_classes} classes")
-    return cm_average(roster)
+    return ConfusionMatrix(n, np.mean([cm.rows for cm in roster], axis=0))
 
 
 def corrupt(clean, cm: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:

@@ -110,12 +110,6 @@ class BceTerms:
         return g
 
 
-def bce_value(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean binary cross entropy over all elements of two same-size arrays,
-    taken flat, predictions clamped to [BCE_EPS, 1 - BCE_EPS]."""
-    return BceTerms(np.ravel(pred)).value(np.ravel(target))
-
-
 def row_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of a plain array, shifted by the row maximum."""
     zc = np.ascontiguousarray(z)

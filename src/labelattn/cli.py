@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import check_output, parse_config
 from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants,
                          emit, emit_summary, noise_sweep_variants, run_variants)
 
@@ -82,6 +82,7 @@ def main(argv=None) -> int:
 
     try:  # a ConfigError is a ValueError, as are bad sweep levels
         cfg = parse_config(args.config)
+        out_dir = Path(cfg.output if args.out is None else check_output(args.out, "--out"))
         if args.command == "run":
             variants, summary = [(cfg, "")], None
         elif args.command == "sweep-noise":
@@ -93,7 +94,6 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out if args.out else cfg.output)
     try:  # before the first run, so that an unusable directory costs no training
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:

@@ -9,7 +9,9 @@ field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
 no auxiliary features; the key stays so that every config's hash holds.
 A setting that a run would ignore or misread is refused: a noise level on a
 kind that takes none, a ``set_index`` on any method but ``baseline``, and an
-``output`` that names no directory. The roster is checked by
+``output`` that names no directory. One exception: a ``baseline`` or
+``baseline_avg`` run accepts ``trace: true`` and writes no trace, as only
+the attention method has weights to trace. The roster is checked by
 ``annotators.check_roster``, as a sweep's rosters are. A config file nested
 too deeply for ``json`` to read is a config error too."""
 
@@ -228,10 +230,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
             validation_size(pool_size, val_fraction)
         except ValueError as err:
             raise ConfigError(f"{where}: {err}") from err
-    output = raw.get("output", "results")
-    if not isinstance(output, str) or not output or "\0" in output:
-        raise ConfigError(f"output must be a nonempty directory path string with no NUL "
-                          f"byte, got {output!r}")
+    output = check_output(raw.get("output", "results"))
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")
@@ -247,6 +246,14 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         output=output,
         trace=trace,
     )
+
+
+def check_output(output, where: str = "output") -> str:
+    """``output`` if it names a directory, else a ``ConfigError`` naming ``where``."""
+    if not isinstance(output, str) or not output or "\0" in output:
+        raise ConfigError(f"{where} must be a nonempty directory path string with no NUL "
+                          f"byte, got {output!r}")
+    return output
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -139,7 +139,6 @@ class Batch:
 class SplitIndices:
     train: np.ndarray
     val: np.ndarray
-    fraction: float
 
 
 def _out_of_range(labels: np.ndarray, n: int) -> bool:
@@ -283,8 +282,7 @@ def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
     Both halves keep all noisy label sets and share ``ds``'s source array."""
     n_val = validation_size(ds.n_samples, val_fraction)
     perm = np.random.default_rng([seed, _SPLIT_TAG]).permutation(ds.n_samples)
-    idx = SplitIndices(train=np.sort(perm[n_val:]), val=np.sort(perm[:n_val]),
-                       fraction=val_fraction)
+    idx = SplitIndices(train=np.sort(perm[n_val:]), val=np.sort(perm[:n_val]))
     return take_subset(ds, idx.train), take_subset(ds, idx.val), idx
 
 

@@ -56,8 +56,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, bce_value, constant, gradients,
-                       logistic, make_op, matmul, row_softmax, softmax)
+from .autodiff import (BceTerms, Tensor, add_bias, bce_loss, constant, gradients, logistic,
+                       make_op, matmul, row_softmax, softmax)
 from .data import Batch, LabeledDataset, consensus_labels, minibatches, one_hot
 from .model import (ArrayForward, Classifier, _input, forward_arrays, forward_probs,
                     hidden_gradients, param_gradients, params_get, params_set, predict_class,
@@ -360,30 +360,28 @@ def attention_step(attn: AttentionParams, path: LabelPath, pred: BceTerms,
     return replace(attn, w=new_w, b=new_b)
 
 
-def reweighted_loss(pred, label_sets, weights) -> float:
-    """Weighted sum of per-set BCE losses, sum_m w_m * L(pred, y_m)."""
-    p = np.ascontiguousarray(pred.data if isinstance(pred, Tensor) else pred,
-                             dtype=np.float64).ravel()
-    sets = np.asarray(label_sets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64).ravel()
+def _reweighted(pred: BceTerms, sets: np.ndarray, w: np.ndarray) -> float:
+    """sum_m w_m * L(pred, y_m), each set taken flat against ``pred``'s terms."""
     if sets.shape[0] != w.size:
         raise ValueError(f"{sets.shape[0]} label sets but {w.size} weights")
-    total = 0.0
-    for m in range(w.size):
-        total += w[m] * bce_value(p, sets[m])
-    return total
+    return sum((w[m] * pred.value(np.ravel(sets[m])) for m in range(w.size)), 0.0)
+
+
+def reweighted_loss(pred, label_sets, weights) -> float:
+    """Weighted sum of per-set BCE losses, sum_m w_m * L(pred, y_m)."""
+    return _reweighted(BceTerms(np.ascontiguousarray(pred, dtype=np.float64).ravel()),
+                       np.asarray(label_sets, dtype=np.float64),
+                       np.asarray(weights, dtype=np.float64).ravel())
 
 
 def theorem1_gap(pred, label_sets, weights) -> float:
     """|L(pred, sum_m w_m y_m) - sum_m w_m L(pred, y_m)|, evaluated on the
     un-binarized weighted label where the equality is exact."""
-    p = np.ascontiguousarray(pred.data if isinstance(pred, Tensor) else pred,
-                             dtype=np.float64).ravel()
+    terms = BceTerms(np.ascontiguousarray(pred, dtype=np.float64).ravel())
     sets = np.asarray(label_sets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64).ravel()
-    mixed = np.tensordot(w, sets, axes=(0, 0))
-    lhs = bce_value(p, mixed)
-    return abs(lhs - reweighted_loss(p, sets, w))
+    lhs = terms.value(np.tensordot(w, sets, axes=(0, 0)).ravel())
+    return abs(lhs - _reweighted(terms, sets, w))
 
 
 # ---------------------------------------------------------------------------

@@ -72,14 +72,13 @@ class ArrayForward:
 
 
 def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,  # only 0; perfbench passes it
-                    rng: np.random.Generator | None = None) -> Classifier:
-    """He-scaled normal weights (std = sqrt(2/fan_in)), zero biases."""
+                    *, rng: np.random.Generator) -> Classifier:
+    """He-scaled normal weights (std = sqrt(2/fan_in)) drawn from ``rng``,
+    zero biases."""
     layer_dims = tuple(int(d) for d in layer_dims)
     if len(layer_dims) < 2 or any(d < 1 for d in layer_dims) or n_classes < 1 or aux_dim != 0:
         raise ValueError(f"invalid dimensions: layer_dims={layer_dims}, "
                          f"n_classes={n_classes}, aux_dim={aux_dim}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     params: list[Tensor] = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))

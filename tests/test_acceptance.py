@@ -14,7 +14,8 @@ import pytest
 
 from labelattn.annotators import AnnotatorSpec, build_cm, corrupt, empirical_cm, noise_level_of
 from labelattn.config import parse_config_dict
-from labelattn.experiment import annotator_sweep_variants, run_single, run_variants
+from labelattn.experiment import (annotator_sweep_variants, build_datasets, run_single,
+                                  run_variants)
 from labelattn.verification import (attention_path_chain_gap, gradient_oracle_sweep,
                                     theorem1_sweep)
 
@@ -137,9 +138,10 @@ def test_criterion_6_attention_discrimination():
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.0},
                         {"kind": "adversarial"}], {"name": "ours"},
                        epochs=10, trace=True)
+    pool, test = build_datasets(cfg)
     fractions = []
     for seed in cfg.seeds:
-        rows = run_single(cfg, seed=seed).trace_rows
+        rows = run_single(cfg, seed=seed, pool=pool, test=test).trace_rows
         per_epoch = len(rows) // cfg.meta.epochs
         after_first = np.array([row["weights_mean"] for row in rows[per_epoch:]])
         fractions.append(float(np.mean(after_first[:, 0] > after_first[:, 1])))

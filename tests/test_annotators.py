@@ -8,7 +8,7 @@ import pytest
 from labelattn.annotators import (ADVERSARIAL, AVERAGE, CIFAR10_FLIP_PAIRS, HAMMER_SPAMMER,
                                   KINDS, ORDERED_CONFUSION, STRUCTURED_FLIPS, AnnotatorSpec,
                                   ConfusionMatrix, as_labels, build_cm, check_fits,
-                                  check_roster, cm_average, corrupt, confusion_pairs,
+                                  check_roster, corrupt, confusion_pairs,
                                   empirical_cm, noise_level_of)
 from labelattn.data import SyntheticSpec, attach_annotators, synth_blobs
 
@@ -138,13 +138,19 @@ class TestAdversarial:
 
 
 class TestAverage:
+    """``build_cm`` of an AVERAGE spec: the entrywise mean of its roster."""
+
+    @staticmethod
+    def average(roster):
+        return build_cm(AnnotatorSpec(AVERAGE), roster[0].n_classes, roster=roster)
+
     def test_identical_matrices(self):
         cm = build_cm(AnnotatorSpec(HAMMER_SPAMMER, 0.3), 10)
-        avg = cm_average([cm, cm, cm, cm])
+        avg = self.average([cm, cm, cm, cm])
         assert np.array_equal(avg.rows, cm.rows)
 
     def test_table2_roster_noise_level(self):
-        avg = cm_average([build_cm(spec, 10) for spec in TABLE2_SPECS])
+        avg = self.average([build_cm(spec, 10) for spec in TABLE2_SPECS])
         # mean of the four stated levels; the figure's 45% is not reproducible
         # from the defined matrices, so the measured level is exposed instead
         assert noise_level_of(avg) == pytest.approx(0.55, abs=1e-12)
@@ -155,11 +161,12 @@ class TestAverage:
         for _ in range(25):
             parts = [ConfusionMatrix(6, rng.dirichlet(np.ones(6), size=6))
                      for _ in range(int(rng.integers(1, 5)))]
-            assert_row_stochastic(cm_average(parts))
+            assert_row_stochastic(self.average(parts))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cm_average([build_cm(AnnotatorSpec(ADVERSARIAL), n) for n in (4, 5)])
+        with pytest.raises(ValueError, match="^an average annotator on 4 classes got a "
+                                             "roster matrix on 5 classes$"):
+            self.average([build_cm(AnnotatorSpec(ADVERSARIAL), n) for n in (4, 5)])
 
     def test_build_cm_refuses_a_roster_on_other_classes(self):
         # every matrix of the roster agrees with the others, but not with n

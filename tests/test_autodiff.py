@@ -299,7 +299,8 @@ class TestBceTerms:
             terms.target_grad()   # the logs, made first by another reader
             assert (np.float64(terms.value(y)).tobytes()
                     == np.float64(clip_bce_value(p, y)).tobytes())
-            assert (np.float64(ad.bce_value(p.T, y.T)).tobytes()
+            # a transposed array is summed in the flat order of its shape too
+            assert (np.float64(ad.BceTerms(p.T).value(y.T)).tobytes()
                     == np.float64(clip_bce_value(p.T, y.T)).tobytes())
 
     def test_terms_are_made_once(self):

@@ -211,6 +211,17 @@ class TestErrors:
         assert "config error: output must be" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
 
+    @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul-byte"])
+    def test_out_that_names_no_directory_exits_two(self, tmp_path, capsys, monkeypatch, out):
+        # an empty --out is no directory, not the absence of --out: the run
+        # writes neither to the config's output nor to the working directory
+        cfg = write_config(tmp_path, output="okdir")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", out]) == 2
+        assert capsys.readouterr().err == (f"config error: --out must be a nonempty directory "
+                                           f"path string with no NUL byte, got {out!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
     def test_deeply_nested_file_exits_two(self, tmp_path, capsys, monkeypatch):
         # json raises RecursionError, not JSONDecodeError, on this
         cfg = tmp_path / "deep.json"

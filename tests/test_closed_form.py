@@ -349,7 +349,7 @@ def no_tape(monkeypatch):
 class TestTrainingBuildsNoTape:
     def test_the_fixture_catches_a_tape_op(self, no_tape):
         with pytest.raises(AssertionError, match="tape node"):
-            forward(classifier_init((2, 3), 2), np.ones((1, 2)))
+            forward(classifier_init((2, 3), 2, rng=np.random.default_rng(0)), np.ones((1, 2)))
 
     def test_train_attention(self, no_tape):
         train, val = noisy_task()

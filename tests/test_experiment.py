@@ -34,6 +34,13 @@ def tiny_config(**overrides):
     return parse_config_dict(raw)
 
 
+def run_built(cfg, seed: int, tag: str = ""):
+    """``run_single`` on the pool and test set of the config's own
+    ``build_datasets``."""
+    pool, test = build_datasets(cfg)
+    return run_single(cfg, seed, tag, pool=pool, test=test)
+
+
 def strip_clock(record: ResultRecord) -> dict:
     d = record.to_dict()
     d.pop("wall_clock_seconds")
@@ -71,18 +78,46 @@ class TestRunExperiment:
     @pytest.mark.parametrize("method", [{"name": "ours"}, {"name": "baseline", "set_index": 0}])
     def test_zero_epochs_record_no_best_epoch(self, method):
         # a run that trains no epoch names none: -1, not the epoch 0 that never ran
-        record = run_single(tiny_config(method=method, meta={"epochs": 0}), seed=0).record
+        record = run_built(tiny_config(method=method, meta={"epochs": 0}), seed=0).record
         assert record.epochs == () and record.best_epoch == -1
-        assert run_single(tiny_config(method=method, meta={"epochs": 1}),
-                          seed=0).record.best_epoch == 0
+        assert run_built(tiny_config(method=method, meta={"epochs": 1}),
+                         seed=0).record.best_epoch == 0
 
     def test_trace_rows_emitted_when_enabled(self):
         cfg = tiny_config(trace=True, meta={"epochs": 2, "batch_size": 16})
-        out = run_single(cfg, seed=0)
+        out = run_built(cfg, seed=0)
         assert out.trace_rows
         row = out.trace_rows[0]
         assert set(row) == {"iter", "weights_mean", "loss_pre", "loss_post"}
         assert row["loss_post"] is not None
+
+    def test_datasets_are_required(self):
+        # no build on a missing pool, whose time would count as the run's
+        cfg = tiny_config(meta={"epochs": 1})
+        with pytest.raises(TypeError, match="'pool' and 'test'"):
+            run_single(cfg, 0)
+        with pytest.raises(TypeError, match="positional"):
+            run_single(cfg, 0, "", *build_datasets(cfg))
+
+    def test_attention_trainer_is_read_through_the_module_global(self, monkeypatch):
+        # perfbench wraps experiment.train_attention to stamp each iteration,
+        # and its wrapper refuses a set hook: run_single must look the trainer
+        # up when it runs and pass an unset hook as trace_hook=None
+        calls = []
+        real = experiment.train_attention
+
+        def recorder(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train_attention", recorder)
+        run_built(tiny_config(meta={"epochs": 1}), 0)
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert len(args) == 3 and "trace_hook" in kwargs and kwargs["trace_hook"] is None
+        for method in ({"name": "baseline", "set_index": 0}, {"name": "baseline_avg"}):
+            run_built(tiny_config(method=method, meta={"epochs": 1}), 0)
+        assert len(calls) == 1
 
     def test_aux_configured_model_refused(self):
         # a classifier takes no auxiliary features, so the parser refuses
@@ -162,7 +197,7 @@ def test_aux_names_the_benchmark_reads():
     assert stacked.shape == (8, attn.w.shape[0])
 
     with pytest.raises(ValueError, match="aux_dim=1"):
-        classifier_init((pool.n_features, 8), pool.n_classes, 1)
+        classifier_init((pool.n_features, 8), pool.n_classes, 1, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="aux"):
         forward(model, batch.x, np.zeros((8, 1)))
     with pytest.raises(ValueError, match="aux"):
@@ -244,7 +279,7 @@ class TestSweeps:
         assert drawn == ["train", "test"]
         assert len(rosters) == 2 and len(set(rosters)) == 2
         monkeypatch.undo()
-        alone = [run_single(v, seed, tag, *build_datasets(v)).record
+        alone = [run_built(v, seed, tag).record
                  for v, tag in experiment.noise_sweep_variants(cfg, [0.2, 0.5])
                  for seed in v.seeds]
         assert [strip_clock(r) for r in records] == [strip_clock(r) for r in alone]
@@ -264,7 +299,7 @@ class TestSweeps:
         ints, floats = (dataclasses.replace(cfg, meta=dataclasses.replace(cfg.meta, alpha=a))
                         for a in (1, 1.0))
         assert ints == floats and config_hash(ints) != config_hash(floats)
-        hashes = [run_single(c, 0).record.config_hash for c in (ints, floats, ints)]
+        hashes = [run_built(c, 0).record.config_hash for c in (ints, floats, ints)]
         assert hashes == [config_hash(c) for c in (ints, floats, ints)]
 
     def test_noise_sweep_rejects_bad_levels(self):

@@ -39,9 +39,14 @@ class TestInit:
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            classifier_init((4,), 3)
+            classifier_init((4,), 3, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            classifier_init((4, 0), 3)
+            classifier_init((4, 0), 3, rng=np.random.default_rng(0))
+
+    def test_rng_is_required(self):
+        # no silent default generator: every caller says where its weights come from
+        with pytest.raises(TypeError, match="rng"):
+            classifier_init((4, 8, 5), 3)
 
 
 class TestShapeFromArrays:
