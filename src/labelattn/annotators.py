@@ -109,17 +109,13 @@ def _hammer_spammer(n: int, level: float) -> np.ndarray:
 
 def _structured_flips(n: int, level: float) -> np.ndarray:
     """The source class of each ``confusion_pairs(n)`` pair flips to its
-    target with the full error mass; unpaired classes fall back to uniform
-    corruption at the same rate."""
-    rows = np.zeros((n, n))
-    paired = dict(confusion_pairs(n))
-    for i in range(n):
-        if i in paired:
-            rows[i, i] = 1.0 - level
-            rows[i, paired[i]] += level
-        else:
-            rows[i, :] = level / (n - 1)
-            rows[i, i] = 1.0 - level
+    target with the full error mass; unpaired classes keep the hammer-spammer
+    row at the same rate."""
+    rows = _hammer_spammer(n, level)
+    for src, dst in confusion_pairs(n):
+        rows[src] = 0.0
+        rows[src, src] = 1.0 - level
+        rows[src, dst] += level
     return rows
 
 

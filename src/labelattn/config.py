@@ -8,12 +8,11 @@ fields without a default are required, and each value is checked by its
 field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
 no auxiliary features; the key stays so that every config's hash holds.
 A setting that a run would ignore or misread is refused: a noise level on a
-kind that takes none, a ``set_index`` on any method but ``baseline``, and an
-``output`` that names no directory. One exception: a ``baseline`` or
-``baseline_avg`` run accepts ``trace: true`` and writes no trace, as only
-the attention method has weights to trace. The roster is checked by
-``annotators.check_roster``, as a sweep's rosters are. A config file nested
-too deeply for ``json`` to read is a config error too."""
+kind that takes none, a ``set_index`` on any method but ``baseline``,
+``trace: true`` on any method but ``ours`` (only the attention method has
+weights to trace), and an ``output`` that names no directory. The roster is
+checked by ``annotators.check_roster``, as a sweep's rosters are. A config
+file nested too deeply for ``json`` to read is a config error too."""
 
 from __future__ import annotations
 
@@ -234,6 +233,8 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")
+    if trace and method.name != METHOD_OURS:
+        raise ConfigError(f"trace applies only to {METHOD_OURS!r}, not to {method.name!r}")
 
     return ExperimentConfig(
         dataset=dataset,

@@ -277,7 +277,7 @@ def validation_size(n_samples: int, val_fraction: float) -> int:
     return n_val
 
 
-def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
+def split(ds: LabeledDataset, val_fraction: float, seed: int):
     """Uniform random disjoint split; floor rounding for the validation size.
     Both halves keep all noisy label sets and share ``ds``'s source array."""
     n_val = validation_size(ds.n_samples, val_fraction)
@@ -286,7 +286,7 @@ def split(ds: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
     return take_subset(ds, idx.train), take_subset(ds, idx.val), idx
 
 
-def minibatches(ds: LabeledDataset, batch_size: int = 32, seed: int = 0, epoch: int = 0):
+def minibatches(ds: LabeledDataset, batch_size: int, seed: int, epoch: int):
     """Epoch-seeded shuffled batches; the final partial batch is kept. Each
     batch's features are one gather from the source array, and its one-hot
     label sets are rows of an N x N identity picked by its [M, B] labels:

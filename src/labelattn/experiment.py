@@ -19,9 +19,9 @@ from .config import (METHOD_BASELINE, METHOD_OURS, Cifar10Spec, ExperimentConfig
                      config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
                    load_cifar10, split, synth_blobs, take_subset, validation_size)
-from .metatrain import train_attention, train_baseline
+from .metatrain import evaluate, train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
-from .model import classifier_init, forward_probs, predict_class
+from .model import classifier_init
 
 _INIT_TAG = 2001
 
@@ -103,13 +103,10 @@ def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDatase
 
 
 def evaluate_clean(model, test: LabeledDataset) -> tuple[float, list]:
-    """(accuracy, per-class AUCs) of the model on the clean test labels,
-    from :func:`~labelattn.model.forward_probs`, which runs the hidden layers
-    in row blocks and keeps only the probabilities."""
-    probs = forward_probs(model, test.features)
-    acc = float(np.mean(predict_class(probs) == test.clean_labels))
-    aucs = per_class_auc(probs, test.clean_labels, test.n_classes)
-    return acc, aucs
+    """(accuracy, per-class AUCs) of the model on the clean test labels:
+    :func:`~labelattn.metatrain.evaluate`, the trainers' validation pass."""
+    acc, probs = evaluate(model, test, test.clean_labels)
+    return acc, per_class_auc(probs, test.clean_labels, test.n_classes)
 
 
 @dataclass
@@ -239,7 +236,7 @@ ANNOTATOR_SWEEP_ORDER = (HAMMER_SPAMMER, ADVERSARIAL, ORDERED_CONFUSION,
 
 
 def annotator_sweep_variants(cfg: ExperimentConfig,
-                             noise_level: float = 0.3) -> list[tuple[ExperimentConfig, str]]:
+                             noise_level: float) -> list[tuple[ExperimentConfig, str]]:
     """Roster growth [hammer-spammer, adversarial] -> +ordered confusion ->
     +structured flips -> +average, attention method at each size. Each
     roster is a prefix of the full one, so checking that one checks all."""

@@ -46,6 +46,9 @@ for bit.
 
 Each :class:`IterationTrace` holds its iteration's arrays by reference and
 computes its values when read: only a read of ``loss_post`` runs a forward.
+
+:func:`evaluate` is the one evaluation pass: each epoch's validation score
+and ``experiment``'s clean test score.
 """
 
 from __future__ import annotations
@@ -184,7 +187,6 @@ class EpochStats:
 class TrainResult:
     model: Classifier                     # best-validation snapshot (or last)
     last_model: Classifier
-    attn: AttentionParams | None
     history: list[EpochStats]
     best_epoch: int                       # the last epoch without validation; -1 if none ran
 
@@ -360,28 +362,17 @@ def attention_step(attn: AttentionParams, path: LabelPath, pred: BceTerms,
     return replace(attn, w=new_w, b=new_b)
 
 
-def _reweighted(pred: BceTerms, sets: np.ndarray, w: np.ndarray) -> float:
-    """sum_m w_m * L(pred, y_m), each set taken flat against ``pred``'s terms."""
-    if sets.shape[0] != w.size:
-        raise ValueError(f"{sets.shape[0]} label sets but {w.size} weights")
-    return sum((w[m] * pred.value(np.ravel(sets[m])) for m in range(w.size)), 0.0)
-
-
-def reweighted_loss(pred, label_sets, weights) -> float:
-    """Weighted sum of per-set BCE losses, sum_m w_m * L(pred, y_m)."""
-    return _reweighted(BceTerms(np.ascontiguousarray(pred, dtype=np.float64).ravel()),
-                       np.asarray(label_sets, dtype=np.float64),
-                       np.asarray(weights, dtype=np.float64).ravel())
-
-
 def theorem1_gap(pred, label_sets, weights) -> float:
     """|L(pred, sum_m w_m y_m) - sum_m w_m L(pred, y_m)|, evaluated on the
-    un-binarized weighted label where the equality is exact."""
-    terms = BceTerms(np.ascontiguousarray(pred, dtype=np.float64).ravel())
+    un-binarized weighted label where the equality is exact; each set is
+    taken flat against the flattened ``pred``."""
     sets = np.asarray(label_sets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64).ravel()
+    if sets.shape[0] != w.size:
+        raise ValueError(f"{sets.shape[0]} label sets but {w.size} weights")
+    terms = BceTerms(np.ascontiguousarray(pred, dtype=np.float64).ravel())
     lhs = terms.value(np.tensordot(w, sets, axes=(0, 0)).ravel())
-    return abs(lhs - _reweighted(terms, sets, w))
+    return abs(lhs - sum((w[m] * terms.value(np.ravel(sets[m])) for m in range(w.size)), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +398,12 @@ def train_iteration(model: Classifier, attn: AttentionParams, batch: Batch,
     return new_model, new_attn, new_state, trace
 
 
-def _evaluate_noisy(model: Classifier, ds: LabeledDataset, target_labels: np.ndarray):
-    """(accuracy, bce loss) of the model against the given noisy targets,
+def evaluate(model: Classifier, ds: LabeledDataset, labels: np.ndarray):
+    """(accuracy against ``labels``, probabilities) of the model on ``ds``,
     from :func:`~labelattn.model.forward_probs`, which runs the hidden layers
     in row blocks and keeps only the probabilities."""
     probs = forward_probs(model, ds.features)
-    acc = float(np.mean(predict_class(probs) == target_labels))
-    return acc, BceTerms(probs).value(one_hot(target_labels, ds.n_classes))
+    return float(np.mean(predict_class(probs) == labels)), probs
 
 
 def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfig,
@@ -442,14 +432,16 @@ def _train_epochs(model: Classifier, train_ds: LabeledDataset, config: MetaConfi
                            mean_weights=[float(v) for v in np.mean(epoch_weights, axis=0)]
                            if epoch_weights else None)
         if val_ds is not None:
-            stats.val_accuracy, stats.val_loss = _evaluate_noisy(model, val_ds, val_targets)
+            stats.val_accuracy, probs = evaluate(model, val_ds, val_targets)
+            stats.val_loss = BceTerms(probs).value(one_hot(val_targets, val_ds.n_classes))
+            del probs  # the [S, N] probabilities do not outlive the evaluation
             if stats.val_accuracy > best_acc:
                 best_acc, best_epoch, best_model = stats.val_accuracy, epoch, model
         history.append(stats)
 
     if best_epoch < 0:
         best_model, best_epoch = model, config.epochs - 1
-    return TrainResult(model=best_model, last_model=model, attn=None, history=history,
+    return TrainResult(model=best_model, last_model=model, history=history,
                        best_epoch=best_epoch)
 
 
@@ -480,9 +472,7 @@ def train_attention(model: Classifier, train_ds: LabeledDataset, config: MetaCon
         return model, trace.loss_pre, trace.weight_means
 
     val_targets = consensus_labels(val_ds) if val_ds is not None else None
-    result = _train_epochs(model, train_ds, config, val_ds, val_targets, step)
-    result.attn = attn
-    return result
+    return _train_epochs(model, train_ds, config, val_ds, val_targets, step)
 
 
 def train_baseline(model: Classifier, train_ds: LabeledDataset, target,

@@ -27,7 +27,7 @@ def _random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
     return e / e.sum()
 
 
-def theorem1_sweep(trials: int = 1000, seed: int = 0) -> float:
+def theorem1_sweep(trials: int, seed: int = 0) -> float:
     """Max |L(pred, sum w_m y_m) - sum w_m L(pred, y_m)| over random draws."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -212,28 +212,28 @@ def attention_path_chain_gap(trials: int = 50, seed: int = 0) -> tuple[float, fl
     return worst_chain, worst_fd
 
 
-def run_verification(trials: int = 1000, seed: int = 0, printer=print) -> bool:
+def run_verification(trials: int) -> bool:
     """Run all oracle suites, print one pass/fail line each, return overall."""
     ok = True
 
-    gap = theorem1_sweep(trials=trials, seed=seed)
+    gap = theorem1_sweep(trials)
     passed = gap <= 1e-10
     ok &= passed
-    printer(f"[{'PASS' if passed else 'FAIL'}] loss-reweighting identity: "
-            f"max gap {gap:.3e} (tol 1e-10, {trials} trials)")
+    print(f"[{'PASS' if passed else 'FAIL'}] loss-reweighting identity: "
+          f"max gap {gap:.3e} (tol 1e-10, {trials} trials)")
 
-    for res in gradient_oracle_sweep(seed=seed):
+    for res in gradient_oracle_sweep():
         ok &= res.passed
-        printer(f"[{'PASS' if res.passed else 'FAIL'}] gradient vs finite differences: "
-                f"{res.name} (worst ratio {res.worst_ratio:.3f} of tolerance)")
+        print(f"[{'PASS' if res.passed else 'FAIL'}] gradient vs finite differences: "
+              f"{res.name} (worst ratio {res.worst_ratio:.3f} of tolerance)")
 
-    chain_gap, fd_ratio = attention_path_chain_gap(seed=seed)
+    chain_gap, fd_ratio = attention_path_chain_gap()
     passed = chain_gap <= CHAIN_TOL
     ok &= passed
-    printer(f"[{'PASS' if passed else 'FAIL'}] attention path vs closed-form chain: "
-            f"max abs diff {chain_gap:.3e} (tol {CHAIN_TOL:g})")
+    print(f"[{'PASS' if passed else 'FAIL'}] attention path vs closed-form chain: "
+          f"max abs diff {chain_gap:.3e} (tol {CHAIN_TOL:g})")
     passed = fd_ratio <= 1.0
     ok &= passed
-    printer(f"[{'PASS' if passed else 'FAIL'}] attention path vs finite differences: "
-            f"worst ratio {fd_ratio:.3f} of tolerance")
+    print(f"[{'PASS' if passed else 'FAIL'}] attention path vs finite differences: "
+          f"worst ratio {fd_ratio:.3f} of tolerance")
     return bool(ok)

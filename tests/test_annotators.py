@@ -61,7 +61,7 @@ class TestStructuredFlips:
         cm = build_cm(AnnotatorSpec(STRUCTURED_FLIPS, 0.4), 10)
         for src, dst in CIFAR10_FLIP_PAIRS:
             assert cm.rows[src, dst] == pytest.approx(0.4)
-        # unpaired classes fall back to uniform corruption at the same rate
+        # unpaired classes keep the hammer-spammer row at the same rate
         for unpaired in (1, 2, 5, 6):
             assert cm.rows[unpaired, unpaired] == pytest.approx(0.6)
             others = [cm.rows[unpaired, j] for j in range(10) if j != unpaired]
@@ -78,6 +78,27 @@ class TestStructuredFlips:
             n = int(rng.integers(2, 13))
             spec = AnnotatorSpec(STRUCTURED_FLIPS, float(rng.uniform(0, 1)))
             assert_row_stochastic(build_cm(spec, n))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_rows_equal_the_definition_bitwise(self, n):
+        # a pair's source keeps 1 - level and sends level to its target; every
+        # other class (the last one at odd n) is correct with 1 - level and
+        # spreads level / (n - 1) over the others
+        pairs = dict(CIFAR10_FLIP_PAIRS if n == 10 else
+                     ((i, i + 1) for i in range(0, n - 1, 2)))
+        levels = [0.0, 1.0, *np.random.default_rng(n).uniform(0.0, 1.0, size=8)]
+        for level in levels:
+            expected = np.empty((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if j == i:
+                        expected[i, j] = 1.0 - level
+                    elif i in pairs:
+                        expected[i, j] = level if j == pairs[i] else 0.0
+                    else:
+                        expected[i, j] = level / (n - 1)
+            rows = build_cm(AnnotatorSpec(STRUCTURED_FLIPS, float(level)), n).rows
+            assert rows.tobytes() == expected.tobytes(), (n, level)
 
     def test_pairs_fit_every_class_count(self):
         # each source flips to another class inside the n, and has one target

@@ -189,8 +189,12 @@ class TestErrors:
          "method: set_index applies only to 'baseline', not to 'ours'"),
         ({"method": {"name": "baseline_avg", "set_index": -3}},
          "method: set_index applies only to 'baseline', not to 'baseline_avg'"),
+        ({"method": {"name": "baseline"}, "trace": True},
+         "trace applies only to 'ours', not to 'baseline'"),
+        ({"method": {"name": "baseline_avg"}, "trace": True},
+         "trace applies only to 'ours', not to 'baseline_avg'"),
     ], ids=["flip-pairs", "adversarial-level", "average-level", "ours-set-index",
-            "baseline-avg-set-index"])
+            "baseline-avg-set-index", "baseline-trace", "baseline-avg-trace"])
     def test_settings_a_run_would_ignore_exit_two(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, output=str(tmp_path / "out"), **overrides)
         assert main(["run", "--config", str(cfg)]) == 2

@@ -99,6 +99,17 @@ class TestParsing:
         raw["method"]["set_index"] = 0
         assert parse_config_dict(raw).method.name == name
 
+    @pytest.mark.parametrize("method", [{"name": "baseline", "set_index": 0},
+                                        {"name": "baseline_avg"}])
+    def test_trace_refused_off_ours(self, method):
+        # a baseline has no attention weights: the setting would write nothing
+        # yet change the config hash
+        with pytest.raises(ConfigError, match=f"^trace applies only to 'ours', not to "
+                                              f"'{method['name']}'"):
+            parse_config_dict(minimal(method=method, trace=True))
+        assert parse_config_dict(minimal(method=method, trace=False)).trace is False
+        assert parse_config_dict(minimal(method={"name": "ours"}, trace=True)).trace is True
+
     def test_annotator_kind_checked(self):
         raw = minimal(annotators=[{"kind": "psychic"}])
         with pytest.raises(ConfigError, match="unknown annotator kind"):

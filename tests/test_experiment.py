@@ -186,7 +186,7 @@ def test_aux_names_the_benchmark_reads():
     assert cfg.aux_dim == 0
     assert Classifier.aux_dim == 0 and Batch.aux is None and LabeledDataset.aux is None
     pool, _ = build_datasets(cfg)
-    batch = next(minibatches(pool, 8))
+    batch = next(minibatches(pool, 8, 0, 0))
     assert pool.aux is None and batch.aux is None
     model = classifier_init((pool.n_features, *cfg.hidden_dims), pool.n_classes, cfg.aux_dim,
                             rng=np.random.default_rng(0))

@@ -2,6 +2,7 @@
 and a fully hand-computed single-iteration fixture."""
 
 import dataclasses
+import math
 import tracemalloc
 import weakref
 
@@ -15,7 +16,7 @@ from labelattn.data import (Batch, LabeledDataset, SyntheticSpec, attach_annotat
                             synth_blobs)
 from labelattn.metatrain import (AttentionParams, MetaConfig, attend, attention_init,
                                  attention_step, binarize, collect_feedback, final_step,
-                                 label_path, meta_step, reweighted_loss, sample_label,
+                                 label_path, meta_step, sample_label,
                                  theorem1_gap, train_attention, train_baseline, train_iteration)
 from labelattn.model import (classifier_init, forward, forward_arrays, forward_probs,
                              params_get, params_set)
@@ -324,19 +325,23 @@ class TestAttentionStep:
 
 class TestTheorem1:
     def test_single_set_is_plain_bce(self):
+        # both sides are the BCE against the one set, 1.0 * y and 1.0 * L(y)
         rng = np.random.default_rng(21)
         pred = rng.uniform(0.05, 0.95, size=7)
         y = rng.integers(0, 2, size=(1, 7)).astype(float)
-        assert reweighted_loss(pred, y, [1.0]) == pytest.approx(manual_bce(pred, y[0]),
-                                                                abs=1e-15)
+        assert theorem1_gap(pred, y, [1.0]) == 0.0
 
     def test_uniform_weights_give_mean_loss(self):
         rng = np.random.default_rng(22)
         pred = rng.uniform(0.05, 0.95, size=5)
         sets = rng.integers(0, 2, size=(4, 5)).astype(float)
         expected = np.mean([manual_bce(pred, s) for s in sets])
-        assert reweighted_loss(pred, sets, np.full(4, 0.25)) == pytest.approx(expected,
-                                                                              abs=1e-12)
+        assert manual_bce(pred, sets.mean(axis=0)) == pytest.approx(expected, abs=1e-12)
+        assert theorem1_gap(pred, sets, np.full(4, 0.25)) <= 1e-12
+
+    def test_set_count_checked_before_any_arithmetic(self):
+        with pytest.raises(ValueError, match="^3 label sets but 2 weights$"):
+            theorem1_gap(np.full(4, 0.5), np.zeros((3, 4)), [0.5, 0.5])
 
     def test_identity_holds_over_random_draws(self):
         rng = np.random.default_rng(23)
@@ -365,8 +370,9 @@ class TestTheorem1:
         mixed = w @ sets.reshape(2, -1)
         binarized = 1 / (1 + np.exp(-50 * (mixed - 0.5)))
         lhs = manual_bce(pred, binarized)
-        rhs = reweighted_loss(pred, sets, w)
+        rhs = sum(w_m * manual_bce(pred, y_m) for w_m, y_m in zip(w, sets))
         assert abs(lhs - rhs) > 1e-3
+        assert theorem1_gap(pred, sets, w) <= 1e-12
 
 
 def make_toy_batch():
@@ -565,13 +571,17 @@ class TestTrainingLoops:
         ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3),
                                 AnnotatorSpec("adversarial")])
         cfg = MetaConfig(epochs=2, batch_size=16, seed=7)
-        outs = []
+        outs, attns = [], []
         for _ in range(2):
             model = classifier_init((4, 8, 4), 3, rng=np.random.default_rng(3))
-            outs.append(train_attention(model, ds, cfg))
+            last = {}
+            outs.append(train_attention(model, ds, cfg,
+                                        trace_hook=lambda i, tr: last.update(attn=tr.attn_after)))
+            attns.append(last["attn"])
         for a, b in zip(outs[0].last_model.params, outs[1].last_model.params):
             assert a.data.tobytes() == b.data.tobytes()
-        assert outs[0].attn.w.data.tobytes() == outs[1].attn.w.data.tobytes()
+        for a, b in zip((attns[0].w, attns[0].b), (attns[1].w, attns[1].b)):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_baseline_zero_epochs_returns_initial_model(self):
         ds = self.make_dataset([AnnotatorSpec("hammer_spammer", 0.3)])
@@ -750,3 +760,38 @@ class TestTraceReadOnDemand:
         assert late == seen
         # consecutive iterations do differ, so the comparison has teeth
         assert len({row[2] for row in seen}) == len(seen)
+
+
+def norm_from_definition(after, before) -> float:
+    """Per-tensor sums of squared differences, added in declaration order,
+    then the square root."""
+    total = 0.0
+    for a, b in zip(after, before):
+        total += float(np.sum((a.data - b.data) ** 2))
+    return math.sqrt(total)
+
+
+class TestUpdateNorms:
+    def test_bits_of_the_definition_at_the_benchmark_shape(self):
+        # M=5 (the Table-2 roster), a 32-128-64 model and batches of 32
+        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
+                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
+                  AnnotatorSpec("average")]
+        spec = SyntheticSpec(n_classes=10, dim=32, samples_per_class=10, seed=0)
+        ds = attach_annotators(synth_blobs(spec), roster, seed=0)
+        model = classifier_init((32, 128, 64), 10, rng=np.random.default_rng(0))
+        attn = attention_init(5, model.feature_dim)
+        cfg = MetaConfig(batch_size=32, beta=1e-3)
+        state = adam_init(params_get(model), lr=cfg.beta)
+        traces = []
+        for batch in minibatches(ds, cfg.batch_size, 0, 0):
+            model, attn, state, trace = train_iteration(model, attn, batch, cfg, state)
+            traces.append(trace)
+        assert len(traces) == 4
+        for tr in traces:
+            model_norm = norm_from_definition(tr.model_after.params, tr.model_before.params)
+            attn_norm = norm_from_definition((tr.attn_after.w, tr.attn_after.b),
+                                             (tr.attn_before.w, tr.attn_before.b))
+            assert model_norm > 0.0 and attn_norm > 0.0
+            assert np.float64(tr.model_update_norm).tobytes() == np.float64(model_norm).tobytes()
+            assert np.float64(tr.attn_update_norm).tobytes() == np.float64(attn_norm).tobytes()
