@@ -28,58 +28,37 @@ BCE_EPS = 1e-7
 def logistic(x: np.ndarray) -> np.ndarray:
     """1/(1+exp(-x)) on a plain array: with e = exp(-|x|), 1/(1+e) where
     x >= 0 and e/(1+e) below, so exp never overflows. One division of the
-    selected numerator gives the bits of dividing both and selecting. The
-    denominator is formed over e and the quotient over the numerator, so
-    beside ``x`` and the mask at most two arrays of its size are alive."""
+    selected numerator gives the bits of dividing both and selecting."""
     e = np.exp(-np.abs(x))
-    p = np.where(x >= 0.0, 1.0, e)
-    e += 1.0
-    return np.divide(p, e, out=p)
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 class BceTerms:
     """The target-free terms of the mean binary cross entropy of one
-    prediction array ``pred``, made once and read by every loss value and
+    prediction array ``pred``, made with it and read by every loss value and
     gradient taken against it: ``clamped``, ``pred`` clamped to [BCE_EPS,
-    1 - BCE_EPS]; and, each made on first use, the two log terms,
-    log(clamped) and log1p(-clamped), and the terms only the gradients read:
-    ``inside``, where the clamp leaves ``pred`` as it is, ``1 - clamped``
-    and ``1 - pred``. Each mean is over ``pred.size``.
+    1 - BCE_EPS]; ``logs``, log(clamped) and log1p(-clamped); and
+    ``grad_terms``, ``inside`` (where the clamp leaves ``pred`` as it is),
+    ``1 - clamped`` and ``1 - pred``. Each mean is over ``pred.size``.
 
     The tape's :func:`bce_loss` and the array training path both read these
     methods, so the oracle and the trainer share one BCE."""
 
-    __slots__ = ("pred", "clamped", "_logs", "_grad_terms")
+    __slots__ = ("pred", "clamped", "logs", "grad_terms")
 
     def __init__(self, pred: np.ndarray):
         self.pred = pred
         # the bits of np.clip, without its Python wrapper
         self.clamped = np.maximum(pred, BCE_EPS)
         np.minimum(self.clamped, 1.0 - BCE_EPS, out=self.clamped)
-        self._logs = self._grad_terms = None
-
-    @property
-    def logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log(clamped), log1p(-clamped)), made on first use."""
-        if self._logs is None:
-            self._logs = (np.log(self.clamped), np.log1p(-self.clamped))
-        return self._logs
-
-    @property
-    def grad_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(inside, 1 - clamped, 1 - pred), made on first use."""
-        if self._grad_terms is None:
-            self._grad_terms = ((self.pred > BCE_EPS) & (self.pred < 1.0 - BCE_EPS),
-                                1.0 - self.clamped, 1.0 - self.pred)
-        return self._grad_terms
+        self.logs = (np.log(self.clamped), np.log1p(-self.clamped))
+        self.grad_terms = ((pred > BCE_EPS) & (pred < 1.0 - BCE_EPS),
+                           1.0 - self.clamped, 1.0 - pred)
 
     def value(self, target: np.ndarray) -> float:
         """Mean BCE against ``target`` (``pred``'s shape), summed in flat order."""
         log_c, log1m_c = self.logs
-        terms = target * log_c
-        other = np.subtract(1.0, target)   # (1 - target) * log1m_c in one buffer
-        other *= log1m_c
-        terms += other
+        terms = target * log_c + (1.0 - target) * log1m_c
         return float(-(np.add.reduce(terms.ravel()) / terms.size))
 
     def pred_grad(self, target: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ Each config section is read from its spec dataclass (``SyntheticSpec``,
 each run sets, and ``MethodSpec``): its keys are the class's fields, the
 fields without a default are required, and each value is checked by its
 field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
-no auxiliary features; the key stays so that every config's hash holds.
+no auxiliary features; the key stays so that configs that spell it parse.
 A setting that a run would ignore or misread is refused: a noise level on a
 kind that takes none, a ``set_index`` on any method but ``baseline``,
 ``trace: true`` on any method but ``ours`` (only the attention method has

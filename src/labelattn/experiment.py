@@ -178,25 +178,30 @@ def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
 def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]:
     """Every seed of every (variant config, tag) pair, in that order, in up to
     ``jobs`` worker processes. Records (and trace rows, handed to
-    ``trace_sink``) come back in job order either way. A failing job aborts
-    with context; the records finished before it stay on the exception."""
+    ``trace_sink``) come back in job order either way. A failing job, or a
+    failing trace write, aborts with context; the records finished before
+    it, and the record whose trace could not be written, stay on the
+    exception."""
     work = [(cfg, seed, tag) for cfg, tag in variants for seed in cfg.seeds]
     workers = min(jobs, len(work))
     records: list[ResultRecord] = []
+    tracing = False   # while the last record's trace rows are written
     try:
         if workers > 1:  # imported here, so a serial run never loads the pool
             from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=workers) if workers > 1
               else nullcontext()) as executor:
             for record, rows in (executor.map if executor else map)(_seed_run, work):
-                if trace_sink is not None and rows:
-                    trace_sink(record, rows)
                 records.append(record)
+                if trace_sink is not None and rows:
+                    tracing = True
+                    trace_sink(record, rows)
+                    tracing = False
     except Exception as err:
-        cfg, seed, tag = work[len(records)]
+        cfg, seed, tag = work[len(records) - tracing]
         raise ExperimentError(
-            f"run failed (method={method_label(cfg.method)}, seed={seed}, "
-            f"tag={tag!r}): {err}", records) from err
+            f"{'trace write' if tracing else 'run'} failed (method={method_label(cfg.method)}, "
+            f"seed={seed}, tag={tag!r}): {err}", records) from err
     finally:
         _clean.cache_clear()
         _noisy.cache_clear()

@@ -4,9 +4,9 @@ head. A :class:`Classifier` is its parameters alone, which give its widths.
 Classifiers are immutable; parameter updates produce new instances.
 
 Training runs on plain arrays: :func:`forward_arrays` is the forward it
-uses, and its :class:`ArrayForward` makes the BCE terms of its predictions
-(:class:`labelattn.autodiff.BceTerms`) once, on first use, for every loss
-and gradient of the step to read. Evaluation runs :func:`forward_probs`,
+uses, and its :class:`ArrayForward` holds the BCE terms of its predictions
+(:class:`labelattn.autodiff.BceTerms`), made with them, for every loss and
+gradient of the step to read. Evaluation runs :func:`forward_probs`,
 which keeps only the probabilities; its bits equal :func:`forward_arrays`'
 where every hidden width is a multiple of 8 (see its docstring). The meta
 probes run :func:`stacked_features`, M classifiers that differ only in
@@ -23,7 +23,6 @@ that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,17 +57,12 @@ class ArrayForward:
 
     probs: np.ndarray
     activations: tuple[np.ndarray, ...]  # the input, then each hidden ReLU output
+    bce: BceTerms                        # of probs, read by every loss and gradient
 
     @property
     def features(self) -> np.ndarray:
         """The last hidden activation, which the head reads."""
         return self.activations[-1]
-
-    @cached_property
-    def bce(self) -> BceTerms:
-        """The BCE terms of ``probs``, made on first use and then shared by
-        every loss and gradient taken against them."""
-        return BceTerms(self.probs)
 
 
 def classifier_init(layer_dims, n_classes: int, aux_dim: int = 0,  # only 0; perfbench passes it
@@ -161,7 +155,8 @@ def forward_arrays(model: Classifier, x) -> ArrayForward:
     h = _input(model, x)
     activations = [h]
     logits = _logits(model, _hidden([p.data for p in model.params[:-2]], h, activations))
-    return ArrayForward(probs=logistic(logits), activations=tuple(activations))
+    probs = logistic(logits)
+    return ArrayForward(probs=probs, activations=tuple(activations), bce=BceTerms(probs))
 
 
 def forward_probs(model: Classifier, x) -> np.ndarray:

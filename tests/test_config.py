@@ -316,6 +316,15 @@ class TestHash:
                    "seeds": [0]}
             assert config_hash(parse_config_dict(raw)) == expected, entry
 
+    def test_fixed_keys_do_not_reach_the_hash(self):
+        # model.aux_dim and meta.attention_mode stay keys so that configs that
+        # spell their one value parse; the hash input holds that value either way
+        bare = {"dataset": {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 20}},
+                "annotators": [{"kind": "hammer_spammer", "noise_level": 0.2}], "seeds": [0]}
+        spelled = dict(bare, model={"aux_dim": 0}, meta={"attention_mode": "concat"})
+        assert config_hash(parse_config_dict(bare)) == "ac27a77e5d39000f"
+        assert config_hash(parse_config_dict(spelled)) == "ac27a77e5d39000f"
+
     # A change to one of these values changes the config_hash of every record
     # already written for that config.
     @pytest.mark.parametrize("raw, expected", [

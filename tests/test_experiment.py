@@ -345,9 +345,24 @@ class TestSweeps:
 
         monkeypatch.setattr(experiment, "train_attention", fail_on_three_sets)
         cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
-        with pytest.raises(ExperimentError, match="tag='M=3'.*planted failure") as exc:
+        with pytest.raises(ExperimentError, match="^run failed \\(method=ours, seed=0, "
+                                                  "tag='M=3'\\): planted failure$") as exc:
             run_variants(annotator_sweep_variants(cfg, 0.3))
         assert [(r.tag, r.seed) for r in exc.value.completed] == [("M=2", 0), ("M=2", 1)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_trace_write_keeps_its_record(self, jobs):
+        # the last seed trains, then its trace rows cannot be written
+        def sink(record, rows):
+            if record.seed == 1:
+                raise OSError("planted trace failure")
+
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1], trace=True)
+        with pytest.raises(ExperimentError) as exc:
+            run_variants([(cfg, "demo")], jobs, trace_sink=sink)
+        assert str(exc.value) == ("trace write failed (method=ours, seed=1, tag='demo'): "
+                                  "planted trace failure")
+        assert [r.seed for r in exc.value.completed] == [0, 1]
 
     @pytest.mark.parametrize("build", [
         lambda cfg: noise_sweep_variants(cfg, [0.3]),
