@@ -204,27 +204,23 @@ def param_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> np.n
         raise ValueError(f"param_gradients takes one [B, N] logit gradient, got {g.shape}")
     flat = np.empty(sum(p.data.size for p in model.params))
     out = flat_views(flat, [p.shape for p in model.params])
-    _backward(model, fwd, g, out[:-2])
+    hidden_gradients(model, fwd, g, out[:-2])
     np.matmul(fwd.features.T, g, out=out[-2])
     np.add.reduce(g, axis=-2, out=out[-1])
     return flat
 
 
-def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray) -> list[np.ndarray]:
+def hidden_gradients(model: Classifier, fwd: ArrayForward, g: np.ndarray,
+                     out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
     """The hidden-layer part of :func:`param_gradients`: the gradients of
     W1, b1, ..., Wk, bk (every parameter but the head) from a logit gradient
-    ``g``, with the same bits, as one array each. The head's own gradients
-    are never formed. ``g`` is [B, N], or a stack [M, B, N] of M gradients,
-    which gives [M, ...] gradients through ``np.matmul`` over the leading
-    axis, each equal to the tape's for its own gradient."""
-    return _backward(model, fwd, g, (None,) * (len(model.params) - 2))
-
-
-def _backward(model: Classifier, fwd: ArrayForward, g: np.ndarray,
-              out: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-    """The hidden layers' backward, each gradient written into its array of
-    ``out`` where that is not None."""
+    ``g``, with the same bits, as one array each, written into the arrays of
+    ``out`` when it is given. The head's own gradients are never formed.
+    ``g`` is [B, N], or a stack [M, B, N] of M gradients, which gives
+    [M, ...] gradients through ``np.matmul`` over the leading axis, each
+    equal to the tape's for its own gradient."""
     acts = fwd.activations
+    out = (None,) * (len(model.params) - 2) if out is None else out
     grads: list = [None] * len(out)
     g = np.matmul(g, model.params[-2].data.T)
     for i in reversed(range(len(acts) - 1)):

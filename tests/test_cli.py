@@ -88,6 +88,8 @@ class TestRun:
         assert len(traces) == 1
         rows = [json.loads(line) for line in traces[0].read_text().splitlines()]
         assert rows and {"iter", "weights_mean", "loss_pre", "loss_post"} == set(rows[0])
+        # loss_post is computed only when a trace row reads it
+        assert all(isinstance(rows[0][k], float) for k in ("loss_pre", "loss_post")), rows[0]
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = write_config(tmp_path, seeds=[0, 1], output=str(tmp_path / "seq"))
@@ -312,6 +314,24 @@ class TestErrors:
         assert pool_sizes == [2]
         assert without_clock(tmp_path / "1" / "results.jsonl") == \
             without_clock(tmp_path / "2" / "results.jsonl")
+
+    def test_file_named_traces_exits_one_and_keeps_the_record(self, tmp_path, capsys,
+                                                               pool_sizes):
+        # the first seed trains, then its trace cannot be written: a failed
+        # trace write, which keeps that seed's record and no later one
+        cfg = write_config(tmp_path, trace=True, seeds=[0, 1],
+                           meta={"epochs": 1, "batch_size": 16})
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            out.mkdir()
+            (out / "traces").write_text("")
+            assert main(["run", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(
+                "run failure: trace write failed (method=ours, seed=0, tag=''): ")
+            kept = without_clock(out / "results.jsonl")
+            assert without_clock(out / "results.csv") == kept
+            assert [d["seed"] for d in kept] == [0]
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize("sweep", [["sweep-noise", "--levels", "0.3"],
                                        ["sweep-annotators"]], ids=["noise", "annotators"])
