@@ -7,7 +7,8 @@ the cyclic neighbour classes), adversarial (the fixed-point-free +1 cyclic
 shift, always wrong), and the entrywise average of a roster. The first three
 take a noise level; adversarial and average take none (their level is 0.0).
 Each kind is one ``KINDS`` row, and ``check_roster`` holds the rules of a
-whole roster, for a parsed config and a sweep's rosters alike.
+whole roster, which ``config.ExperimentConfig`` checks on every config it
+builds, a sweep's variants too.
 """
 
 from __future__ import annotations
@@ -173,17 +174,16 @@ def check_fits(spec: AnnotatorSpec, n: int) -> None:
         raise ValueError(f"{spec.kind} needs n >= {least}")
 
 
-def check_roster(specs, n: int, where: str = "annotators") -> None:
-    """Raise a ValueError unless the roster ``where`` can be built on n
-    classes: it is not all ``average``, and each spec fits n. Builds no
-    matrix."""
+def check_roster(specs, n: int) -> None:
+    """Raise a ValueError unless the roster can be built on n classes: it is
+    not all ``average``, and each spec fits n. Builds no matrix."""
     if all(spec.kind == AVERAGE for spec in specs):
-        raise ValueError(f"{where} cannot all be 'average'")
+        raise ValueError("annotators cannot all be 'average'")
     for i, spec in enumerate(specs):
         try:
             check_fits(spec, n)
         except ValueError as err:
-            raise ValueError(f"{where}[{i}] does not fit {n} classes: {err}") from err
+            raise ValueError(f"annotators[{i}] does not fit {n} classes: {err}") from err
 
 
 def build_cm(spec: AnnotatorSpec, n: int,

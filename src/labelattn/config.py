@@ -1,18 +1,18 @@
 """Experiment configuration: JSON file parsing with strict key checking
 (a repeated key too), defaults, and a canonical content hash.
 
-Each config section is read from its spec dataclass (``SyntheticSpec``,
-``Cifar10Spec``, ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which
-each run sets, and ``MethodSpec``): its keys are the class's fields, the
-fields without a default are required, and each value is checked by its
-field's annotation. ``model.aux_dim`` accepts only 0, as a classifier takes
-no auxiliary features; the key stays so that configs that spell it parse.
-A setting that a run would ignore or misread is refused: a noise level on a
-kind that takes none, a ``set_index`` on any method but ``baseline``,
-``trace: true`` on any method but ``ours`` (only the attention method has
-weights to trace), and an ``output`` that names no directory. The roster is
-checked by ``annotators.check_roster``, as a sweep's rosters are. A config
-file nested too deeply for ``json`` to read is a config error too."""
+The parser checks the file's shape and types only. Each config section is
+read from its spec dataclass (``SyntheticSpec``, ``Cifar10Spec``,
+``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which each run sets, and
+``MethodSpec``): its keys are the class's fields, the fields without a
+default are required, and each value is checked by its field's annotation.
+``model.aux_dim`` accepts only 0, as a classifier takes no auxiliary
+features; the key stays so that configs that spell it parse. ``trace`` must
+be a bool, and a file nested too deeply for ``json`` is refused. Every other
+rule is checked by the class it constrains, so that ``dataclasses.replace``
+refuses what the parser refuses: the specs their own fields, and
+``ExperimentConfig`` the rules across fields. The parser reports a spec's
+refusal with its section's name, and ``ExperimentConfig``'s as it is."""
 
 from __future__ import annotations
 
@@ -72,6 +72,13 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when it is built, by the parser or by
+    ``dataclasses.replace`` alike: the roster fits the class count, a
+    baseline's ``set_index`` names a set, seeds do not repeat,
+    ``val_fraction`` lies in (0, 1) and leaves the pool validation rows,
+    ``trace`` is set only on ``ours`` (only the attention method has weights
+    to trace), every hidden width is positive, and ``output`` names a
+    directory. A broken rule raises ``ValueError``."""
     dataset: SyntheticSpec | Cifar10Spec
     annotators: tuple[AnnotatorSpec, ...]
     hidden_dims: tuple[int, ...]
@@ -82,6 +89,31 @@ class ExperimentConfig:
     val_fraction: float
     output: str
     trace: bool
+
+    def __post_init__(self):
+        check_roster(self.annotators, self.dataset.n_classes)  # builds no n x n matrix
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ValueError("model.hidden_dims must be a nonempty list of positive ints")
+        n_sets, method = len(self.annotators), self.method
+        if method.name == METHOD_BASELINE and not 0 <= method.set_index < n_sets:
+            raise ValueError(f"method.set_index {method.set_index} out of range for "
+                             f"{n_sets} annotators")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        ds = self.dataset
+        pool_size, where = ((ds.n_classes * ds.samples_per_class, "val_fraction")
+                            if isinstance(ds, SyntheticSpec)
+                            else (ds.subset, "dataset.cifar10.subset"))
+        if pool_size is not None:
+            try:
+                validation_size(pool_size, self.val_fraction)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from err
+        check_output(self.output)
+        if self.trace and method.name != METHOD_OURS:
+            raise ValueError(f"trace applies only to {METHOD_OURS!r}, not to {method.name!r}")
 
 
 def _expect_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -192,61 +224,30 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("annotators must be a nonempty list")
     annotators = tuple(_section(AnnotatorSpec, entry, f"annotators[{i}]")
                        for i, entry in enumerate(ann_raw))
-    try:  # builds no n x n matrix, so a large class count costs nothing
-        check_roster(annotators, dataset.n_classes)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
 
     model_raw = raw.get("model", {})
     _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")
     hidden_dims = (_integer_list(model_raw["hidden_dims"], "model.hidden_dims")
                    if "hidden_dims" in model_raw else DEFAULT_HIDDEN_DIMS)
     aux_dim = _integer(model_raw.get("aux_dim", 0), "model.aux_dim")
-    if any(d < 1 for d in hidden_dims):
-        raise ConfigError("model.hidden_dims must be a nonempty list of positive ints")
     if aux_dim != 0:
         raise ConfigError(f"model.aux_dim must be 0, as a classifier takes no auxiliary "
                           f"features; got {aux_dim}")
 
     meta = _section(MetaConfig, raw.get("meta", {}), "meta", skip=("seed",))
     method = _section(MethodSpec, raw.get("method", {"name": METHOD_OURS}), "method")
-    if method.name == METHOD_BASELINE and not 0 <= method.set_index < len(annotators):
-        raise ConfigError(f"method.set_index {method.set_index} out of range for "
-                          f"{len(annotators)} annotators")
-
     seeds = _integer_list(raw["seeds"], "seeds", check=_seed)
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must not repeat, got {list(seeds)}")
     val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
-    if not 0.0 < val_fraction < 1.0:
-        raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    if isinstance(dataset, SyntheticSpec):
-        pool_size, where = dataset.n_classes * dataset.samples_per_class, "val_fraction"
-    else:
-        pool_size, where = dataset.subset, "dataset.cifar10.subset"
-    if pool_size is not None:
-        try:
-            validation_size(pool_size, val_fraction)
-        except ValueError as err:
-            raise ConfigError(f"{where}: {err}") from err
-    output = check_output(raw.get("output", "results"))
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"trace must be true or false, got {trace!r}")
-    if trace and method.name != METHOD_OURS:
-        raise ConfigError(f"trace applies only to {METHOD_OURS!r}, not to {method.name!r}")
-
-    return ExperimentConfig(
-        dataset=dataset,
-        annotators=annotators,
-        hidden_dims=hidden_dims,
-        meta=meta,
-        method=method,
-        seeds=seeds,
-        val_fraction=val_fraction,
-        output=output,
-        trace=trace,
-    )
+    try:
+        return ExperimentConfig(dataset=dataset, annotators=annotators,
+                                hidden_dims=hidden_dims, meta=meta, method=method,
+                                seeds=seeds, val_fraction=val_fraction,
+                                output=raw.get("output", "results"), trace=trace)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def check_output(output, where: str = "output") -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, KINDS, ORDERED_CONFUSION,
-                         STRUCTURED_FLIPS, AnnotatorSpec, check_roster)
+                         STRUCTURED_FLIPS, AnnotatorSpec)
 from .config import (METHOD_BASELINE, METHOD_OURS, Cifar10Spec, ExperimentConfig, MethodSpec,
                      config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
@@ -208,12 +208,21 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
     return records
 
 
+def _variant(cfg: ExperimentConfig, sweep: str, **changes) -> ExperimentConfig:
+    """``replace(cfg, **changes)``, checked as a parsed config is; a refusal
+    names the sweep."""
+    try:
+        return replace(cfg, **changes)
+    except ValueError as err:
+        raise ValueError(f"the {sweep} sweep's {err}") from err
+
+
 def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[ExperimentConfig, str]]:
     """(variant config, tag) pairs for the noise sweep: the adjustable
     annotators (hammer-spammer, structured flips, ordered confusion, and
     their average) re-instantiated at each level, run with the attention
-    method plus every per-set baseline. The adversarial annotator has no
-    adjustable level and is excluded."""
+    method, which keeps the config's ``trace``, plus every per-set baseline,
+    untraced. The adversarial annotator has no adjustable level."""
     levels = list(levels)
     if not levels:
         raise ValueError("the noise sweep needs at least one level")
@@ -228,11 +237,11 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
     for lv, tag in zip(levels, tags):
         roster = (AnnotatorSpec(HAMMER_SPAMMER, lv), AnnotatorSpec(STRUCTURED_FLIPS, lv),
                   AnnotatorSpec(ORDERED_CONFUSION, lv), AnnotatorSpec(AVERAGE))
-        check_roster(roster, cfg.dataset.n_classes, where="the noise sweep's annotators")
-        methods = [MethodSpec(METHOD_OURS)] + [MethodSpec(METHOD_BASELINE, set_index=i)
-                                               for i in range(len(roster))]
-        for method in methods:
-            variants.append((replace(cfg, annotators=roster, method=method), tag))
+        variants.append((_variant(cfg, "noise", annotators=roster,
+                                  method=MethodSpec(METHOD_OURS)), tag))
+        variants += [(_variant(cfg, "noise", annotators=roster, trace=False,
+                               method=MethodSpec(METHOD_BASELINE, set_index=i)), tag)
+                     for i in range(len(roster))]
     return variants
 
 
@@ -243,15 +252,14 @@ ANNOTATOR_SWEEP_ORDER = (HAMMER_SPAMMER, ADVERSARIAL, ORDERED_CONFUSION,
 def annotator_sweep_variants(cfg: ExperimentConfig,
                              noise_level: float) -> list[tuple[ExperimentConfig, str]]:
     """Roster growth [hammer-spammer, adversarial] -> +ordered confusion ->
-    +structured flips -> +average, attention method at each size. Each
-    roster is a prefix of the full one, so checking that one checks all."""
+    +structured flips -> +average, attention method at each size."""
     if not 0.0 < noise_level < 1.0:
         raise ValueError("noise_level must lie strictly inside (0, 1)")
     full = [AnnotatorSpec(kind, noise_level if KINDS[kind].levelled else 0.0)
             for kind in ANNOTATOR_SWEEP_ORDER]
-    check_roster(full, cfg.dataset.n_classes, where="the annotator sweep's annotators")
-    return [(replace(cfg, annotators=tuple(full[:m]), method=MethodSpec(METHOD_OURS)),
-             f"M={m}") for m in range(2, len(full) + 1)]
+    return [(_variant(cfg, "annotator", annotators=tuple(full[:m]),
+                      method=MethodSpec(METHOD_OURS)), f"M={m}")
+            for m in range(2, len(full) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -118,34 +118,88 @@ class TestRun:
         assert len(read_records(tmp_path / "out" / "results.jsonl")) == len(seeds)
 
 
+# The config errors of `labelattn run`, by test id: (config, message). The
+# config is TINY with these keys replaced, or the file's text, or None for no
+# file; the message is the whole stderr line after "config error: ".
+CIFAR = {"paths": ["a.bin"], "test_paths": ["t.bin"]}
+NO_BATCH_FILE = "paths and test_paths must each name at least one batch file"
+CONFIG_ERRORS = {
+    "bad_config": ('{"dataset": {}, "annotators": [], "seeds": []}',
+                   "dataset must hold exactly one of 'synthetic' or 'cifar10'"),
+    "missing_config": (None, "cannot read config file config.json: [Errno 2] No such file or "
+                             "directory: 'config.json'"),
+    "unknown_key": ({"surprise": 1}, "unknown key 'surprise' at top level"),
+    "key_written_twice": (json.dumps(TINY)[:-1] + ', "seeds": [1, 2]}',
+                          "key 'seeds' is written more than once"),
+    "bad_value_type": ({"seeds": ["x"]}, "seeds[0] must be an integer, got 'x'"),
+    "roster_that_does_not_fit": (
+        {"annotators": [{"kind": "ordered_confusion", "noise_level": 0.3}],
+         "dataset": TWO_CLASSES["dataset"]},
+        "annotators[0] does not fit 2 classes: ordered_confusion needs n >= 3"),
+    # a classifier takes no auxiliary features: the parser refuses the value
+    "aux_dim": ({"model": {"hidden_dims": [8, 6], "aux_dim": 2}},
+                "model.aux_dim must be 0, as a classifier takes no auxiliary features; got 2"),
+    "settings_a_run_would_ignore-flip-pairs": (
+        {"annotators": [{"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1]]}]},
+        "unknown key 'flip_pairs' at annotators[0]"),
+    **{f"settings_a_run_would_ignore-{kind}-level": (
+        {"annotators": [TINY["annotators"][0], {"kind": kind, "noise_level": 0.5}]},
+        f"invalid value at annotators[1]: '{kind}' takes no noise_level, got 0.5")
+       for kind in ("adversarial", "average")},
+    **{f"settings_a_run_would_ignore-{name.replace('_', '-')}-set-index": (
+        {"method": {"name": name, "set_index": index}},
+        f"invalid value at method: set_index applies only to 'baseline', not to '{name}'")
+       for name, index in (("ours", 1), ("baseline_avg", -3))},
+    **{f"settings_a_run_would_ignore-{name.replace('_', '-')}-trace": (
+        {"method": {"name": name}, "trace": True},
+        f"trace applies only to 'ours', not to '{name}'")
+       for name in ("baseline", "baseline_avg")},
+    # str() of the first three would name a directory "None", "['a', 1]" or
+    # "3"; "" would write the records into the working directory, and mkdir
+    # raises a bare ValueError on a NUL byte
+    **{f"output_that_names_no_directory-{name}": (
+        {"output": output},
+        f"output must be a nonempty directory path string with no NUL byte, got {output!r}")
+       for name, output in (("null", None), ("list", ["a", 1]), ("number", 3), ("empty", ""),
+                            ("nul-byte", "a\0b"))},
+    # json raises RecursionError, not JSONDecodeError, on this
+    "deeply_nested_file": ("[" * 200_000,
+                           "config file config.json nests arrays or objects too deeply to read"),
+    "empty_validation_split": (
+        {"dataset": {"synthetic": {"n_classes": 2, "dim": 4, "samples_per_class": 2}}},
+        "val_fraction: a pool of 4 samples at val_fraction 0.2 leaves no validation samples"),
+    "cifar_subset_without_validation_rows": (
+        {"dataset": {"cifar10": {**CIFAR, "subset": 2}}},
+        "dataset.cifar10.subset: a pool of 2 samples at val_fraction 0.2 leaves no validation "
+        "samples"),
+    # refused when the config is parsed: no batch file is opened
+    **{f"bad_cifar_section-{name}": ({"dataset": {"cifar10": {**CIFAR, **bad}}},
+                                     f"invalid value at dataset.cifar10: {message}")
+       for name, bad, message in (
+           ("no-paths", {"paths": []}, NO_BATCH_FILE),
+           ("no-test-paths", {"test_paths": []}, NO_BATCH_FILE),
+           ("subset-0", {"subset": 0}, "subset must be at least 1, got 0"),
+           ("test-subset-0", {"test_subset": 0}, "test_subset must be at least 1, got 0"),
+           ("test-subset-negative", {"test_subset": -3},
+            "test_subset must be at least 1, got -3"))},
+    "refused_config-shared-mode": (
+        {"meta": {"attention_mode": "shared"}},
+        "invalid value at meta: unknown attention_mode 'shared'; only 'concat' is supported"),
+    "refused_config-repeated-seeds": ({"seeds": [0, 0]}, "seeds must not repeat, got [0, 0]"),
+}
+
+
 class TestErrors:
-    def test_bad_config_exits_two(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dataset": {}, "annotators": [], "seeds": []}))
+    @pytest.mark.parametrize("config, message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+    def test_config_error_exits_two(self, tmp_path, capsys, monkeypatch, config, message):
+        # run where a default or relative output would be made
+        monkeypatch.chdir(tmp_path)
+        path = Path("config.json")
+        if config is not None:
+            path.write_text(config if isinstance(config, str) else json.dumps({**TINY, **config}))
         assert main(["run", "--config", str(path)]) == 2
-
-    def test_missing_config_exits_two(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
-
-    def test_unknown_key_exits_two(self, tmp_path):
-        raw = json.loads(json.dumps(TINY))
-        raw["surprise"] = 1
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        assert main(["run", "--config", str(path)]) == 2
-
-    def test_key_written_twice_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
-        cfg.write_text(cfg.read_text()[:-1] + ', "seeds": [1, 2]}')
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert ("config error: key 'seeds' is written more than once"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-
-    def test_bad_value_type_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, seeds=["x"])
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "config error: seeds[0] must be an integer" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name] * (config is not None)
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_two(self, tmp_path, jobs):
@@ -162,61 +216,6 @@ class TestErrors:
         assert exc.value.code == 2
         assert "[PASS]" not in capsys.readouterr().out
 
-    def test_roster_that_does_not_fit_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, annotators=[{"kind": "ordered_confusion",
-                                                  "noise_level": 0.3}],
-                           dataset=TWO_CLASSES["dataset"])
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "annotators[0] does not fit 2 classes" in capsys.readouterr().err
-
-    def test_aux_dim_exits_two(self, tmp_path, capsys):
-        # a classifier takes no auxiliary features: the parser refuses the value
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
-                           model={"hidden_dims": [8, 6], "aux_dim": 2})
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "config error: model.aux_dim" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"annotators": [{"kind": "structured_flips", "noise_level": 0.3,
-                          "flip_pairs": [[0, 1]]}]},
-         "unknown key 'flip_pairs' at annotators[0]"),
-        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2},
-                         {"kind": "adversarial", "noise_level": 0.5}]},
-         "annotators[1]: 'adversarial' takes no noise_level"),
-        ({"annotators": [{"kind": "hammer_spammer", "noise_level": 0.2},
-                         {"kind": "average", "noise_level": 0.5}]},
-         "annotators[1]: 'average' takes no noise_level"),
-        ({"method": {"name": "ours", "set_index": 1}},
-         "method: set_index applies only to 'baseline', not to 'ours'"),
-        ({"method": {"name": "baseline_avg", "set_index": -3}},
-         "method: set_index applies only to 'baseline', not to 'baseline_avg'"),
-        ({"method": {"name": "baseline"}, "trace": True},
-         "trace applies only to 'ours', not to 'baseline'"),
-        ({"method": {"name": "baseline_avg"}, "trace": True},
-         "trace applies only to 'ours', not to 'baseline_avg'"),
-    ], ids=["flip-pairs", "adversarial-level", "average-level", "ours-set-index",
-            "baseline-avg-set-index", "baseline-trace", "baseline-avg-trace"])
-    def test_settings_a_run_would_ignore_exit_two(self, tmp_path, capsys, overrides, message):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **overrides)
-        assert main(["run", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("output", [None, ["a", 1], 3, "", "a\0b"],
-                             ids=["null", "list", "number", "empty", "nul-byte"])
-    def test_output_that_names_no_directory_exits_two(self, tmp_path, capsys, monkeypatch,
-                                                      output):
-        # str() of the first three would name a directory "None", "['a', 1]"
-        # or "3"; "" would write the records into the working directory, and
-        # mkdir raises a bare ValueError on a NUL byte
-        cfg = write_config(tmp_path, output=output)
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "config error: output must be" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
-
     @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul-byte"])
     def test_out_that_names_no_directory_exits_two(self, tmp_path, capsys, monkeypatch, out):
         # an empty --out is no directory, not the absence of --out: the run
@@ -227,39 +226,6 @@ class TestErrors:
         assert capsys.readouterr().err == (f"config error: --out must be a nonempty directory "
                                            f"path string with no NUL byte, got {out!r}\n")
         assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
-
-    def test_deeply_nested_file_exits_two(self, tmp_path, capsys, monkeypatch):
-        # json raises RecursionError, not JSONDecodeError, on this
-        cfg = tmp_path / "deep.json"
-        cfg.write_text("[" * 200_000)
-        monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "too deeply" in err
-        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
-
-    def test_empty_validation_split_exits_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
-                           dataset={"synthetic": {"n_classes": 2, "dim": 4,
-                                                  "samples_per_class": 2}})
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert "leaves no validation samples" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_cifar_subset_without_validation_rows_exits_two(self, tmp_path, capsys):
-        # two tiny batch files of 3073-byte records: label byte, then pixels
-        paths = []
-        for name, count in (("train.bin", 4), ("test.bin", 2)):
-            path = tmp_path / name
-            path.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(count)))
-            paths.append(str(path))
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
-                           dataset={"cifar10": {"paths": paths[:1], "test_paths": paths[1:],
-                                                "subset": 2}})
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert ("config error: dataset.cifar10.subset: a pool of 2 samples at val_fraction "
-                "0.2 leaves no validation samples") in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_empty_cifar_test_file_exits_one_without_records(self, tmp_path, capsys, monkeypatch):
         # zero bytes are a whole number of records, so the file sizes pass;
@@ -277,20 +243,6 @@ class TestErrors:
                 f"files {test} hold no records") in capsys.readouterr().err
         assert decoded == []
         assert list((tmp_path / "out").iterdir()) == []
-
-    @pytest.mark.parametrize("bad", [{"paths": []}, {"test_paths": []}, {"subset": 0},
-                                     {"test_subset": 0}, {"test_subset": -3}],
-                             ids=["no-paths", "no-test-paths", "subset-0", "test-subset-0",
-                                  "test-subset-negative"])
-    def test_bad_cifar_section_exits_two(self, tmp_path, capsys, bad):
-        # refused when the config is parsed: no batch file is opened
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
-                           dataset={"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"],
-                                                **bad}})
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: invalid value at dataset.cifar10: ")
-        assert not (tmp_path / "out").exists()
 
     def test_failure_keeps_finished_records(self, tmp_path, pool_sizes, monkeypatch):
         # a planted failure: every M=3 job raises in training; the pool's
@@ -352,17 +304,6 @@ class TestErrors:
         cfg = write_config(tmp_path, output=str(tmp_path / "out"))
         for levels in ("0.0,0.5", ",", "0.3,0.3"):
             assert main(["sweep-noise", "--config", str(cfg), "--levels", levels]) == 2
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("overrides, message", [
-        ({"meta": {"attention_mode": "shared"}},
-         "config error: invalid value at meta: unknown attention_mode 'shared'"),
-        ({"seeds": [0, 0]}, "config error: seeds must not repeat"),
-    ], ids=["shared-mode", "repeated-seeds"])
-    def test_refused_config_exits_two(self, tmp_path, capsys, overrides, message):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **overrides)
-        assert main(["run", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "out").exists()
 
     def test_unusable_out_exits_two_before_training(self, tmp_path, monkeypatch, capsys):

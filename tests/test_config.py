@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelattn.annotators import KINDS
-from labelattn.config import (ConfigError, config_hash, parse_config,
+from labelattn.annotators import KINDS, AnnotatorSpec
+from labelattn.config import (Cifar10Spec, ConfigError, MethodSpec, config_hash, parse_config,
                               parse_config_dict, to_canonical_dict)
 
 MINIMAL = {
@@ -259,6 +260,33 @@ class TestParsing:
         assert json.loads(text)["dataset"]["synthetic"]["seed"] == 2
         with pytest.raises(ConfigError, match="^key 'seed' is written more than once$"):
             parse_config(path)
+
+
+# One row per rule that ExperimentConfig checks when it is built: config
+# keys that break it, and the same change made with dataclasses.replace.
+CONSTRUCTOR_RULES = {
+    "roster": ({"annotators": [{"kind": "average"}]}, {"annotators": (AnnotatorSpec("average"),)}),
+    "set-index": ({"method": {"name": "baseline", "set_index": 1}},
+                  {"method": MethodSpec("baseline", 1)}),
+    "seeds": ({"seeds": [0, 1, 0]}, {"seeds": (0, 1, 0)}),
+    "val-fraction": ({"val_fraction": 1.0}, {"val_fraction": 1.0}),
+    "validation-rows": ({"val_fraction": 0.01}, {"val_fraction": 0.01}),
+    "cifar-validation-rows": (
+        {"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "subset": 2}}},
+        {"dataset": Cifar10Spec(("a.bin",), ("t.bin",), subset=2)}),
+    "trace": ({"method": {"name": "baseline_avg"}, "trace": True},
+              {"method": MethodSpec("baseline_avg"), "trace": True}),
+    "hidden-dims": ({"model": {"hidden_dims": [8, 0]}}, {"hidden_dims": (8, 0)}),
+    "output": ({"output": ""}, {"output": ""}),
+}
+
+
+@pytest.mark.parametrize("keys, changes", CONSTRUCTOR_RULES.values(), ids=CONSTRUCTOR_RULES)
+def test_replace_raises_the_parsers_message(keys, changes):
+    with pytest.raises(ConfigError) as parsed:
+        parse_config_dict(minimal(**keys))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(parsed.value))}$"):
+        dataclasses.replace(parse_config_dict(minimal()), **changes)
 
 
 class TestHash:

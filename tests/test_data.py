@@ -12,6 +12,10 @@ from labelattn.data import (CIFAR_RECORD_BYTES, LabeledDataset, SyntheticSpec,
                             attach_annotators, consensus_labels, load_cifar10, minibatches,
                             one_hot, split, synth_blobs, take_subset)
 
+TABLE2_ROSTER = (AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
+                 AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
+                 AnnotatorSpec("average"))
+
 
 class TestSynthBlobs:
     def test_deterministic_bitwise(self):
@@ -543,11 +547,8 @@ class TestLabelMatrix:
         # the bytes training reads (two epochs of one-hot batches, the
         # plurality votes), pinned so that how the sets are stored cannot
         # change them
-        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
-                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
-                  AnnotatorSpec("average")]
         clean = synth_blobs(SyntheticSpec(n_classes=10, dim=4, samples_per_class=12, seed=3))
-        pool = attach_annotators(clean, roster, seed=3)
+        pool = attach_annotators(clean, TABLE2_ROSTER, seed=3)
         train, val, _ = split(pool, 0.25, seed=1)
         digest = hashlib.sha256()
         for epoch in range(2):
@@ -569,12 +570,9 @@ class TestLabelMatrix:
             return build_cm(spec, n, roster=roster)
 
         monkeypatch.setattr(data, "build_cm", counting_build_cm)
-        roster = [AnnotatorSpec("hammer_spammer", 0.3), AnnotatorSpec("structured_flips", 0.4),
-                  AnnotatorSpec("ordered_confusion", 0.5), AnnotatorSpec("adversarial"),
-                  AnnotatorSpec("average")]
         clean = synth_blobs(SyntheticSpec(n_classes=10, dim=4, samples_per_class=12, seed=3))
-        attach_annotators(clean, roster, seed=3)
-        assert sorted(built) == sorted(spec.kind for spec in roster)
+        attach_annotators(clean, TABLE2_ROSTER, seed=3)
+        assert sorted(built) == sorted(spec.kind for spec in TABLE2_ROSTER)
 
     def test_average_without_a_companion_refused(self):
         clean = synth_blobs(SyntheticSpec(n_classes=3, dim=2, samples_per_class=4))

@@ -302,6 +302,20 @@ class TestSweeps:
         hashes = [run_built(c, 0).record.config_hash for c in (ints, floats, ints)]
         assert hashes == [config_hash(c) for c in (ints, floats, ints)]
 
+    def test_traced_noise_sweep_traces_only_the_attention_variants(self):
+        # a baseline has no weights to trace, so its variant is built
+        # untraced and its records hash as an untraced sweep's
+        dataset = {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 20, "seed": 5}}
+        baselines = ["e101bcc51d570422", "f6df5762309014f5", "741c8be4e31677a3",
+                     "cf24c8034485cd33"]
+        for trace, ours in ((False, "2d55d0e59fe9731f"), (True, "92d2f33e5a88c220")):
+            cfg = tiny_config(dataset=dataset, meta={"epochs": 1, "batch_size": 16}, trace=trace)
+            variants = noise_sweep_variants(cfg, [0.3])
+            assert [v.trace for v, _ in variants] == [trace] + 4 * [False]
+            records = run_variants(variants)
+            assert [r.method for r in records] == ["ours"] + [f"baseline:{i}" for i in range(4)]
+            assert [r.config_hash for r in records] == [ours, *baselines]
+
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
             noise_sweep_variants(tiny_config(), [0.0])
