@@ -6,13 +6,12 @@ read from its spec dataclass (``SyntheticSpec``, ``Cifar10Spec``,
 ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which each run sets, and
 ``MethodSpec``): its keys are the class's fields, the fields without a
 default are required, and each value is checked by its field's annotation.
-``model.aux_dim`` accepts only 0, as a classifier takes no auxiliary
-features; the key stays so that configs that spell it parse. ``trace`` must
-be a bool, and a file nested too deeply for ``json`` is refused. Every other
-rule is checked by the class it constrains, so that ``dataclasses.replace``
-refuses what the parser refuses: the specs their own fields, and
-``ExperimentConfig`` the rules across fields. The parser reports a spec's
-refusal with its section's name, and ``ExperimentConfig``'s as it is."""
+``trace`` must be a bool, and a file nested too deeply for ``json`` is
+refused. Every other rule is checked by the class it constrains, so that
+``dataclasses.replace`` refuses what the parser refuses: the specs their own
+fields, and ``ExperimentConfig`` the rules across fields. The parser reports
+a spec's refusal with its section's name, and ``ExperimentConfig``'s as it
+is."""
 
 from __future__ import annotations
 
@@ -226,13 +225,9 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
                        for i, entry in enumerate(ann_raw))
 
     model_raw = raw.get("model", {})
-    _expect_keys(model_raw, {"hidden_dims", "aux_dim"}, set(), "model")
+    _expect_keys(model_raw, {"hidden_dims"}, set(), "model")
     hidden_dims = (_integer_list(model_raw["hidden_dims"], "model.hidden_dims")
                    if "hidden_dims" in model_raw else DEFAULT_HIDDEN_DIMS)
-    aux_dim = _integer(model_raw.get("aux_dim", 0), "model.aux_dim")
-    if aux_dim != 0:
-        raise ConfigError(f"model.aux_dim must be 0, as a classifier takes no auxiliary "
-                          f"features; got {aux_dim}")
 
     meta = _section(MetaConfig, raw.get("meta", {}), "meta", skip=("seed",))
     method = _section(MethodSpec, raw.get("method", {"name": METHOD_OURS}), "method")
@@ -284,10 +279,9 @@ def parse_config(path) -> ExperimentConfig:
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved plain-dict form, in the config file's layout; the hash
     input. It holds every field but ``meta.seed``, which each run sets to
-    its own seed, and two values no config can change, so that every hash
-    holds: ``model.aux_dim`` (the class constant 0) and a null
-    ``flip_pairs`` in each annotator entry, where the setting was before the
-    pairs were fixed."""
+    its own seed, and the values of three settings that were removed, so
+    that every hash holds: ``model.aux_dim`` 0, ``meta.attention_mode``
+    ``"concat"`` and a null ``flip_pairs`` in each annotator entry."""
     d = asdict(cfg)
     kind = "synthetic" if isinstance(cfg.dataset, SyntheticSpec) else "cifar10"
     d["dataset"] = {kind: d["dataset"]}
@@ -295,6 +289,7 @@ def to_canonical_dict(cfg: ExperimentConfig) -> dict:
         entry["flip_pairs"] = None
     d["model"] = {"hidden_dims": d.pop("hidden_dims"), "aux_dim": cfg.aux_dim}
     del d["meta"]["seed"]
+    d["meta"]["attention_mode"] = cfg.meta.attention_mode
     return d
 
 

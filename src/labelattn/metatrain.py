@@ -70,12 +70,6 @@ from .optim import AdamState, adam_init, adam_step, sgd_step
 ATTENTION_CONCAT = "concat"   # one linear map from the stacked M*D vector to M logits
 
 
-def _check_mode(mode: str) -> None:
-    if mode != ATTENTION_CONCAT:
-        raise ValueError(f"unknown attention_mode {mode!r}; only {ATTENTION_CONCAT!r} "
-                         f"is supported")
-
-
 @dataclass(frozen=True)
 class MetaConfig:
     alpha: float = 0.2            # probe (meta) learning rate
@@ -85,7 +79,7 @@ class MetaConfig:
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
-    attention_mode: str = ATTENTION_CONCAT  # the one mode; kept in every config's hash
+    attention_mode = ATTENTION_CONCAT  # a class constant that perfbench reads
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -96,7 +90,6 @@ class MetaConfig:
             raise ValueError(f"t_threshold must be in (0, 1), got {self.t_threshold}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        _check_mode(self.attention_mode)
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,9 @@ class AttentionParams:
 def attention_init(n_sets: int, feat_dim: int, mode: str = ATTENTION_CONCAT) -> AttentionParams:
     """Zero-initialized attention: every sample starts at uniform weights.
     ``mode`` accepts only ``"concat"``."""
-    _check_mode(mode)
+    if mode != ATTENTION_CONCAT:
+        raise ValueError(f"unknown attention_mode {mode!r}; only {ATTENTION_CONCAT!r} "
+                         f"is supported")
     if n_sets < 1 or feat_dim < 1:
         raise ValueError("n_sets and feat_dim must be positive")
     return AttentionParams(

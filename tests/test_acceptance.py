@@ -38,6 +38,19 @@ def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500,
     })
 
 
+def run_tagged(variants) -> dict[str, list]:
+    """The records of every (config, tag) pair's seeds by tag, in run order,
+    the seed runs spread over every CPU this process may use."""
+    by_tag = {}
+    for rec in run_variants(variants, jobs=len(os.sched_getaffinity(0))):
+        by_tag.setdefault(rec.tag, []).append(rec)
+    return by_tag
+
+
+def mean_accuracy(records) -> float:
+    return float(np.mean([r.test_accuracy for r in records]))
+
+
 TABLE2_ROSTER = [
     {"kind": "hammer_spammer", "noise_level": 0.3},
     {"kind": "structured_flips", "noise_level": 0.4},
@@ -100,12 +113,10 @@ def test_criterion_3_annotator_fidelity():
 
 def test_criterion_4_directional_reproduction():
     start = time.perf_counter()
-    ours, avg, ad = (run_variants([(synth_config(TABLE2_ROSTER, method), "")])
-                     for method in ({"name": "ours"}, {"name": "baseline", "set_index": 4},
-                                    {"name": "baseline", "set_index": 3}))
-    mean_ours = float(np.mean([r.test_accuracy for r in ours]))
-    mean_avg = float(np.mean([r.test_accuracy for r in avg]))
-    mean_ad = float(np.mean([r.test_accuracy for r in ad]))
+    runs = run_tagged([(synth_config(TABLE2_ROSTER, method), tag) for tag, method in (
+        ("ours", {"name": "ours"}), ("avg", {"name": "baseline", "set_index": 4}),
+        ("ad", {"name": "baseline", "set_index": 3}))])
+    mean_ours, mean_avg, mean_ad = (mean_accuracy(runs[tag]) for tag in ("ours", "avg", "ad"))
     elapsed = time.perf_counter() - start
     ok = (mean_ours >= mean_avg + 0.05) and (mean_ad <= 0.15) and elapsed < 300.0
     check("criterion 4 (directional reproduction)", ok,
@@ -119,13 +130,8 @@ def test_criterion_5_annotator_count_surge():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3},
                         {"kind": "adversarial"}], {"name": "ours"})
-    records = run_variants(annotator_sweep_variants(cfg, 0.3))
-    by_m = {}
-    for rec in records:
-        by_m.setdefault(rec.tag, []).append(rec.test_accuracy)
-    m2 = float(np.mean(by_m["M=2"]))
-    m3 = float(np.mean(by_m["M=3"]))
-    m5 = float(np.mean(by_m["M=5"]))
+    by_m = run_tagged(annotator_sweep_variants(cfg, 0.3))
+    m2, m3, m5 = (mean_accuracy(by_m[tag]) for tag in ("M=2", "M=3", "M=5"))
     elapsed = time.perf_counter() - start
     ok = (m3 - m2 >= 0.10) and elapsed < 300.0
     check("criterion 5 (annotator-count surge)", ok,
@@ -154,12 +160,11 @@ def test_criterion_6_attention_discrimination():
 
 
 def _collapse_records():
-    ours_cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3}],
-                            {"name": "ours"}, epochs=10, per_class=200)
-    base_cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3}],
-                            {"name": "baseline", "set_index": 0},
-                            epochs=10, per_class=200)
-    return run_variants([(ours_cfg, "")]), run_variants([(base_cfg, "")])
+    runs = run_tagged([(synth_config([{"kind": "hammer_spammer", "noise_level": 0.3}],
+                                     method, epochs=10, per_class=200), tag)
+                       for tag, method in (("ours", {"name": "ours"}),
+                                           ("base", {"name": "baseline", "set_index": 0}))])
+    return runs["ours"], runs["base"]
 
 
 def test_criterion_7_single_annotator_collapse():
@@ -215,8 +220,9 @@ def test_criterion_9_cifar_smoke():
         "meta": {"epochs": 10},
         "seeds": [0],
     }
-    ours, avg = (run_variants([(parse_config_dict({**raw, "method": method}), "")])
-                 for method in ({"name": "ours"}, {"name": "baseline_avg"}))
+    runs = run_tagged([(parse_config_dict({**raw, "method": method}), method["name"])
+                       for method in ({"name": "ours"}, {"name": "baseline_avg"})])
+    ours, avg = runs["ours"], runs["baseline_avg"]
     elapsed = time.perf_counter() - start
     ok = ours[0].test_accuracy >= avg[0].test_accuracy and elapsed < 1200.0
     check("criterion 9 (CIFAR-10 smoke)", ok,

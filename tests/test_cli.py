@@ -136,9 +136,11 @@ CONFIG_ERRORS = {
         {"annotators": [{"kind": "ordered_confusion", "noise_level": 0.3}],
          "dataset": TWO_CLASSES["dataset"]},
         "annotators[0] does not fit 2 classes: ordered_confusion needs n >= 3"),
-    # a classifier takes no auxiliary features: the parser refuses the value
-    "aux_dim": ({"model": {"hidden_dims": [8, 6], "aux_dim": 2}},
-                "model.aux_dim must be 0, as a classifier takes no auxiliary features; got 2"),
+    # settings that were removed: each of these configs parsed when they were settings
+    "removed_setting-aux-dim": ({"model": {"hidden_dims": [8, 6], "aux_dim": 0}},
+                                "unknown key 'aux_dim' at model"),
+    "removed_setting-attention-mode": ({"meta": {"attention_mode": "concat"}},
+                                       "unknown key 'attention_mode' at meta"),
     "settings_a_run_would_ignore-flip-pairs": (
         {"annotators": [{"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1]]}]},
         "unknown key 'flip_pairs' at annotators[0]"),
@@ -181,10 +183,8 @@ CONFIG_ERRORS = {
            ("subset-0", {"subset": 0}, "subset must be at least 1, got 0"),
            ("test-subset-0", {"test_subset": 0}, "test_subset must be at least 1, got 0"),
            ("test-subset-negative", {"test_subset": -3},
-            "test_subset must be at least 1, got -3"))},
-    "refused_config-shared-mode": (
-        {"meta": {"attention_mode": "shared"}},
-        "invalid value at meta: unknown attention_mode 'shared'; only 'concat' is supported"),
+            "test_subset must be at least 1, got -3"),
+           ("subset-negative", {"subset": -1}, "subset must be at least 1, got -1"))},
     "refused_config-repeated-seeds": ({"seeds": [0, 0]}, "seeds must not repeat, got [0, 0]"),
 }
 

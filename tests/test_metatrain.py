@@ -629,9 +629,6 @@ class TestMetaConfig:
             MetaConfig(t_threshold=1.5)
         with pytest.raises(ValueError, match="alpha"):
             MetaConfig(alpha=-1)
-        for mode in ("mlp", "shared"):
-            with pytest.raises(ValueError, match="attention_mode"):
-                MetaConfig(attention_mode=mode)
 
 
 class TestMemory:
