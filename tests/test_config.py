@@ -73,14 +73,55 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown method"):
             parse_config_dict(raw)
 
+    @pytest.mark.parametrize("kind", ["adversarial", "average"])
+    def test_level_refused_on_the_kinds_that_take_none(self, kind):
+        raw = minimal(annotators=[{"kind": "hammer_spammer", "noise_level": 0.3},
+                                  {"kind": kind, "noise_level": 0.9}])
+        with pytest.raises(ConfigError, match=f"^invalid value at annotators\\[1\\]: "
+                                              f"'{kind}' takes no noise_level, got 0.9$"):
+            parse_config_dict(raw)
+        raw["annotators"][1]["noise_level"] = 0.0
+        assert parse_config_dict(raw).annotators[1].noise_level == 0.0
+
+    @pytest.mark.parametrize("name", ["ours", "baseline_avg"])
+    @pytest.mark.parametrize("set_index", [7, -3])
+    def test_set_index_refused_off_baseline(self, name, set_index):
+        raw = minimal(method={"name": name, "set_index": set_index})
+        with pytest.raises(ConfigError, match=f"^invalid value at method: set_index applies "
+                                              f"only to 'baseline', not to '{name}'$"):
+            parse_config_dict(raw)
+        raw["method"]["set_index"] = 0
+        assert parse_config_dict(raw).method.name == name
+
+    @pytest.mark.parametrize("method", [{"name": "baseline", "set_index": 0},
+                                        {"name": "baseline_avg"}])
+    def test_trace_refused_off_ours(self, method):
+        # a baseline has no attention weights: the setting would write nothing
+        # yet change the config hash
+        with pytest.raises(ConfigError, match=f"^trace applies only to 'ours', not to "
+                                              f"'{method['name']}'"):
+            parse_config_dict(minimal(method=method, trace=True))
+        assert parse_config_dict(minimal(method=method, trace=False)).trace is False
+        assert parse_config_dict(minimal(method={"name": "ours"}, trace=True)).trace is True
+
     def test_annotator_kind_checked(self):
         raw = minimal(annotators=[{"kind": "psychic"}])
         with pytest.raises(ConfigError, match="unknown annotator kind"):
             parse_config_dict(raw)
 
+    def test_all_average_roster_rejected(self):
+        raw = minimal(annotators=[{"kind": "average"}])
+        with pytest.raises(ConfigError, match="average"):
+            parse_config_dict(raw)
+
     @pytest.mark.parametrize("overrides, where", [
+        ({"seeds": ["x"]}, "seeds"),
         ({"seeds": [0.5]}, "seeds"),
         ({"model": {"hidden_dims": "ab"}}, "model.hidden_dims"),
+        # a removed setting is an unknown key, whatever its value
+        ({"model": {"aux_dim": True}}, "^unknown key 'aux_dim' at model$"),
+        ({"model": {"aux_dim": 2}}, "^unknown key 'aux_dim' at model$"),
+        ({"model": {"aux_dim": -1}}, "^unknown key 'aux_dim' at model$"),
         ({"val_fraction": "a"}, "val_fraction"),
         ({"trace": "false"}, "trace"),
         ({"meta": {"epochs": 1.5}}, "meta.epochs"),
@@ -106,10 +147,34 @@ class TestParsing:
         ({"dataset": {"synthetic": {"seed": -3}}}, "dataset.synthetic.seed"),
         ({"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": -1}}},
          "dataset.cifar10.seed"),
+        ({"output": None}, "^output must be"),
+        ({"output": ["a", 1]}, "^output must be"),
+        ({"output": 3}, "^output must be"),
+        ({"output": ""}, "^output must be a nonempty"),
+        ({"output": "results\0"}, "NUL byte"),
+        ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
     ])
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):
             parse_config_dict(minimal(**overrides))
+
+    # the class count is the one thing a roster entry can misfit
+    @pytest.mark.parametrize("dataset, annotator, message", [
+        ({"synthetic": {"n_classes": 2}}, {"kind": "ordered_confusion", "noise_level": 0.3},
+         "2 classes: ordered_confusion needs n >= 3"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "adversarial"},
+         "1 classes: adversarial needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "hammer_spammer", "noise_level": 0.3},
+         "1 classes: hammer_spammer needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "structured_flips", "noise_level": 0.3},
+         "1 classes: structured_flips needs n >= 2"),
+        ({"synthetic": {"n_classes": 1}}, {"kind": "ordered_confusion", "noise_level": 0.3},
+         "1 classes: ordered_confusion needs n >= 3"),
+    ])
+    def test_roster_must_fit_the_class_count(self, dataset, annotator, message):
+        raw = minimal(dataset=dataset, annotators=[annotator, {"kind": "average"}])
+        with pytest.raises(ConfigError, match=f"^annotators\\[0\\] does not fit {message}$"):
+            parse_config_dict(raw)
 
     def test_million_classes_parse_without_confusion_matrices(self):
         roster = [{"kind": kind, "noise_level": 0.3} if KINDS[kind].levelled
@@ -142,16 +207,43 @@ class TestParsing:
         raw["val_fraction"] = 0.2
         assert parse_config_dict(raw).dataset.subset == 5
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"paths": []}, "paths and test_paths must each name at least one batch file"),
+        ({"test_paths": []}, "paths and test_paths must each name at least one batch file"),
+        ({"subset": 0}, "subset must be at least 1, got 0"),
+        ({"test_subset": 0}, "test_subset must be at least 1, got 0"),
+        ({"test_subset": -3}, "test_subset must be at least 1, got -3"),
+        ({"subset": -1}, "subset must be at least 1, got -1"),
+    ], ids=["no-paths", "no-test-paths", "subset-0", "test-subset-0", "test-subset-negative",
+            "subset-negative"])
+    def test_cifar_section_checks_itself(self, bad, message):
+        raw = minimal()
+        raw["dataset"] = {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], **bad}}
+        with pytest.raises(ConfigError, match=f"^invalid value at dataset.cifar10: {message}$"):
+            parse_config_dict(raw)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal()))
         cfg = parse_config(path)
         assert cfg.seeds == (0, 1)
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            parse_config(tmp_path / "absent.json")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(path)
+
+    def test_key_written_twice_refused(self, tmp_path):
+        # json alone reads a repeated key as its last value: seeds (1, 2)
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(minimal())[:-1] + ', "seeds": [1, 2]}')
+        assert json.loads(path.read_text())["seeds"] == [1, 2]
+        with pytest.raises(ConfigError, match="^key 'seeds' is written more than once$"):
             parse_config(path)
 
     def test_key_written_twice_in_a_nested_section_refused(self, tmp_path):

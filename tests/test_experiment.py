@@ -119,6 +119,13 @@ class TestRunExperiment:
             run_built(tiny_config(method=method, meta={"epochs": 1}), 0)
         assert len(calls) == 1
 
+    def test_aux_configured_model_refused(self):
+        # a classifier takes no auxiliary features: aux_dim is a removed
+        # setting, so the parser refuses the key before any library caller
+        # can run the config
+        with pytest.raises(ConfigError, match="^unknown key 'aux_dim' at model$"):
+            tiny_config(model={"hidden_dims": [8, 6], "aux_dim": 2})
+
     def test_cifar_config_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)
         # two tiny synthetic batch files in the CIFAR-10 binary layout
