@@ -25,6 +25,55 @@ def minimal(**overrides):
     return raw
 
 
+# Values the parser refuses, by test id: (keys replaced in MINIMAL, a
+# pattern of the message).
+BAD_VALUES = {
+    "seeds-string": ({"seeds": ["x"]}, "seeds"),
+    "seeds-fraction": ({"seeds": [0.5]}, "seeds"),
+    "hidden-dims-string": ({"model": {"hidden_dims": "ab"}}, "model.hidden_dims"),
+    # a removed setting is an unknown key, whatever its value
+    "aux-dim-true": ({"model": {"aux_dim": True}}, "^unknown key 'aux_dim' at model$"),
+    "aux-dim-2": ({"model": {"aux_dim": 2}}, "^unknown key 'aux_dim' at model$"),
+    "aux-dim-negative": ({"model": {"aux_dim": -1}}, "^unknown key 'aux_dim' at model$"),
+    "val-fraction-string": ({"val_fraction": "a"}, "val_fraction"),
+    "trace-string": ({"trace": "false"}, "trace"),
+    "epochs-fraction": ({"meta": {"epochs": 1.5}}, "meta.epochs"),
+    "batch-size-bool": ({"meta": {"batch_size": True}}, "meta.batch_size"),
+    "set-index-string": ({"method": {"name": "baseline", "set_index": "0"}},
+                         "method.set_index"),
+    "meta-list": ({"meta": [1]}, "meta"),
+    "cifar-paths-number": ({"dataset": {"cifar10": {"paths": 5, "test_paths": ["t.bin"]}}},
+                           "dataset.cifar10.paths"),
+    "alpha-bool": ({"meta": {"alpha": True}}, "meta.alpha"),
+    "beta-bool": ({"meta": {"beta": True}}, "meta.beta"),
+    "k-bool": ({"meta": {"k": True}}, "meta.k"),
+    "t-threshold-bool": ({"meta": {"t_threshold": False}}, "meta.t_threshold"),
+    "noise-level-bool": ({"annotators": [{"kind": "hammer_spammer", "noise_level": True}]},
+                         "annotators\\[0\\].noise_level"),
+    "cluster-std-bool": ({"dataset": {"synthetic": {"cluster_std": True}}},
+                         "dataset.synthetic.cluster_std"),
+    "center-scale-bool": ({"dataset": {"synthetic": {"center_scale": True}}},
+                          "dataset.synthetic.center_scale"),
+    "alpha-nan": ({"meta": {"alpha": float("nan")}}, "meta.alpha"),
+    "beta-inf": ({"meta": {"beta": float("inf")}}, "meta.beta"),
+    "k-inf": ({"meta": {"k": float("inf")}}, "meta.k"),
+    "cluster-std-inf": ({"dataset": {"synthetic": {"cluster_std": float("inf")}}},
+                        "dataset.synthetic.cluster_std"),
+    "seeds-negative": ({"seeds": [0, -1]}, "seeds\\[1\\]"),
+    "synthetic-seed-negative": ({"dataset": {"synthetic": {"seed": -3}}},
+                                "dataset.synthetic.seed"),
+    "cifar-seed-negative": (
+        {"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": -1}}},
+        "dataset.cifar10.seed"),
+    "output-null": ({"output": None}, "^output must be"),
+    "output-list": ({"output": ["a", 1]}, "^output must be"),
+    "output-number": ({"output": 3}, "^output must be"),
+    "output-empty": ({"output": ""}, "^output must be a nonempty"),
+    "output-nul-byte": ({"output": "results\0"}, "NUL byte"),
+    "seeds-repeated": ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
+}
+
+
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config_dict(minimal())
@@ -114,46 +163,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match="average"):
             parse_config_dict(raw)
 
-    @pytest.mark.parametrize("overrides, where", [
-        ({"seeds": ["x"]}, "seeds"),
-        ({"seeds": [0.5]}, "seeds"),
-        ({"model": {"hidden_dims": "ab"}}, "model.hidden_dims"),
-        # a removed setting is an unknown key, whatever its value
-        ({"model": {"aux_dim": True}}, "^unknown key 'aux_dim' at model$"),
-        ({"model": {"aux_dim": 2}}, "^unknown key 'aux_dim' at model$"),
-        ({"model": {"aux_dim": -1}}, "^unknown key 'aux_dim' at model$"),
-        ({"val_fraction": "a"}, "val_fraction"),
-        ({"trace": "false"}, "trace"),
-        ({"meta": {"epochs": 1.5}}, "meta.epochs"),
-        ({"meta": {"batch_size": True}}, "meta.batch_size"),
-        ({"method": {"name": "baseline", "set_index": "0"}}, "method.set_index"),
-        ({"meta": [1]}, "meta"),
-        ({"dataset": {"cifar10": {"paths": 5, "test_paths": ["t.bin"]}}},
-         "dataset.cifar10.paths"),
-        ({"meta": {"alpha": True}}, "meta.alpha"),
-        ({"meta": {"beta": True}}, "meta.beta"),
-        ({"meta": {"k": True}}, "meta.k"),
-        ({"meta": {"t_threshold": False}}, "meta.t_threshold"),
-        ({"annotators": [{"kind": "hammer_spammer", "noise_level": True}]},
-         "annotators\\[0\\].noise_level"),
-        ({"dataset": {"synthetic": {"cluster_std": True}}}, "dataset.synthetic.cluster_std"),
-        ({"dataset": {"synthetic": {"center_scale": True}}}, "dataset.synthetic.center_scale"),
-        ({"meta": {"alpha": float("nan")}}, "meta.alpha"),
-        ({"meta": {"beta": float("inf")}}, "meta.beta"),
-        ({"meta": {"k": float("inf")}}, "meta.k"),
-        ({"dataset": {"synthetic": {"cluster_std": float("inf")}}},
-         "dataset.synthetic.cluster_std"),
-        ({"seeds": [0, -1]}, "seeds\\[1\\]"),
-        ({"dataset": {"synthetic": {"seed": -3}}}, "dataset.synthetic.seed"),
-        ({"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": -1}}},
-         "dataset.cifar10.seed"),
-        ({"output": None}, "^output must be"),
-        ({"output": ["a", 1]}, "^output must be"),
-        ({"output": 3}, "^output must be"),
-        ({"output": ""}, "^output must be a nonempty"),
-        ({"output": "results\0"}, "NUL byte"),
-        ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
-    ])
+    @pytest.mark.parametrize("overrides, where", BAD_VALUES.values(), ids=BAD_VALUES)
     def test_bad_types_raise_config_error(self, overrides, where):
         with pytest.raises(ConfigError, match=where):
             parse_config_dict(minimal(**overrides))
