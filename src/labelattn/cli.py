@@ -2,6 +2,8 @@
 
 Subcommands: ``run``, ``sweep-noise``, ``sweep-annotators``, ``verify``.
 Exit codes: 0 on success, 1 on any run failure, 2 on a config error.
+The output directory (``--out``) and tracing (``--trace``) are flags, not
+config keys, so neither changes a record's ``config_hash``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import check_output, parse_config
+from .config import METHOD_OURS, ConfigError, parse_config
 from .experiment import (ExperimentError, ResultRecord, annotator_sweep_variants,
                          emit, emit_summary, noise_sweep_variants, run_variants)
 
@@ -60,7 +62,8 @@ def main(argv=None) -> int:
     common.add_argument("--config", required=True)
     common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for the seed runs (default 1)")
-    common.add_argument("--out", default=None, help="output directory (default: config's)")
+    common.add_argument("--trace", action="store_true", help="write the ours runs' traces")
+    common.add_argument("--out", default="results", help="output directory (default results)")
 
     sub.add_parser("run", parents=[common],
                    help="run one configured experiment over its seeds")
@@ -82,8 +85,13 @@ def main(argv=None) -> int:
 
     try:  # a ConfigError is a ValueError, as are bad sweep levels
         cfg = parse_config(args.config)
-        out_dir = Path(cfg.output if args.out is None else check_output(args.out, "--out"))
+        if not args.out or "\0" in args.out:
+            raise ConfigError(f"--out must be a nonempty directory path string with no NUL "
+                              f"byte, got {args.out!r}")
+        out_dir = Path(args.out)
         if args.command == "run":
+            if args.trace and cfg.method.name != METHOD_OURS:
+                raise ConfigError(f"--trace applies only to 'ours', not to {cfg.method.name!r}")
             variants, summary = [(cfg, "")], None
         elif args.command == "sweep-noise":
             levels = [float(v) for v in args.levels.split(",") if v.strip()]
@@ -102,7 +110,7 @@ def main(argv=None) -> int:
 
     try:
         records = run_variants(variants, args.jobs,
-                               _trace_sink(out_dir) if cfg.trace else None)
+                               _trace_sink(out_dir) if args.trace else None)
     except ExperimentError as err:
         print(f"run failure: {err}", file=sys.stderr)
         if err.completed and _write_outputs(err.completed, out_dir):

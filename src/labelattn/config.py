@@ -6,12 +6,12 @@ read from its spec dataclass (``SyntheticSpec``, ``Cifar10Spec``,
 ``AnnotatorSpec``, ``MetaConfig`` without ``seed``, which each run sets, and
 ``MethodSpec``): its keys are the class's fields, the fields without a
 default are required, and each value is checked by its field's annotation.
-``trace`` must be a bool, and a file nested too deeply for ``json`` is
+A file that is not UTF-8 text, or is nested too deeply for ``json``, is
 refused. Every other rule is checked by the class it constrains, so that
 ``dataclasses.replace`` refuses what the parser refuses: the specs their own
 fields, and ``ExperimentConfig`` the rules across fields. The parser reports
 a spec's refusal with its section's name, and ``ExperimentConfig``'s as it
-is."""
+is. The output directory and tracing are CLI flags, not config keys."""
 
 from __future__ import annotations
 
@@ -72,12 +72,10 @@ class MethodSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, checked when it is built, by the parser or by
-    ``dataclasses.replace`` alike: the roster fits the class count, a
-    baseline's ``set_index`` names a set, seeds do not repeat,
-    ``val_fraction`` lies in (0, 1) and leaves the pool validation rows,
-    ``trace`` is set only on ``ours`` (only the attention method has weights
-    to trace), every hidden width is positive, and ``output`` names a
-    directory. A broken rule raises ``ValueError``."""
+    ``dataclasses.replace`` alike: the roster fits the class count, every
+    hidden width is positive, a baseline's ``set_index`` names a set, seeds
+    do not repeat, and ``val_fraction`` lies in (0, 1) and leaves the pool
+    validation rows. A broken rule raises ``ValueError``."""
     dataset: SyntheticSpec | Cifar10Spec
     annotators: tuple[AnnotatorSpec, ...]
     hidden_dims: tuple[int, ...]
@@ -86,8 +84,6 @@ class ExperimentConfig:
     method: MethodSpec
     seeds: tuple[int, ...]
     val_fraction: float
-    output: str
-    trace: bool
 
     def __post_init__(self):
         check_roster(self.annotators, self.dataset.n_classes)  # builds no n x n matrix
@@ -110,9 +106,6 @@ class ExperimentConfig:
                 validation_size(pool_size, self.val_fraction)
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from err
-        check_output(self.output)
-        if self.trace and method.name != METHOD_OURS:
-            raise ValueError(f"trace applies only to {METHOD_OURS!r}, not to {method.name!r}")
 
 
 def _expect_keys(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -204,7 +197,7 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _expect_keys(raw, {"dataset", "annotators", "model", "meta", "method", "seeds",
-                       "val_fraction", "output", "trace"},
+                       "val_fraction"},
                  {"dataset", "annotators", "seeds"}, "top level")
 
     ds_raw = raw["dataset"]
@@ -233,24 +226,12 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     method = _section(MethodSpec, raw.get("method", {"name": METHOD_OURS}), "method")
     seeds = _integer_list(raw["seeds"], "seeds", check=_seed)
     val_fraction = float(_number(raw.get("val_fraction", 0.2), "val_fraction"))
-    trace = raw.get("trace", False)
-    if not isinstance(trace, bool):
-        raise ConfigError(f"trace must be true or false, got {trace!r}")
     try:
         return ExperimentConfig(dataset=dataset, annotators=annotators,
                                 hidden_dims=hidden_dims, meta=meta, method=method,
-                                seeds=seeds, val_fraction=val_fraction,
-                                output=raw.get("output", "results"), trace=trace)
+                                seeds=seeds, val_fraction=val_fraction)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-
-
-def check_output(output, where: str = "output") -> str:
-    """``output`` if it names a directory, else a ``ConfigError`` naming ``where``."""
-    if not isinstance(output, str) or not output or "\0" in output:
-        raise ConfigError(f"{where} must be a nonempty directory path string with no NUL "
-                          f"byte, got {output!r}")
-    return output
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -265,9 +246,11 @@ def _unique_keys(pairs: list) -> dict:
 
 def parse_config(path) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     except RecursionError as err:
@@ -279,10 +262,12 @@ def parse_config(path) -> ExperimentConfig:
 def to_canonical_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved plain-dict form, in the config file's layout; the hash
     input. It holds every field but ``meta.seed``, which each run sets to
-    its own seed, and the values of three settings that were removed, so
-    that every hash holds: ``model.aux_dim`` 0, ``meta.attention_mode``
-    ``"concat"`` and a null ``flip_pairs`` in each annotator entry."""
+    its own seed, and the values of five settings that were removed, so
+    that every hash holds: ``output`` ``"results"``, ``trace`` false,
+    ``model.aux_dim`` 0, ``meta.attention_mode`` ``"concat"`` and a null
+    ``flip_pairs`` in each annotator entry."""
     d = asdict(cfg)
+    d.update(output="results", trace=False)
     kind = "synthetic" if isinstance(cfg.dataset, SyntheticSpec) else "cifar10"
     d["dataset"] = {kind: d["dataset"]}
     for entry in d["annotators"]:

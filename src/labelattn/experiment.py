@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -116,9 +116,10 @@ class RunOutput:
 
 
 def run_single(cfg: ExperimentConfig, seed: int, tag: str = "", *,
-               pool: LabeledDataset, test: LabeledDataset) -> RunOutput:
+               pool: LabeledDataset, test: LabeledDataset, trace: bool = False) -> RunOutput:
     """One (config, seed) run on the noisy pool and clean test set of
-    :func:`build_datasets`: split, train, evaluate on clean test labels."""
+    :func:`build_datasets`: split, train, evaluate on clean test labels.
+    With ``trace``, an ``ours`` run also returns a trace row per iteration."""
     start = time.perf_counter()
     train_ds, val_ds, _ = split(pool, cfg.val_fraction, seed=seed)
 
@@ -130,7 +131,7 @@ def run_single(cfg: ExperimentConfig, seed: int, tag: str = "", *,
     trace_rows: list[dict] = []
     if cfg.method.name == METHOD_OURS:
         hook = None
-        if cfg.trace:
+        if trace:
             def hook(it, tr):
                 trace_rows.append({"iter": it,
                                    "weights_mean": [float(v) for v in tr.weight_means],
@@ -167,22 +168,23 @@ def _noisy(dataset, val_fraction: float, annotators) -> LabeledDataset:
 
 
 def _seed_run(job: tuple) -> tuple[ResultRecord, list[dict]]:
-    """One (variant, seed, tag) job: its record and its trace rows."""
-    cfg, seed, tag = job
+    """One (variant, seed, tag, trace) job: its record and its trace rows."""
+    cfg, seed, tag, trace = job
     _, test = _clean(cfg.dataset, cfg.val_fraction)
     pool = _noisy(cfg.dataset, cfg.val_fraction, cfg.annotators)
-    out = run_single(cfg, seed, tag=tag, pool=pool, test=test)
+    out = run_single(cfg, seed, tag=tag, pool=pool, test=test, trace=trace)
     return out.record, out.trace_rows
 
 
 def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]:
     """Every seed of every (variant config, tag) pair, in that order, in up to
-    ``jobs`` worker processes. Records (and trace rows, handed to
-    ``trace_sink``) come back in job order either way. A failing job, or a
-    failing trace write, aborts with context; the records finished before
-    it, and the record whose trace could not be written, stay on the
-    exception."""
-    work = [(cfg, seed, tag) for cfg, tag in variants for seed in cfg.seeds]
+    ``jobs`` worker processes. Given ``trace_sink``, the ``ours`` jobs are
+    traced and their rows handed to it. Records and trace rows come back in
+    job order either way. A failing job, or a failing trace write, aborts
+    with context; the records finished before it, and the record whose trace
+    could not be written, stay on the exception."""
+    trace = trace_sink is not None   # run_single traces only the ours runs
+    work = [(cfg, seed, tag, trace) for cfg, tag in variants for seed in cfg.seeds]
     workers = min(jobs, len(work))
     records: list[ResultRecord] = []
     tracing = False   # while the last record's trace rows are written
@@ -193,12 +195,12 @@ def run_variants(variants, jobs: int = 1, trace_sink=None) -> list[ResultRecord]
               else nullcontext()) as executor:
             for record, rows in (executor.map if executor else map)(_seed_run, work):
                 records.append(record)
-                if trace_sink is not None and rows:
+                if rows:
                     tracing = True
                     trace_sink(record, rows)
                     tracing = False
     except Exception as err:
-        cfg, seed, tag = work[len(records) - tracing]
+        cfg, seed, tag, _ = work[len(records) - tracing]
         raise ExperimentError(
             f"{'trace write' if tracing else 'run'} failed (method={method_label(cfg.method)}, "
             f"seed={seed}, tag={tag!r}): {err}", records) from err
@@ -221,8 +223,8 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
     """(variant config, tag) pairs for the noise sweep: the adjustable
     annotators (hammer-spammer, structured flips, ordered confusion, and
     their average) re-instantiated at each level, run with the attention
-    method, which keeps the config's ``trace``, plus every per-set baseline,
-    untraced. The adversarial annotator has no adjustable level."""
+    method and as every per-set baseline. The adversarial annotator has no
+    adjustable level."""
     levels = list(levels)
     if not levels:
         raise ValueError("the noise sweep needs at least one level")
@@ -239,7 +241,7 @@ def noise_sweep_variants(cfg: ExperimentConfig, levels) -> list[tuple[Experiment
                   AnnotatorSpec(ORDERED_CONFUSION, lv), AnnotatorSpec(AVERAGE))
         variants.append((_variant(cfg, "noise", annotators=roster,
                                   method=MethodSpec(METHOD_OURS)), tag))
-        variants += [(_variant(cfg, "noise", annotators=roster, trace=False,
+        variants += [(_variant(cfg, "noise", annotators=roster,
                                method=MethodSpec(METHOD_BASELINE, set_index=i)), tag)
                      for i in range(len(roster))]
     return variants
@@ -267,26 +269,31 @@ def annotator_sweep_variants(cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 
-def emit(records, path, fmt: str = "csv") -> None:
-    """Write records as CSV (documented column order) or JSON lines."""
+@contextmanager
+def _results_file(path):
+    """``path`` opened for writing; a failure to write it raises ``OSError`` naming it."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                writer.writerows(
-                    [v if k in _CSV_TEXT_COLUMNS else json.dumps(v) for k, v in
-                     rec.to_dict().items()] for rec in records)
-        elif fmt == "jsonl":
-            with open(path, "w") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            yield fh
     except OSError as err:
         raise OSError(f"cannot write results to {path}: {err}") from err
+
+
+def emit(records, path, fmt: str = "csv") -> None:
+    """Write records as CSV (documented column order) or JSON lines."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with _results_file(path) as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(
+                [v if k in _CSV_TEXT_COLUMNS else json.dumps(v) for k, v in
+                 rec.to_dict().items()] for rec in records)
+        else:
+            fh.writelines(json.dumps(rec.to_dict(), sort_keys=True) + "\n" for rec in records)
 
 
 def read_records(path) -> list[ResultRecord]:
@@ -342,10 +349,9 @@ def summarize(records) -> list[dict]:
 
 
 def emit_summary(records, path) -> None:
+    """Write ``summarize(records)`` as CSV; a failure raises as ``emit``'s does."""
     rows = summarize(records)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _results_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(("x", "method", "mean", "stddev", "n"))
         for row in rows:

@@ -25,8 +25,7 @@ def check(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500,
-                 trace=False):
+def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500):
     return parse_config_dict({
         "dataset": {"synthetic": {"n_classes": 10, "dim": 32,
                                   "samples_per_class": per_class, "seed": 7}},
@@ -34,7 +33,6 @@ def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500,
         "meta": {"epochs": epochs},
         "method": method,
         "seeds": list(seeds),
-        "trace": trace,
     })
 
 
@@ -130,7 +128,9 @@ def test_criterion_5_annotator_count_surge():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3},
                         {"kind": "adversarial"}], {"name": "ours"})
-    by_m = run_tagged(annotator_sweep_variants(cfg, 0.3))
+    # M=4 is neither gated nor printed, so it is not trained
+    by_m = run_tagged([(v, tag) for v, tag in annotator_sweep_variants(cfg, 0.3)
+                       if tag != "M=4"])
     m2, m3, m5 = (mean_accuracy(by_m[tag]) for tag in ("M=2", "M=3", "M=5"))
     elapsed = time.perf_counter() - start
     ok = (m3 - m2 >= 0.10) and elapsed < 300.0
@@ -143,11 +143,11 @@ def test_criterion_6_attention_discrimination():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.0},
                         {"kind": "adversarial"}], {"name": "ours"},
-                       epochs=10, trace=True)
+                       epochs=10)
     pool, test = build_datasets(cfg)
     fractions = []
     for seed in cfg.seeds:
-        rows = run_single(cfg, seed=seed, pool=pool, test=test).trace_rows
+        rows = run_single(cfg, seed=seed, pool=pool, test=test, trace=True).trace_rows
         per_epoch = len(rows) // cfg.meta.epochs
         after_first = np.array([row["weights_mean"] for row in rows[per_epoch:]])
         fractions.append(float(np.mean(after_first[:, 0] > after_first[:, 1])))

@@ -65,44 +65,52 @@ def write_config(tmp_path, **overrides):
 
 
 class TestRun:
-    def test_writes_results_and_exits_zero(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+    def test_writes_results_and_exits_zero(self, tmp_path, monkeypatch):
+        # with no --out, the records go to results/ in the working directory
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
-        csv_records = read_records(tmp_path / "out" / "results.csv")
-        jsonl_records = read_records(tmp_path / "out" / "results.jsonl")
+        csv_records = read_records(tmp_path / "results" / "results.csv")
+        jsonl_records = read_records(tmp_path / "results" / "results.jsonl")
         assert len(csv_records) == len(jsonl_records) == 1
         assert csv_records[0].method == "ours"
 
-    def test_out_flag_overrides_config_output(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "ignored"))
+    def test_out_flag_names_the_output_directory(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "elsewhere"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "results.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert not (tmp_path / "results").exists()
 
     def test_traces_written_when_enabled(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, trace=True, output=str(out))
-        assert main(["run", "--config", str(cfg)]) == 0
-        traces = list((out / "traces").glob("*.jsonl"))
-        assert len(traces) == 1
-        rows = [json.loads(line) for line in traces[0].read_text().splitlines()]
+        # tracing writes the traces and changes no record, config_hash included
+        cfg = write_config(tmp_path)
+        out = tmp_path / "traced"
+        assert main(["run", "--config", str(cfg), "--trace", "--out", str(out)]) == 0
+        assert [p.name for p in (out / "traces").iterdir()] == ["run_ours_seed0.jsonl"]
+        rows = [json.loads(line) for line in (out / "traces" / "run_ours_seed0.jsonl")
+                .read_text().splitlines()]
         assert rows and {"iter", "weights_mean", "loss_pre", "loss_post"} == set(rows[0])
         # loss_post is computed only when a trace row reads it
         assert all(isinstance(rows[0][k], float) for k in ("loss_pre", "loss_post")), rows[0]
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        assert not (tmp_path / "plain" / "traces").exists()
+        assert without_clock(out / "results.jsonl") == \
+            without_clock(tmp_path / "plain" / "results.jsonl")
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
-        cfg = write_config(tmp_path, seeds=[0, 1], output=str(tmp_path / "seq"))
-        assert main(["run", "--config", str(cfg)]) == 0
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "seq")]) == 0
         assert main(["run", "--config", str(cfg), "--jobs", "2",
                      "--out", str(tmp_path / "par")]) == 0
         assert without_clock(tmp_path / "seq" / "results.jsonl") == \
             without_clock(tmp_path / "par" / "results.jsonl")
 
     def test_traces_with_jobs_match_serial(self, tmp_path, pool_sizes):
-        cfg = write_config(tmp_path, trace=True, seeds=[0, 1])
+        cfg = write_config(tmp_path, seeds=[0, 1])
         for jobs in ("1", "2"):
-            assert main(["run", "--config", str(cfg), "--jobs", jobs,
+            assert main(["run", "--config", str(cfg), "--jobs", jobs, "--trace",
                          "--out", str(tmp_path / jobs)]) == 0
         assert pool_sizes == [2]
         serial = {p.name: p.read_bytes() for p in (tmp_path / "1" / "traces").iterdir()}
@@ -112,15 +120,16 @@ class TestRun:
     @pytest.mark.parametrize("seeds, jobs, sizes", [([0, 1], "5", [2]), ([0], "3", [])])
     def test_pool_never_larger_than_the_seed_runs(self, tmp_path, pool_sizes,
                                                   seeds, jobs, sizes):
-        cfg = write_config(tmp_path, seeds=seeds, output=str(tmp_path / "out"))
-        assert main(["run", "--config", str(cfg), "--jobs", jobs]) == 0
+        cfg = write_config(tmp_path, seeds=seeds)
+        assert main(["run", "--config", str(cfg), "--jobs", jobs,
+                     "--out", str(tmp_path / "out")]) == 0
         assert pool_sizes == sizes
         assert len(read_records(tmp_path / "out" / "results.jsonl")) == len(seeds)
 
 
 # The config errors of `labelattn run`, by test id: (config, message). The
-# config is TINY with these keys replaced, or the file's text, or None for no
-# file; the message is the whole stderr line after "config error: ".
+# config is TINY with these keys replaced, or the file's text or bytes, or None
+# for no file; the message is the whole stderr line after "config error: ".
 CIFAR = {"paths": ["a.bin"], "test_paths": ["t.bin"]}
 NO_BATCH_FILE = "paths and test_paths must each name at least one batch file"
 CONFIG_ERRORS = {
@@ -129,6 +138,8 @@ CONFIG_ERRORS = {
     "missing_config": (None, "cannot read config file config.json: [Errno 2] No such file or "
                              "directory: 'config.json'"),
     "unknown_key": ({"surprise": 1}, "unknown key 'surprise' at top level"),
+    "not_utf8_text": (b"\xff\xfe{}", "config file config.json is not UTF-8 text: 'utf-8' codec "
+                                      "can't decode byte 0xff in position 0: invalid start byte"),
     "key_written_twice": (json.dumps(TINY)[:-1] + ', "seeds": [1, 2]}',
                           "key 'seeds' is written more than once"),
     "bad_value_type": ({"seeds": ["x"]}, "seeds[0] must be an integer, got 'x'"),
@@ -136,11 +147,16 @@ CONFIG_ERRORS = {
         {"annotators": [{"kind": "ordered_confusion", "noise_level": 0.3}],
          "dataset": TWO_CLASSES["dataset"]},
         "annotators[0] does not fit 2 classes: ordered_confusion needs n >= 3"),
-    # settings that were removed: each of these configs parsed when they were settings
+    # settings that were removed: each of these configs parsed when they were
+    # settings; output and trace are the flags --out and --trace now
     "removed_setting-aux-dim": ({"model": {"hidden_dims": [8, 6], "aux_dim": 0}},
                                 "unknown key 'aux_dim' at model"),
     "removed_setting-attention-mode": ({"meta": {"attention_mode": "concat"}},
                                        "unknown key 'attention_mode' at meta"),
+    **{f"removed_setting-{name}-{label}": ({name: value}, f"unknown key '{name}' at top level")
+       for name, label, value in (("output", "default", "results"), ("output", "other", "out"),
+                                  ("output", "empty", ""), ("trace", "false", False),
+                                  ("trace", "true", True))},
     "settings_a_run_would_ignore-flip-pairs": (
         {"annotators": [{"kind": "structured_flips", "noise_level": 0.3, "flip_pairs": [[0, 1]]}]},
         "unknown key 'flip_pairs' at annotators[0]"),
@@ -152,18 +168,6 @@ CONFIG_ERRORS = {
         {"method": {"name": name, "set_index": index}},
         f"invalid value at method: set_index applies only to 'baseline', not to '{name}'")
        for name, index in (("ours", 1), ("baseline_avg", -3))},
-    **{f"settings_a_run_would_ignore-{name.replace('_', '-')}-trace": (
-        {"method": {"name": name}, "trace": True},
-        f"trace applies only to 'ours', not to '{name}'")
-       for name in ("baseline", "baseline_avg")},
-    # str() of the first three would name a directory "None", "['a', 1]" or
-    # "3"; "" would write the records into the working directory, and mkdir
-    # raises a bare ValueError on a NUL byte
-    **{f"output_that_names_no_directory-{name}": (
-        {"output": output},
-        f"output must be a nonempty directory path string with no NUL byte, got {output!r}")
-       for name, output in (("null", None), ("list", ["a", 1]), ("number", 3), ("empty", ""),
-                            ("nul-byte", "a\0b"))},
     # json raises RecursionError, not JSONDecodeError, on this
     "deeply_nested_file": ("[" * 200_000,
                            "config file config.json nests arrays or objects too deeply to read"),
@@ -195,17 +199,29 @@ class TestErrors:
         # run where a default or relative output would be made
         monkeypatch.chdir(tmp_path)
         path = Path("config.json")
+        if isinstance(config, dict):
+            config = json.dumps({**TINY, **config})
         if config is not None:
-            path.write_text(config if isinstance(config, str) else json.dumps({**TINY, **config}))
+            (path.write_bytes if isinstance(config, bytes) else path.write_text)(config)
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name] * (config is not None)
 
+    @pytest.mark.parametrize("name", ["baseline", "baseline_avg"])
+    def test_trace_off_ours_exits_two(self, tmp_path, capsys, monkeypatch, name):
+        # a baseline has no attention weights, so there is nothing to trace
+        cfg = write_config(tmp_path, method={"name": name})
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--trace"]) == 2
+        assert capsys.readouterr().err == (f"config error: --trace applies only to 'ours', "
+                                           f"not to '{name}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_two(self, tmp_path, jobs):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+        cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(cfg), "--jobs", jobs])
+            main(["run", "--config", str(cfg), "--jobs", jobs, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
@@ -219,8 +235,8 @@ class TestErrors:
     @pytest.mark.parametrize("out", ["", "a\0b"], ids=["empty", "nul-byte"])
     def test_out_that_names_no_directory_exits_two(self, tmp_path, capsys, monkeypatch, out):
         # an empty --out is no directory, not the absence of --out: the run
-        # writes neither to the config's output nor to the working directory
-        cfg = write_config(tmp_path, output="okdir")
+        # writes neither to the default results/ nor to the working directory
+        cfg = write_config(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", out]) == 2
         assert capsys.readouterr().err == (f"config error: --out must be a nonempty directory "
@@ -234,11 +250,11 @@ class TestErrors:
         train, test = tmp_path / "train.bin", tmp_path / "test.bin"
         train.write_bytes(b"".join(bytes([i % 10]) + bytes(3072) for i in range(20)))
         test.write_bytes(b"")
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
+        cfg = write_config(tmp_path,
                            dataset={"cifar10": {"paths": [str(train)], "test_paths": [str(test)]}})
         decoded = []
         monkeypatch.setattr(experiment, "load_cifar10", lambda paths: decoded.append(paths))
-        assert main(["run", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert (f"run failure: run failed (method=ours, seed=0, tag=''): the CIFAR-10 test "
                 f"files {test} hold no records") in capsys.readouterr().err
         assert decoded == []
@@ -271,13 +287,13 @@ class TestErrors:
                                                                pool_sizes):
         # the first seed trains, then its trace cannot be written: a failed
         # trace write, which keeps that seed's record and no later one
-        cfg = write_config(tmp_path, trace=True, seeds=[0, 1],
-                           meta={"epochs": 1, "batch_size": 16})
+        cfg = write_config(tmp_path, seeds=[0, 1], meta={"epochs": 1, "batch_size": 16})
         for jobs in ("1", "2"):
             out = tmp_path / jobs
             out.mkdir()
             (out / "traces").write_text("")
-            assert main(["run", "--config", str(cfg), "--jobs", jobs, "--out", str(out)]) == 1
+            assert main(["run", "--config", str(cfg), "--jobs", jobs, "--trace",
+                         "--out", str(out)]) == 1
             assert capsys.readouterr().err.startswith(
                 "run failure: trace write failed (method=ours, seed=0, tag=''): ")
             kept = without_clock(out / "results.jsonl")
@@ -293,17 +309,18 @@ class TestErrors:
             raise AssertionError("trained a sweep whose roster does not fit")
 
         monkeypatch.setattr("labelattn.cli.run_variants", no_training)
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"), **TWO_CLASSES)
-        assert main([*sweep, "--config", str(cfg)]) == 2
+        cfg = write_config(tmp_path, **TWO_CLASSES)
+        assert main([*sweep, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: the ") and "sweep's annotators[2] does not fit " \
             "2 classes: ordered_confusion needs n >= 3" in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
+        cfg = write_config(tmp_path)
         for levels in ("0.0,0.5", ",", "0.3,0.3"):
-            assert main(["sweep-noise", "--config", str(cfg), "--levels", levels]) == 2
+            assert main(["sweep-noise", "--config", str(cfg), "--levels", levels,
+                         "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_unusable_out_exits_two_before_training(self, tmp_path, monkeypatch, capsys):
@@ -326,13 +343,24 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(
             f"run failure: cannot write results to {out / 'results.csv'}: ")
 
+    def test_unwritable_summary_exits_one_and_keeps_the_records(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "plot_noise.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, meta={"epochs": 1, "batch_size": 16})
+        assert main(["sweep-noise", "--config", str(cfg), "--levels", "0.3",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"run failure: cannot write results to {out / 'plot_noise.csv'}: ")
+        kept = without_clock(out / "results.jsonl")
+        assert without_clock(out / "results.csv") == kept and len(kept) == 5
+
 
 class TestSweepCommands:
     def test_sweep_annotators_writes_plot_data(self, tmp_path):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, output=str(out),
-                           seeds=[0], meta={"epochs": 1, "batch_size": 16})
-        assert main(["sweep-annotators", "--config", str(cfg), "--noise", "0.3"]) == 0
+        cfg = write_config(tmp_path, seeds=[0], meta={"epochs": 1, "batch_size": 16})
+        assert main(["sweep-annotators", "--config", str(cfg), "--noise", "0.3",
+                     "--out", str(out)]) == 0
         records = read_records(out / "results.jsonl")
         assert sorted({r.tag for r in records}) == ["M=2", "M=3", "M=4", "M=5"]
         plot = (out / "plot_annotators.csv").read_text().splitlines()
@@ -340,14 +368,16 @@ class TestSweepCommands:
         assert len(plot) == 5
 
     def test_sweep_noise_runs_all_methods(self, tmp_path):
+        # and traces only the attention runs: a baseline has no weights
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, output=str(out),
-                           seeds=[0], meta={"epochs": 1, "batch_size": 16})
-        assert main(["sweep-noise", "--config", str(cfg), "--levels", "0.3"]) == 0
+        cfg = write_config(tmp_path, seeds=[0], meta={"epochs": 1, "batch_size": 16})
+        assert main(["sweep-noise", "--config", str(cfg), "--levels", "0.3", "--trace",
+                     "--out", str(out)]) == 0
         records = read_records(out / "results.jsonl")
         assert len(records) == 5  # ours + 4 per-set baselines
         methods = {r.method for r in records}
         assert methods == {"ours", "baseline:0", "baseline:1", "baseline:2", "baseline:3"}
+        assert [p.name for p in (out / "traces").iterdir()] == ["noise-0.3_ours_seed0.jsonl"]
 
 
 class TestVerify:
@@ -387,20 +417,21 @@ class TestStartup:
         assert modules_loaded_by("import labelattn", submodules) == []
 
     def test_serial_run_loads_no_pool(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"))
-        code = f"from labelattn.cli import main; assert main(['run', '--config', {str(cfg)!r}]) == 0"
+        cfg = write_config(tmp_path)
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = f"from labelattn.cli import main; assert main({args!r}) == 0"
         assert modules_loaded_by(code) == []
 
     def test_serial_sweep_loads_no_pool(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"),
-                           meta={"epochs": 1, "batch_size": 16})
-        args = ["sweep-noise", "--config", str(cfg), "--levels", "0.3", "--jobs", "1"]
+        cfg = write_config(tmp_path, meta={"epochs": 1, "batch_size": 16})
+        args = ["sweep-noise", "--config", str(cfg), "--levels", "0.3", "--jobs", "1",
+                "--out", str(tmp_path / "out")]
         code = f"from labelattn.cli import main; assert main({args!r}) == 0"
         assert modules_loaded_by(code) == []
 
     def test_parallel_run_loads_the_pool(self, tmp_path):
-        cfg = write_config(tmp_path, output=str(tmp_path / "out"), seeds=[0, 1])
-        args = ["run", "--config", str(cfg), "--jobs", "2"]
+        cfg = write_config(tmp_path, seeds=[0, 1])
+        args = ["run", "--config", str(cfg), "--jobs", "2", "--out", str(tmp_path / "out")]
         code = f"from labelattn.cli import main; assert main({args!r}) == 0"
         assert modules_loaded_by(code) == ["concurrent.futures", "multiprocessing"]
 

@@ -36,7 +36,7 @@ BAD_VALUES = {
     "aux-dim-2": ({"model": {"aux_dim": 2}}, "^unknown key 'aux_dim' at model$"),
     "aux-dim-negative": ({"model": {"aux_dim": -1}}, "^unknown key 'aux_dim' at model$"),
     "val-fraction-string": ({"val_fraction": "a"}, "val_fraction"),
-    "trace-string": ({"trace": "false"}, "trace"),
+    "trace-string": ({"trace": "false"}, "^unknown key 'trace' at top level$"),
     "epochs-fraction": ({"meta": {"epochs": 1.5}}, "meta.epochs"),
     "batch-size-bool": ({"meta": {"batch_size": True}}, "meta.batch_size"),
     "set-index-string": ({"method": {"name": "baseline", "set_index": "0"}},
@@ -65,11 +65,9 @@ BAD_VALUES = {
     "cifar-seed-negative": (
         {"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "seed": -1}}},
         "dataset.cifar10.seed"),
-    "output-null": ({"output": None}, "^output must be"),
-    "output-list": ({"output": ["a", 1]}, "^output must be"),
-    "output-number": ({"output": 3}, "^output must be"),
-    "output-empty": ({"output": ""}, "^output must be a nonempty"),
-    "output-nul-byte": ({"output": "results\0"}, "NUL byte"),
+    **{f"output-{name}": ({"output": value}, "^unknown key 'output' at top level$")
+       for name, value in (("null", None), ("list", ["a", 1]), ("number", 3), ("empty", ""),
+                           ("nul-byte", "results\0"))},
     "seeds-repeated": ({"seeds": [0, 1, 0]}, "^seeds must not repeat"),
 }
 
@@ -82,7 +80,7 @@ class TestParsing:
         assert cfg.meta.batch_size == 32
         assert cfg.hidden_dims == (128, 64) and cfg.aux_dim == 0
         assert cfg.method.name == "ours"
-        assert cfg.val_fraction == 0.2 and cfg.trace is False
+        assert cfg.val_fraction == 0.2
 
     def test_unknown_key_rejected_with_location(self):
         raw = minimal()
@@ -141,17 +139,6 @@ class TestParsing:
             parse_config_dict(raw)
         raw["method"]["set_index"] = 0
         assert parse_config_dict(raw).method.name == name
-
-    @pytest.mark.parametrize("method", [{"name": "baseline", "set_index": 0},
-                                        {"name": "baseline_avg"}])
-    def test_trace_refused_off_ours(self, method):
-        # a baseline has no attention weights: the setting would write nothing
-        # yet change the config hash
-        with pytest.raises(ConfigError, match=f"^trace applies only to 'ours', not to "
-                                              f"'{method['name']}'"):
-            parse_config_dict(minimal(method=method, trace=True))
-        assert parse_config_dict(minimal(method=method, trace=False)).trace is False
-        assert parse_config_dict(minimal(method={"name": "ours"}, trace=True)).trace is True
 
     def test_annotator_kind_checked(self):
         raw = minimal(annotators=[{"kind": "psychic"}])
@@ -278,10 +265,7 @@ CONSTRUCTOR_RULES = {
     "cifar-validation-rows": (
         {"dataset": {"cifar10": {"paths": ["a.bin"], "test_paths": ["t.bin"], "subset": 2}}},
         {"dataset": Cifar10Spec(("a.bin",), ("t.bin",), subset=2)}),
-    "trace": ({"method": {"name": "baseline_avg"}, "trace": True},
-              {"method": MethodSpec("baseline_avg"), "trace": True}),
     "hidden-dims": ({"model": {"hidden_dims": [8, 0]}}, {"hidden_dims": (8, 0)}),
-    "output": ({"output": ""}, {"output": ""}),
 }
 
 
@@ -305,7 +289,6 @@ class TestHash:
         variants = [
             minimal(seeds=[0, 2]),
             minimal(val_fraction=0.25),
-            minimal(trace=True),
             minimal(method={"name": "baseline_avg"}),
             minimal(meta={"alpha": 0.3}),
             minimal(model={"hidden_dims": [64]}),
@@ -314,7 +297,6 @@ class TestHash:
             minimal(method={"name": "baseline", "set_index": 0}),
             minimal(dataset={"synthetic": {"n_classes": 4, "dim": 6,
                                            "samples_per_class": 10, "seed": 1}}),
-            minimal(output="elsewhere"),
         ]
         hashes = {config_hash(base)}
         for raw in variants:
@@ -343,9 +325,13 @@ class TestHash:
         ("flip_pairs", "annotators[0]", None, [[0, 1]]),
         ("aux_dim", "model", 0, 2),
         ("attention_mode", "meta", "concat", "shared"),
+        ("output", "top level", "results", "elsewhere"),
+        ("trace", "top level", False, True),
     ])
     def test_removed_setting(self, name, where, old, other):
         def section(d):
+            if where == "top level":
+                return d
             return d["annotators"][0] if where == "annotators[0]" else d.setdefault(where, {})
 
         bare = {"dataset": {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 20}},
@@ -356,7 +342,7 @@ class TestHash:
             with pytest.raises(ConfigError, match=f"^unknown key '{name}' at {re.escape(where)}$"):
                 parse_config_dict(raw)
         cfg = parse_config_dict(bare)
-        holder = {"annotators[0]": cfg.annotators[0], "model": cfg, "meta": cfg.meta}[where]
+        holder = {"annotators[0]": cfg.annotators[0], "meta": cfg.meta}.get(where, cfg)
         with pytest.raises(TypeError, match=name):
             dataclasses.replace(holder, **{name: old})
         assert section(to_canonical_dict(cfg))[name] == old
@@ -376,7 +362,7 @@ class TestHash:
             "meta": {"alpha": 0.2, "beta": 1e-4, "k": 50, "t_threshold": 0.5,
                      "batch_size": 32, "epochs": 30},
             "method": {"name": "baseline", "set_index": 2},
-            "seeds": [0, 1, 2], "val_fraction": 0.2, "output": "results", "trace": False,
+            "seeds": [0, 1, 2], "val_fraction": 0.2,
         }, "5fa58e6d1feefc1a"),
         ({
             "dataset": {"cifar10": {"paths": ["data_batch_1.bin"],
@@ -450,8 +436,6 @@ _PLAUSIBLE = st.fixed_dictionaries({
                                                               "baseline_avg"])},
                                     optional={"set_index": _SMALL}),
     "val_fraction": _FRACTION,
-    "output": st.text(max_size=4),
-    "trace": st.booleans(),
 })
 
 

@@ -53,8 +53,7 @@ class TestReadmeExamples:
         blocks = readme_config_blocks()
         assert len(blocks) == 2
         assert set(json.loads(blocks[0])) == {"dataset", "annotators", "model", "meta",
-                                              "method", "seeds", "val_fraction", "output",
-                                              "trace"}
+                                              "method", "seeds", "val_fraction"}
         assert list(json.loads("{" + blocks[1] + "}")) == ["dataset"]
 
     def test_full_example_parses(self):

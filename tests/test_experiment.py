@@ -84,8 +84,10 @@ class TestRunExperiment:
                          seed=0).record.best_epoch == 0
 
     def test_trace_rows_emitted_when_enabled(self):
-        cfg = tiny_config(trace=True, meta={"epochs": 2, "batch_size": 16})
-        out = run_built(cfg, seed=0)
+        cfg = tiny_config(meta={"epochs": 2, "batch_size": 16})
+        pool, test = build_datasets(cfg)
+        out = run_single(cfg, 0, pool=pool, test=test, trace=True)
+        assert not run_single(cfg, 0, pool=pool, test=test).trace_rows
         assert out.trace_rows
         row = out.trace_rows[0]
         assert set(row) == {"iter", "weights_mean", "loss_pre", "loss_post"}
@@ -304,18 +306,20 @@ class TestSweeps:
         assert hashes == [config_hash(c) for c in (ints, floats, ints)]
 
     def test_traced_noise_sweep_traces_only_the_attention_variants(self):
-        # a baseline has no weights to trace, so its variant is built
-        # untraced and its records hash as an untraced sweep's
+        # a baseline has no weights to trace; tracing is no config field, so
+        # a traced sweep's records hash as the untraced sweep's
         dataset = {"synthetic": {"n_classes": 3, "dim": 4, "samples_per_class": 20, "seed": 5}}
-        baselines = ["e101bcc51d570422", "f6df5762309014f5", "741c8be4e31677a3",
-                     "cf24c8034485cd33"]
-        for trace, ours in ((False, "2d55d0e59fe9731f"), (True, "92d2f33e5a88c220")):
-            cfg = tiny_config(dataset=dataset, meta={"epochs": 1, "batch_size": 16}, trace=trace)
-            variants = noise_sweep_variants(cfg, [0.3])
-            assert [v.trace for v, _ in variants] == [trace] + 4 * [False]
-            records = run_variants(variants)
-            assert [r.method for r in records] == ["ours"] + [f"baseline:{i}" for i in range(4)]
-            assert [r.config_hash for r in records] == [ours, *baselines]
+        cfg = tiny_config(dataset=dataset, meta={"epochs": 1, "batch_size": 16})
+        variants = noise_sweep_variants(cfg, [0.3])
+        traced = []
+        records = run_variants(variants, trace_sink=lambda rec, rows: traced.append(rec.method))
+        assert traced == ["ours"]
+        assert [r.method for r in records] == ["ours"] + [f"baseline:{i}" for i in range(4)]
+        assert [r.config_hash for r in records] == [
+            "2d55d0e59fe9731f", "e101bcc51d570422", "f6df5762309014f5", "741c8be4e31677a3",
+            "cf24c8034485cd33"]
+        assert [strip_clock(r) for r in records] == [strip_clock(r)
+                                                     for r in run_variants(variants)]
 
     def test_noise_sweep_rejects_bad_levels(self):
         with pytest.raises(ValueError, match="inside"):
@@ -372,7 +376,7 @@ class TestSweeps:
             if record.seed == 1:
                 raise OSError("planted trace failure")
 
-        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1], trace=True)
+        cfg = tiny_config(meta={"epochs": 1, "batch_size": 32}, seeds=[0, 1])
         with pytest.raises(ExperimentError) as exc:
             run_variants([(cfg, "demo")], jobs, trace_sink=sink)
         assert str(exc.value) == ("trace write failed (method=ours, seed=1, tag='demo'): "
