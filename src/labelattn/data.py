@@ -209,16 +209,19 @@ def cifar10_record_counts(paths) -> list[int]:
     return counts
 
 
-def load_cifar10(paths) -> LabeledDataset:
+def load_cifar10(paths, keep: int | None = None) -> LabeledDataset:
     """Parse CIFAR-10 binary batch files: consecutive 3073-byte records of one
     label byte followed by 3072 channel-major pixel bytes, scaled to [0, 1].
 
-    The pixels are decoded straight into one preallocated feature matrix, so
-    the peak memory is that matrix plus the bytes of one file."""
+    Only the first ``keep`` records (all when None) are decoded, straight
+    into one preallocated feature matrix of that many rows, so the peak
+    memory is that matrix plus the bytes of one file. Every file is still
+    read, and every record's label byte checked."""
     paths = [Path(p) for p in paths]
     counts = cifar10_record_counts(paths)
-    feats = np.empty((sum(counts), CIFAR_RECORD_BYTES - 1))
-    labels = np.empty(sum(counts), dtype=np.int64)
+    total = sum(counts) if keep is None else min(keep, sum(counts))
+    feats = np.empty((total, CIFAR_RECORD_BYTES - 1))
+    labels = np.empty(total, dtype=np.int64)
     start = 0
     for path, count in zip(paths, counts):
         records = np.frombuffer(path.read_bytes(), dtype=np.uint8).reshape(
@@ -227,9 +230,10 @@ def load_cifar10(paths) -> LabeledDataset:
         if batch_labels.size and batch_labels.max() > 9:
             bad = int(np.argmax(batch_labels > 9))
             raise ValueError(f"{path}: record {bad} has label byte {int(batch_labels[bad])} > 9")
-        labels[start:start + count] = batch_labels
-        np.divide(records[:, 1:], 255.0, out=feats[start:start + count])
-        start += count
+        kept = records[:total - start]   # start never passes total
+        labels[start:start + len(kept)] = kept[:, 0]
+        np.divide(kept[:, 1:], 255.0, out=feats[start:start + len(kept)])
+        start += len(kept)
     return LabeledDataset(features=feats, clean_labels=labels, n_classes=CIFAR10_CLASSES)
 
 

@@ -18,7 +18,7 @@ from .annotators import (ADVERSARIAL, AVERAGE, HAMMER_SPAMMER, KINDS, ORDERED_CO
 from .config import (METHOD_BASELINE, METHOD_OURS, Cifar10Spec, ExperimentConfig, MethodSpec,
                      config_hash)
 from .data import (LabeledDataset, SyntheticSpec, attach_annotators, cifar10_record_counts,
-                   load_cifar10, split, synth_blobs, take_subset, validation_size)
+                   load_cifar10, split, synth_blobs, validation_size)
 from .metatrain import evaluate, train_attention, train_baseline
 from .metrics import mean_auc, per_class_auc
 from .model import classifier_init
@@ -72,10 +72,10 @@ def method_label(method: MethodSpec) -> str:
 def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec,
                          val_fraction: float) -> tuple[LabeledDataset, LabeledDataset]:
     """(clean training pool, clean test set) for a dataset spec: the two
-    synthetic streams, or the decoded CIFAR-10 files and their subsets. A
-    CIFAR-10 pool too small to give ``val_fraction`` any validation rows, and
-    test files that hold no record, are refused from the files' sizes, before
-    anything is decoded."""
+    synthetic streams, or the CIFAR-10 files with only the records of
+    ``subset`` and ``test_subset`` decoded. A CIFAR-10 pool too small to give
+    ``val_fraction`` any validation rows, and test files that hold no record,
+    are refused from the files' sizes, before anything is decoded."""
     if isinstance(ds, SyntheticSpec):
         return synth_blobs(ds, stream="train"), synth_blobs(ds, stream="test")
     records = sum(cifar10_record_counts(ds.paths))
@@ -83,13 +83,7 @@ def build_clean_datasets(ds: SyntheticSpec | Cifar10Spec,
     if sum(cifar10_record_counts(ds.test_paths)) == 0:
         raise ValueError(f"the CIFAR-10 test files {', '.join(map(str, ds.test_paths))} "
                          f"hold no records")
-    pool = load_cifar10(ds.paths)
-    if ds.subset is not None:
-        pool = take_subset(pool, np.arange(min(ds.subset, pool.n_samples)))
-    test = load_cifar10(ds.test_paths)
-    if ds.test_subset is not None:
-        test = take_subset(test, np.arange(min(ds.test_subset, test.n_samples)))
-    return pool, test
+    return load_cifar10(ds.paths, ds.subset), load_cifar10(ds.test_paths, ds.test_subset)
 
 
 def build_datasets(cfg: ExperimentConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -256,7 +250,8 @@ def annotator_sweep_variants(cfg: ExperimentConfig,
     """Roster growth [hammer-spammer, adversarial] -> +ordered confusion ->
     +structured flips -> +average, attention method at each size."""
     if not 0.0 < noise_level < 1.0:
-        raise ValueError("noise_level must lie strictly inside (0, 1)")
+        raise ValueError(f"the annotator sweep's noise level must lie strictly inside (0, 1), "
+                         f"got {noise_level}")
     full = [AnnotatorSpec(kind, noise_level if KINDS[kind].levelled else 0.0)
             for kind in ANNOTATOR_SWEEP_ORDER]
     return [(_variant(cfg, "annotator", annotators=tuple(full[:m]),

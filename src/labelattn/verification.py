@@ -20,6 +20,7 @@ from .metatrain import (AttentionParams, attend, attention_gradients, binarize, 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
 CHAIN_TOL = 1e-8
+THEOREM1_TOL = 1e-10
 
 
 def _random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -217,10 +218,10 @@ def run_verification(trials: int) -> bool:
     ok = True
 
     gap = theorem1_sweep(trials)
-    passed = gap <= 1e-10
+    passed = gap <= THEOREM1_TOL
     ok &= passed
     print(f"[{'PASS' if passed else 'FAIL'}] loss-reweighting identity: "
-          f"max gap {gap:.3e} (tol 1e-10, {trials} trials)")
+          f"max gap {gap:.3e} (tol {THEOREM1_TOL:g}, {trials} trials)")
 
     for res in gradient_oracle_sweep():
         ok &= res.passed

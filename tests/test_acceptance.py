@@ -5,6 +5,7 @@ The directional-reproduction criteria (4-7) use the desk-scale synthetic
 setup; absolute full-scale accuracies are out of reproduction scope.
 """
 
+import functools
 import os
 import time
 from pathlib import Path
@@ -14,15 +15,19 @@ import pytest
 
 from labelattn.annotators import AnnotatorSpec, build_cm, corrupt, empirical_cm, noise_level_of
 from labelattn.config import parse_config_dict
-from labelattn.experiment import (annotator_sweep_variants, build_datasets, run_single,
-                                  run_variants)
-from labelattn.verification import (attention_path_chain_gap, gradient_oracle_sweep,
-                                    theorem1_sweep)
+from labelattn.experiment import annotator_sweep_variants, run_variants
+from labelattn.verification import (CHAIN_TOL, THEOREM1_TOL, attention_path_chain_gap,
+                                    gradient_oracle_sweep, theorem1_sweep)
 
 
 def check(name: str, ok: bool, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def tol(value: float) -> str:
+    """A tolerance as the criteria print it: 1e-8, not ``:g``'s 1e-08."""
+    return f"{value:g}".replace("e-0", "e-")
 
 
 def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500):
@@ -36,11 +41,13 @@ def synth_config(annotators, method, seeds=(0, 1, 2), epochs=30, per_class=500):
     })
 
 
-def run_tagged(variants) -> dict[str, list]:
+def run_tagged(variants, trace_sink=None) -> dict[str, list]:
     """The records of every (config, tag) pair's seeds by tag, in run order,
-    the seed runs spread over every CPU this process may use."""
+    the seed runs spread over every CPU this process may use; given
+    ``trace_sink``, the ``ours`` runs are traced into it, in run order."""
     by_tag = {}
-    for rec in run_variants(variants, jobs=len(os.sched_getaffinity(0))):
+    for rec in run_variants(variants, jobs=len(os.sched_getaffinity(0)),
+                            trace_sink=trace_sink):
         by_tag.setdefault(rec.tag, []).append(rec)
     return by_tag
 
@@ -63,8 +70,8 @@ def test_criterion_1_loss_reweighting_identity():
     gap = theorem1_sweep(trials=1000, seed=0)
     elapsed = time.perf_counter() - start
     check("criterion 1 (loss-reweighting identity)",
-          gap <= 1e-10 and elapsed < 5.0,
-          f"max gap {gap:.3e} over 1000 draws (tol 1e-10), {elapsed:.1f}s (< 5s)")
+          gap <= THEOREM1_TOL and elapsed < 5.0,
+          f"max gap {gap:.3e} over 1000 draws (tol {tol(THEOREM1_TOL)}), {elapsed:.1f}s (< 5s)")
 
 
 def test_criterion_2_gradient_correctness():
@@ -74,11 +81,11 @@ def test_criterion_2_gradient_correctness():
     elapsed = time.perf_counter() - start
     worst = max(r.worst_ratio for r in results)
     failing = [r.name for r in results if not r.passed]
-    ok = (not failing) and chain_gap <= 1e-8 and fd_ratio <= 1.0 and elapsed < 30.0
+    ok = (not failing) and chain_gap <= CHAIN_TOL and fd_ratio <= 1.0 and elapsed < 30.0
     check("criterion 2 (gradient correctness)", ok,
           f"{len(results)} ops x 100 draws worst ratio {worst:.3f} of tolerance"
           f"{(' FAILING: ' + ','.join(failing)) if failing else ''}; "
-          f"attention chain gap {chain_gap:.2e} (tol 1e-8), fd ratio {fd_ratio:.3f}; "
+          f"attention chain gap {chain_gap:.2e} (tol {tol(CHAIN_TOL)}), fd ratio {fd_ratio:.3f}; "
           f"{elapsed:.1f}s (< 30s)")
 
 
@@ -128,15 +135,15 @@ def test_criterion_5_annotator_count_surge():
     start = time.perf_counter()
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.3},
                         {"kind": "adversarial"}], {"name": "ours"})
-    # M=4 is neither gated nor printed, so it is not trained
+    # the gate reads M=2 and M=3 only, so the larger rosters are not trained
     by_m = run_tagged([(v, tag) for v, tag in annotator_sweep_variants(cfg, 0.3)
-                       if tag != "M=4"])
-    m2, m3, m5 = (mean_accuracy(by_m[tag]) for tag in ("M=2", "M=3", "M=5"))
+                       if tag in ("M=2", "M=3")])
+    m2, m3 = mean_accuracy(by_m["M=2"]), mean_accuracy(by_m["M=3"])
     elapsed = time.perf_counter() - start
     ok = (m3 - m2 >= 0.10) and elapsed < 300.0
     check("criterion 5 (annotator-count surge)", ok,
           f"M=2 {m2:.3f} -> M=3 {m3:.3f} (surge {m3 - m2:+.3f}, need >= +0.10); "
-          f"M=5 {m5:.3f}; {elapsed:.0f}s (< 300s)")
+          f"{elapsed:.0f}s (< 300s)")
 
 
 def test_criterion_6_attention_discrimination():
@@ -144,10 +151,10 @@ def test_criterion_6_attention_discrimination():
     cfg = synth_config([{"kind": "hammer_spammer", "noise_level": 0.0},
                         {"kind": "adversarial"}], {"name": "ours"},
                        epochs=10)
-    pool, test = build_datasets(cfg)
+    traces = []
+    run_tagged([(cfg, "")], trace_sink=lambda record, rows: traces.append(rows))
     fractions = []
-    for seed in cfg.seeds:
-        rows = run_single(cfg, seed=seed, pool=pool, test=test, trace=True).trace_rows
+    for rows in traces:
         per_epoch = len(rows) // cfg.meta.epochs
         after_first = np.array([row["weights_mean"] for row in rows[per_epoch:]])
         fractions.append(float(np.mean(after_first[:, 0] > after_first[:, 1])))
@@ -159,7 +166,10 @@ def test_criterion_6_attention_discrimination():
           + f" of post-first-epoch iterations per seed (need >= 80%); {elapsed:.0f}s")
 
 
+@functools.cache
 def _collapse_records():
+    """Criterion 7's (ours, baseline) records, computed once per module;
+    ``_collapse_records.__wrapped__()`` is a fresh invocation."""
     runs = run_tagged([(synth_config([{"kind": "hammer_spammer", "noise_level": 0.3}],
                                      method, epochs=10, per_class=200), tag)
                        for tag, method in (("ours", {"name": "ours"}),
@@ -186,8 +196,9 @@ def test_criterion_8_determinism():
         d.pop("wall_clock_seconds")
         return d
 
+    # criterion 7's records, or a first invocation when run alone
     first_ours, first_base = _collapse_records()
-    second_ours, second_base = _collapse_records()
+    second_ours, second_base = _collapse_records.__wrapped__()
     identical = ([strip(r) for r in first_ours] == [strip(r) for r in second_ours]
                  and [strip(r) for r in first_base] == [strip(r) for r in second_base])
     elapsed = time.perf_counter() - start

@@ -53,14 +53,6 @@ class TestMatmul:
         with pytest.raises(ValueError, match="inner-dimension"):
             matmul(constant(np.arange(6).reshape(2, 3)), constant(np.arange(4).reshape(2, 2)))
 
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        b = constant(rng.normal(size=(4, 3)))
-        a = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        (g,) = gradients(sum_all(matmul(a, b)), [a])
-        fd = finite_diff_grad(lambda t: sum_all(matmul(t, b)), a)
-        fd_close(g, fd.data)
-
 
 class TestElementwise:
     def test_mul_by_zero_annihilates_value_and_gradient(self):
@@ -76,8 +68,6 @@ class TestElementwise:
         a = Tensor(rng.normal(size=5), requires_grad=True)
         (g,) = gradients(sum_all(ad.mul(a, constant(b))), [a])
         assert np.allclose(g, b)
-        fd = finite_diff_grad(lambda t: sum_all(ad.mul(t, constant(b))), a)
-        fd_close(g, fd.data)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -92,12 +82,6 @@ class TestSigmoid:
         assert abs(sigmoid(constant([50])).data[0] - 1.0) < 1e-9
         # large negative input must not overflow
         assert sigmoid(constant([-1000])).data[0] == pytest.approx(0.0, abs=1e-300)
-
-    def test_derivative_at_one(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        (g,) = gradients(sum_all(sigmoid(x)), [x])
-        fd = finite_diff_grad(lambda t: sum_all(sigmoid(t)), x)
-        fd_close(g, fd.data)
 
 
 def masked_logistic(x):
@@ -173,8 +157,6 @@ class TestRelu:
         x = Tensor(np.array([-1.5, -0.2, 0.3, 2.0]), requires_grad=True)
         (g,) = gradients(sum_all(relu(x)), [x])
         assert np.array_equal(g, [0, 0, 1, 1])
-        fd = finite_diff_grad(lambda t: sum_all(relu(t)), x)
-        fd_close(g, fd.data)
 
 
 class TestSoftmax:
@@ -223,8 +205,6 @@ class TestBceLoss:
         y = Tensor(rng.uniform(0, 1, size=6), requires_grad=True)
         (g,) = gradients(bce_loss(constant(p), y), [y])
         assert np.allclose(g, -(np.log(p) - np.log(1 - p)) / 6, atol=1e-12)
-        fd = finite_diff_grad(lambda t: bce_loss(constant(p), t), y)
-        fd_close(g, fd.data)
 
     def test_nonnegative_and_clamped(self):
         rng = np.random.default_rng(9)

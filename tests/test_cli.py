@@ -190,6 +190,12 @@ CONFIG_ERRORS = {
             "test_subset must be at least 1, got -3"),
            ("subset-negative", {"subset": -1}, "subset must be at least 1, got -1"))},
     "refused_config-repeated-seeds": ({"seeds": [0, 0]}, "seeds must not repeat, got [0, 0]"),
+    "unknown_dataset_kind": ({"dataset": {"imagenet": {}}}, "unknown dataset kind 'imagenet'"),
+    "bad_synthetic_section-no-classes": (
+        {"dataset": {"synthetic": {**TINY["dataset"]["synthetic"], "n_classes": 0}}},
+        "invalid value at dataset.synthetic: n_classes, dim and samples_per_class must be "
+        "positive"),
+    "bad_meta_section-k-0": ({"meta": {"k": 0}}, "invalid value at meta: k must be positive"),
 }
 
 
@@ -253,7 +259,7 @@ class TestErrors:
         cfg = write_config(tmp_path,
                            dataset={"cifar10": {"paths": [str(train)], "test_paths": [str(test)]}})
         decoded = []
-        monkeypatch.setattr(experiment, "load_cifar10", lambda paths: decoded.append(paths))
+        monkeypatch.setattr(experiment, "load_cifar10", lambda *args: decoded.append(args))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert (f"run failure: run failed (method=ours, seed=0, tag=''): the CIFAR-10 test "
                 f"files {test} hold no records") in capsys.readouterr().err
@@ -314,6 +320,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: the ") and "sweep's annotators[2] does not fit " \
             "2 classes: ordered_confusion needs n >= 3" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("noise, shown", [("0", "0.0"), ("1.5", "1.5")])
+    def test_annotator_sweep_noise_outside_the_open_interval_exits_two(
+            self, tmp_path, capsys, noise, shown):
+        cfg = write_config(tmp_path)
+        assert main(["sweep-annotators", "--config", str(cfg), "--noise", noise,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: the annotator sweep's noise level "
+                                           f"must lie strictly inside (0, 1), got {shown}\n")
         assert not (tmp_path / "out").exists()
 
     def test_bad_sweep_levels_exit_two(self, tmp_path):

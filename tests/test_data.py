@@ -173,6 +173,22 @@ class TestLoadCifar10:
         assert ds.features.tobytes() == expected.tobytes()
         assert np.array_equal(ds.clean_labels, np.concatenate([b[:, 0] for b in blocks]))
 
+    @pytest.mark.parametrize("keep", [1, 40, 41, 500])
+    def test_keep_decodes_the_first_records_with_the_old_bits(self, tmp_path, keep):
+        # the first `keep` rows of the whole decode, across file boundaries
+        rng = np.random.default_rng(12)
+        paths = []
+        for i in range(4):
+            raw = rng.integers(0, 256, size=(40, CIFAR_RECORD_BYTES), dtype=np.uint8)
+            raw[:, 0] %= 10
+            paths.append(tmp_path / f"data_batch_{i}.bin")
+            paths[-1].write_bytes(raw.tobytes())
+        whole = load_cifar10(paths)
+        ds = load_cifar10(paths, keep)
+        assert ds.n_samples == min(keep, 160) and ds.rows is None
+        assert ds.features.tobytes() == whole.features[:keep].tobytes()
+        assert np.array_equal(ds.clean_labels, whole.clean_labels[:keep])
+
 
 def blob_dataset(seed=0, per_class=40, n_classes=4):
     return synth_blobs(SyntheticSpec(n_classes=n_classes, dim=5,

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from labelattn import experiment
-from labelattn.config import ConfigError, config_hash, parse_config_dict
+from labelattn.config import Cifar10Spec, ConfigError, config_hash, parse_config_dict
 from labelattn.experiment import (CSV_COLUMNS, ExperimentError, ResultRecord,
-                                  annotator_sweep_variants, build_datasets, emit,
+                                  annotator_sweep_variants, build_clean_datasets,
+                                  build_datasets, emit,
                                   emit_summary, evaluate_clean, noise_sweep_variants,
                                   read_records, run_single, run_variants, summarize)
-from labelattn.data import Batch, LabeledDataset, minibatches
+from labelattn.data import (CIFAR_RECORD_BYTES, Batch, LabeledDataset, load_cifar10,
+                            minibatches, take_subset)
 from labelattn.metatrain import attention_init, collect_feedback, meta_step
 from labelattn.model import (EVAL_BLOCK_ROWS, Classifier, classifier_init, forward,
                              forward_arrays, predict_class)
@@ -32,6 +34,18 @@ def tiny_config(**overrides):
     raw = json.loads(json.dumps(TINY))
     raw.update(overrides)
     return parse_config_dict(raw)
+
+
+def write_cifar_batches(tmp_path, name: str, files: int, records: int) -> list:
+    """``files`` CIFAR-10 batch files of ``records`` random records each."""
+    rng = np.random.default_rng(len(name))
+    paths = []
+    for i in range(files):
+        raw = rng.integers(0, 256, size=(records, CIFAR_RECORD_BYTES), dtype=np.uint8)
+        raw[:, 0] %= 10
+        paths.append(tmp_path / f"{name}_{i}.bin")
+        paths[-1].write_bytes(raw.tobytes())
+    return paths
 
 
 def run_built(cfg, seed: int, tag: str = ""):
@@ -60,12 +74,6 @@ class TestRunExperiment:
         ours = run_variants([(tiny_config(method={"name": "ours"}), "")])
         base = run_variants([(tiny_config(method={"name": "baseline", "set_index": 0}), "")])
         assert abs(ours[0].test_accuracy - base[0].test_accuracy) <= 0.02
-
-    def test_bitwise_determinism(self):
-        cfg = tiny_config(method={"name": "ours"})
-        a = [strip_clock(r) for r in run_variants([(cfg, "")])]
-        b = [strip_clock(r) for r in run_variants([(cfg, "")])]
-        assert a == b
 
     def test_record_fields(self):
         cfg = tiny_config()
@@ -169,11 +177,45 @@ class TestRunExperiment:
             raw["dataset"]["cifar10"]["subset"] = subset
         cfg = parse_config_dict(raw)
         decoded = []
-        monkeypatch.setattr(experiment, "load_cifar10", lambda paths: decoded.append(paths))
+        monkeypatch.setattr(experiment, "load_cifar10", lambda *args: decoded.append(args))
         with pytest.raises(ValueError, match="a pool of 4 samples at val_fraction 0.2 "
                                              "leaves no validation samples"):
             build_datasets(cfg)
         assert decoded == []
+
+    def test_cifar_build_holds_only_the_kept_rows(self, tmp_path):
+        # two training files of 400 records and a test file of 400, subsets
+        # of 100 and 50: the build holds those rows, with the bits of the
+        # whole decode's first rows
+        spec = Cifar10Spec(paths=tuple(write_cifar_batches(tmp_path, "train", 2, 400)),
+                           test_paths=tuple(write_cifar_batches(tmp_path, "test", 1, 400)),
+                           subset=100, test_subset=50)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pool, test = build_clean_datasets(spec, 0.2)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(ds.features.nbytes + ds.clean_labels.nbytes for ds in (pool, test))
+        assert (pool.n_samples, test.n_samples) == (100, 50)
+        assert held <= 1.01 * kept + 65_536, (held, kept)
+        for ds, paths, rows in ((pool, spec.paths, 100), (test, spec.test_paths, 50)):
+            whole = take_subset(load_cifar10(paths), np.arange(rows))
+            assert ds.features.tobytes() == whole.features.tobytes()
+            assert np.array_equal(ds.clean_labels, whole.clean_labels)
+
+    @pytest.mark.parametrize("stream", ["train", "test"])
+    def test_cifar_build_refuses_a_bad_label_byte_past_the_subset(self, tmp_path, stream):
+        paths = {name: write_cifar_batches(tmp_path, name, 2, 20) for name in ("train", "test")}
+        last = bytearray(paths[stream][-1].read_bytes())
+        last[-CIFAR_RECORD_BYTES] = 10
+        paths[stream][-1].write_bytes(bytes(last))
+        spec = Cifar10Spec(paths=tuple(paths["train"]), test_paths=tuple(paths["test"]),
+                           subset=10, test_subset=5)
+        with pytest.raises(ValueError, match=f"^{paths[stream][-1]}: record 19 has label "
+                                             f"byte 10 > 9$"):
+            build_clean_datasets(spec, 0.2)
 
     def test_cifar_config_requires_test_paths(self, tmp_path):
         raw = json.loads(json.dumps(TINY))

@@ -343,16 +343,6 @@ class TestTheorem1:
         with pytest.raises(ValueError, match="^3 label sets but 2 weights$"):
             theorem1_gap(np.full(4, 0.5), np.zeros((3, 4)), [0.5, 0.5])
 
-    def test_identity_holds_over_random_draws(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(2, 21))
-            pred = rng.uniform(1e-4, 1 - 1e-4, size=n)
-            sets = rng.integers(0, 2, size=(m, n)).astype(float)
-            e = rng.exponential(size=m)
-            assert theorem1_gap(pred, sets, e / e.sum()) <= 1e-10
-
     def test_degenerate_unit_weights(self):
         rng = np.random.default_rng(24)
         pred = rng.uniform(0.1, 0.9, size=6)
